@@ -35,6 +35,13 @@ logger = logging.getLogger("oranmec.agents")
 
 JITTER = 1e-6
 
+# Bytes of one fused branch-layer output per posterior-refresh chunk.  It
+# bounds the refresh's temporaries, which would otherwise grow with the
+# replay buffer, and keeps them below the 4 MiB at which numpy asks for
+# transparent huge pages: huge-page backing makes resident memory depend on
+# what the host has free.
+REFRESH_CHUNK_BYTES = 2 << 20
+
 
 @dataclass
 class AgentConfig:
@@ -123,19 +130,27 @@ class ReplayBuffer:
 
 # -- TD targets -----------------------------------------------------------
 
-def _branched_bootstrap(
+def td_target(
+    rewards: np.ndarray,
+    terminal: np.ndarray,
+    gamma: float,
     select_scores: list[np.ndarray],
     eval_scores: list[np.ndarray],
     m_per_bs: list[int],
 ) -> np.ndarray:
-    """Average over branches of eval-score at the select-score argmax.
+    """Branched double-Q target: one global value shared by all branches.
 
-    Per BS the branch values are averaged, then the per-BS means are
-    averaged; ties in the argmax go to the lowest sub-action index.
+    Branch j's next sub-action is the argmax of ``select_scores[j]`` (the
+    online network's Q row, or the sampled weights on online features) and
+    is priced by ``eval_scores[j]`` (the target network's Q row, or the
+    target weights on target features).  Per BS the branch values are
+    averaged, then the per-BS means are averaged; ties in the argmax go to
+    the lowest sub-action index.  A terminal transition keeps its reward.
+    Plain double DQN is the one-branch case, ``m_per_bs == [1]``.
     """
-    batch = select_scores[0].shape[0]
+    batch = len(rewards)
     rows = np.arange(batch)
-    acc = np.zeros(batch)
+    boot = np.zeros(batch)
     j = 0
     for m in m_per_bs:
         bs_acc = np.zeros(batch)
@@ -143,52 +158,8 @@ def _branched_bootstrap(
             best = np.argmax(select_scores[j], axis=1)
             bs_acc = bs_acc + eval_scores[j][rows, best]
             j += 1
-        acc = acc + bs_acc / m
-    return acc / len(m_per_bs)
-
-
-def td_target_ddqn(
-    rewards: np.ndarray,
-    terminal: np.ndarray,
-    gamma: float,
-    q_next_online: np.ndarray,
-    q_next_target: np.ndarray,
-) -> np.ndarray:
-    """Plain double-DQN target for a single action dimension: the online net
-    picks the next action, the target net prices it."""
-    best = np.argmax(q_next_online, axis=1)
-    boot = q_next_target[np.arange(len(rewards)), best]
-    u = rewards + gamma * boot
-    return np.where(terminal, rewards, u)
-
-
-def td_target_bddqn(
-    rewards: np.ndarray,
-    terminal: np.ndarray,
-    gamma: float,
-    q_next_online: list[np.ndarray],
-    q_next_target: list[np.ndarray],
-    m_per_bs: list[int],
-) -> np.ndarray:
-    """Branched double-Q target: one global value shared by all branches."""
-    boot = _branched_bootstrap(q_next_online, q_next_target, m_per_bs)
-    u = rewards + gamma * boot
-    return np.where(terminal, rewards, u)
-
-
-def td_target_bayes(
-    rewards: np.ndarray,
-    terminal: np.ndarray,
-    gamma: float,
-    online_scores: list[np.ndarray],
-    target_scores: list[np.ndarray],
-    m_per_bs: list[int],
-) -> np.ndarray:
-    """Bayesian-branch target: sub-actions are chosen by the current sampled
-    weights on online features and priced by the target weights on target
-    features."""
-    boot = _branched_bootstrap(online_scores, target_scores, m_per_bs)
-    u = rewards + gamma * boot
+        boot = boot + bs_acc / m
+    u = rewards + gamma * (boot / len(m_per_bs))
     return np.where(terminal, rewards, u)
 
 
@@ -249,10 +220,11 @@ class BranchPosterior:
         self.prior_sigma = prior_sigma
         self.sigma_eps = sigma_eps
         self.mu = np.zeros((n_actions, feature_dim))
-        self.cov = np.tile(prior_sigma * np.eye(feature_dim), (n_actions, 1, 1))
-        self._scale = np.tile(
-            np.sqrt(prior_sigma) * np.eye(feature_dim), (n_actions, 1, 1)
-        )
+        # Every sub-action starts at the prior N(0, prior_sigma I): read-only
+        # broadcasts of one matrix until the first refit makes dense copies.
+        shape = (n_actions, feature_dim, feature_dim)
+        self.cov = np.broadcast_to(prior_sigma * np.eye(feature_dim), shape)
+        self._scale = np.broadcast_to(np.sqrt(prior_sigma) * np.eye(feature_dim), shape)
         self.omega = self._draw(rng)
         self.omega_tilde = self._draw(rng)
 
@@ -262,6 +234,9 @@ class BranchPosterior:
 
     def refit(self, sub_action: int, phi: np.ndarray, u: np.ndarray) -> None:
         mu, cov, scale = blr_posterior(phi, u, self.sigma_eps, self.prior_sigma)
+        if not self.cov.flags.writeable:
+            self.cov = self.cov.copy()
+            self._scale = self._scale.copy()
         self.mu[sub_action] = mu
         self.cov[sub_action] = cov
         self._scale[sub_action] = scale
@@ -279,6 +254,7 @@ class BranchPosterior:
     def rebuild_scale(self) -> None:
         """Recompute sampling factors from stored covariances (after a
         checkpoint load); jitters then fails on a non-PD covariance."""
+        self._scale = np.empty(self.cov.shape)
         for a in range(self.n_actions):
             cov = self.cov[a]
             for attempt in range(2):
@@ -343,7 +319,7 @@ class _AgentBase:
             seed=net_seed,
         )
         self.target_net = self.net.clone()
-        self.adam = Adam(self.net.parameters(), lr=config.lr)
+        self.adam = Adam(self.net.params, lr=config.lr)
         self.buffer = ReplayBuffer(config.buffer_capacity)
         self.m_per_bs = layout.m_per_bs()
 
@@ -351,7 +327,22 @@ class _AgentBase:
         raise NotImplementedError
 
     def sync_target(self) -> None:
-        self.target_net.copy_from(self.net)
+        self.target_net.load_params(self.net.params)
+
+    def save_checkpoint(self, path) -> None:
+        neural.save_checkpoint(path, self.net, self.adam)
+
+    def load_checkpoint(self, path) -> dict:
+        """Load network and optimizer state, sync the target network, and
+        return the checkpoint's contents."""
+        data = neural.load_checkpoint(path)
+        if data["meta"]["arch"] != self.net.arch():
+            raise ValueError("checkpoint architecture does not match this agent")
+        self.net.load_params(data["params"])
+        if data["meta"]["adam_t"] is not None:
+            self.adam.load_state(data["adam"]["m"], data["adam"]["v"], data["meta"]["adam_t"])
+        self.sync_target()
+        return data
 
     def store(self, state_vec, action_idx, reward, next_vec, terminal) -> None:
         self.buffer.push(state_vec, action_idx, reward, next_vec, terminal)
@@ -388,7 +379,7 @@ class EGreedyAgent(_AgentBase):
     def compute_targets(self, batch: dict[str, np.ndarray]) -> np.ndarray:
         q_next_online = self.net.q_values(batch["next_state"])
         q_next_target = self.target_net.q_values(batch["next_state"])
-        return td_target_bddqn(
+        return td_target(
             batch["reward"], batch["terminal"], self.config.gamma,
             q_next_online, q_next_target, self.m_per_bs,
         )
@@ -417,20 +408,8 @@ class EGreedyAgent(_AgentBase):
                 d_qs.append(dq)
                 j += 1
         self.net.backward_from_q(d_qs)
-        self.adam.step(self.net.gradients())
+        self.adam.step(self.net.grads)
         return loss
-
-    def save_checkpoint(self, path) -> None:
-        neural.save_checkpoint(path, self.net, self.adam)
-
-    def load_checkpoint(self, path) -> None:
-        data = neural.load_checkpoint(path)
-        if data["meta"]["arch"] != self.net.arch():
-            raise ValueError("checkpoint architecture does not match this agent")
-        self.net.load_state_dict(data["params"])
-        if data["meta"].get("adam_t") is not None:
-            self.adam.load_state_dict(data["adam"], data["meta"]["adam_t"])
-        self.sync_target()
 
 
 class BayesAgent(_AgentBase):
@@ -478,7 +457,7 @@ class BayesAgent(_AgentBase):
     def compute_targets(self, batch: dict[str, np.ndarray]) -> np.ndarray:
         online = self._scores(self.net.features(batch["next_state"]), "omega")
         target = self._scores(self.target_net.features(batch["next_state"]), "omega_tilde")
-        return td_target_bayes(
+        return td_target(
             batch["reward"], batch["terminal"], self.config.gamma,
             online, target, self.m_per_bs,
         )
@@ -509,7 +488,7 @@ class BayesAgent(_AgentBase):
                 d_phis.append(-2.0 * err[:, None] * w / (K * m * B))
                 j += 1
         self.net.backward_from_features(d_phis)
-        self.adam.step(self.net.gradients())
+        self.adam.step(self.net.grads)
         return loss
 
     def update_posteriors(self) -> None:
@@ -553,9 +532,10 @@ class BayesAgent(_AgentBase):
                 self.posteriors[j].refit(a, phis[j][local], u[local])
 
     def _features_and_targets(
-        self, data: dict[str, np.ndarray], keep: np.ndarray, chunk: int = 4096
+        self, data: dict[str, np.ndarray], keep: np.ndarray
     ) -> tuple[list[np.ndarray], np.ndarray]:
         n_branches = self.net.n_branches
+        chunk = max(1, REFRESH_CHUNK_BYTES // (8 * n_branches * self.net.feature_dim))
         phis = [
             np.empty((len(keep), self.net.feature_dim)) for _ in range(n_branches)
         ]
@@ -584,13 +564,10 @@ class BayesAgent(_AgentBase):
             extra[f"post_omega_tilde_{j}"] = post.omega_tilde
         neural.save_checkpoint(path, self.net, self.adam, extra=extra)
 
-    def load_checkpoint(self, path) -> None:
-        data = neural.load_checkpoint(path)
-        if data["meta"]["arch"] != self.net.arch():
-            raise ValueError("checkpoint architecture does not match this agent")
-        self.net.load_state_dict(data["params"])
-        if data["meta"].get("adam_t") is not None:
-            self.adam.load_state_dict(data["adam"], data["meta"]["adam_t"])
+    def load_checkpoint(self, path) -> dict:
+        """As the base class, then restore every posterior, the target
+        weights included."""
+        data = super().load_checkpoint(path)
         for j, post in enumerate(self.posteriors):
             for name, attr in (
                 (f"post_mu_{j}", "mu"),
@@ -603,10 +580,7 @@ class BayesAgent(_AgentBase):
                     raise ValueError(f"{name}: shape mismatch")
                 setattr(post, attr, tensor)
             post.rebuild_scale()
-        self.sync_target()
-        # keep the loaded target weights rather than the post-sync means
-        for j, post in enumerate(self.posteriors):
-            post.omega_tilde = data["extra"][f"post_omega_tilde_{j}"]
+        return data
 
 
 def make_agent(layout: ActionLayout, state_dim: int, config: AgentConfig):

@@ -1,73 +1,67 @@
 """Minimal dense-network core for the branching Q agents.
 
-A shared trunk (input layer plus two hidden layers, rectifier activations)
-feeds one feature head per action branch.  Each head produces a feature
-vector; in non-Bayesian operation a bias-free linear output layer on top of
-the features yields that branch's Q row, so a branch's Q values are always
-an exact linear transformation of its features.
+A shared trunk (input layer plus hidden layers, rectifier activations) feeds
+one feature head per action branch.  Each head produces a feature vector; in
+non-Bayesian operation a bias-free linear output layer on top of the
+features yields that branch's Q row, so a branch's Q values are always an
+exact linear transformation of its features.
 
-Everything is explicit double-precision numpy: forward passes cache the
-activations a subsequent backward pass needs, and gradients for all
-parameters (branch errors flowing back into the shared trunk) are formed
-without any autodiff dependency.  Networks are single-writer; cloned
-target copies are fully independent.
+Storage is flat: every parameter lives in one double-precision vector
+(``params``) and every gradient in a second one of the same length
+(``grads``); each layer's weight and bias are views into them (``w`` and
+``dw``).  The branch feature heads are fused: their weights form one
+(H, J*F) matrix and their biases one (J*F,) vector, branch j owning columns
+j*F to (j+1)*F, so a forward or backward pass through all J heads is a
+single matrix product and ``features()`` returns per-branch column views of
+its output.  ``Adam`` updates the flat vector in place, one fixed-size block
+at a time.  Cloning, syncing and checkpointing a network copy one array.
+
+A network built by the constructor is trainable: each forward pass keeps
+what the next backward pass needs (the trunk layers' inputs and the branch
+layer's rectifier mask, plus the branch layer's output when Q heads sit on
+top) and the backward pass releases it.  ``clone()`` makes an inference copy
+for target networks: it has no gradient vector and keeps no activations.
+Gradients for all parameters (branch errors flowing back into the shared
+trunk) are formed without any autodiff dependency.
 """
 from __future__ import annotations
 
 import copy
 import json
 import logging
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 logger = logging.getLogger("oranmec.neural")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# Elements per in-place Adam block: two scratch blocks of 512 KiB.
+ADAM_BLOCK = 65_536
 
 
 class GradientError(ValueError):
     """Rejected update: non-finite gradient."""
 
 
-class _Dense:
-    """Fully connected layer, weights in scaled-uniform fan-in init."""
+@dataclass(frozen=True)
+class Layers:
+    """A network's tensors as views into one flat vector."""
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, bias: bool = True):
-        bound = 1.0 / np.sqrt(n_in)
-        self.w = rng.uniform(-bound, bound, size=(n_in, n_out))
-        self.b = np.zeros(n_out) if bias else None
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b) if bias else None
-        self._x: np.ndarray | None = None
+    trunk: list[np.ndarray]         # (n_in, width) per trunk layer
+    trunk_bias: list[np.ndarray]    # (width,)
+    branch: np.ndarray              # (H, J*F), all branch feature heads
+    branch_bias: np.ndarray         # (J*F,)
+    heads: list[np.ndarray]         # (F, branch_sizes[j]); empty without heads
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        out = x @ self.w
-        if self.b is not None:
-            out = out + self.b
-        return out
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self.dw = self._x.T @ dout
-        if self.b is not None:
-            self.db = dout.sum(axis=0)
-        return dout @ self.w.T
-
-
-class _Relu:
-    def __init__(self):
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return dout * self._mask
+    def tensors(self) -> list[np.ndarray]:
+        """Every view, in storage order."""
+        out = []
+        for w, b in zip(self.trunk, self.trunk_bias):
+            out += [w, b]
+        return out + [self.branch, self.branch_bias, *self.heads]
 
 
 class BranchingQNet:
@@ -96,22 +90,43 @@ class BranchingQNet:
         self.feature_dim = int(feature_dim)
         self.with_heads = bool(with_heads)
 
-        self.trunk: list = []
-        n_in = self.state_dim
-        for width in self.trunk_widths:
-            self.trunk.append(_Dense(n_in, width, rng))
-            self.trunk.append(_Relu())
-            n_in = width
-        self.branch_feature = [
-            (_Dense(n_in, self.feature_dim, rng), _Relu()) for _ in self.branch_sizes
-        ]
-        # Q(s, a) must equal exactly (feature . head-column), so no bias.
-        self.heads = (
-            [_Dense(self.feature_dim, n, rng, bias=False) for n in self.branch_sizes]
-            if self.with_heads
-            else []
-        )
-        self._last_was_forward = False
+        F = self.feature_dim
+        self._cols = [slice(j * F, (j + 1) * F) for j in range(self.n_branches)]
+        widths = (self.state_dim, *self.trunk_widths)
+        self._shapes = []
+        for n_in, n_out in zip(widths, widths[1:]):
+            self._shapes += [(n_in, n_out), (n_out,)]
+        self._shapes += [(widths[-1], self.n_branches * F), (self.n_branches * F,)]
+        if self.with_heads:
+            self._shapes += [(F, n) for n in self.branch_sizes]
+        size = sum(math.prod(s) for s in self._shapes)
+        self.params = np.zeros(size)
+        self.grads = np.zeros(size)
+        self.w = self._views(self.params)
+        self.dw = self._views(self.grads)
+        self._cache: tuple | None = None
+
+        # Scaled-uniform fan-in init, drawn layer by layer and branch by
+        # branch (trunk, branch heads, Q heads); biases start at zero.
+        def init(w: np.ndarray) -> None:
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+
+        for w in self.w.trunk:
+            init(w)
+        for cols in self._cols:
+            init(self.w.branch[:, cols])
+        for w in self.w.heads:
+            init(w)
+
+    def _views(self, flat: np.ndarray) -> Layers:
+        views, start = [], 0
+        for shape in self._shapes:
+            size = math.prod(shape)
+            views.append(flat[start:start + size].reshape(shape))
+            start += size
+        n = 2 * len(self.trunk_widths)
+        return Layers(views[0:n:2], views[1:n:2], views[n], views[n + 1], views[n + 2:])
 
     @property
     def n_branches(self) -> int:
@@ -129,94 +144,89 @@ class BranchingQNet:
         return x
 
     def features(self, x: np.ndarray) -> list[np.ndarray]:
-        """Per-branch feature matrices, shape (batch, feature_dim)."""
+        """Per-branch feature matrices, shape (batch, feature_dim): column
+        views of one (batch, J*F) array."""
         h = self._check_input(x)
-        for layer in self.trunk:
-            h = layer.forward(h)
-        phis = []
-        for dense, relu in self.branch_feature:
-            phis.append(relu.forward(dense.forward(h)))
-        self._last_was_forward = True
-        return phis
+        self._cache = None          # free the previous pass's activations first
+        inputs = [h]
+        for w, b in zip(self.w.trunk, self.w.trunk_bias):
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
+            inputs.append(h)
+        z = h @ self.w.branch
+        z += self.w.branch_bias
+        np.maximum(z, 0.0, out=z)
+        if self.dw is not None:
+            self._cache = (inputs, z > 0, z if self.with_heads else None)
+        return [z[:, cols] for cols in self._cols]
 
     def q_values(self, x: np.ndarray) -> list[np.ndarray]:
         """Per-branch Q matrices, shape (batch, branch_sizes[j])."""
         if not self.with_heads:
             raise RuntimeError("network was built without Q heads")
         phis = self.features(x)
-        return [head.forward(phi) for head, phi in zip(self.heads, phis)]
+        return [phi @ w for phi, w in zip(phis, self.w.heads)]
 
     # -- backward ---------------------------------------------------------
 
     def backward_from_features(self, d_phis: list[np.ndarray]) -> None:
-        """Backpropagate given the loss gradient at every branch's features."""
-        if not self._last_was_forward:
+        """Backpropagate given the loss gradient at every branch's features,
+        filling ``grads``; releases the forward pass's activations."""
+        if self._cache is None:
             raise RuntimeError("backward called before forward")
-        d_trunk = None
-        for (dense, relu), d_phi in zip(self.branch_feature, d_phis):
-            d = dense.backward(relu.backward(d_phi))
-            d_trunk = d if d_trunk is None else d_trunk + d
-        for layer in reversed(self.trunk):
-            d_trunk = layer.backward(d_trunk)
-        self._last_was_forward = False
+        (inputs, mask, _), self._cache = self._cache, None
+        dz = np.concatenate(d_phis, axis=1)
+        dz *= mask
+        np.matmul(inputs[-1].T, dz, out=self.dw.branch)
+        np.sum(dz, axis=0, out=self.dw.branch_bias)
+        dh = dz @ self.w.branch.T
+        for i in reversed(range(len(self.trunk_widths))):
+            dh *= inputs[i + 1] > 0
+            np.matmul(inputs[i].T, dh, out=self.dw.trunk[i])
+            np.sum(dh, axis=0, out=self.dw.trunk_bias[i])
+            if i:
+                dh = dh @ self.w.trunk[i].T
 
     def backward_from_q(self, d_qs: list[np.ndarray]) -> None:
         """Backpropagate given the loss gradient at every branch's Q row."""
         if not self.with_heads:
             raise RuntimeError("network was built without Q heads")
-        d_phis = [head.backward(d_q) for head, d_q in zip(self.heads, d_qs)]
+        if self._cache is None:
+            raise RuntimeError("backward called before forward")
+        z = self._cache[2]
+        d_phis = []
+        for cols, w, dw, d_q in zip(self._cols, self.w.heads, self.dw.heads, d_qs):
+            np.matmul(z[:, cols].T, d_q, out=dw)
+            d_phis.append(d_q @ w.T)
         self.backward_from_features(d_phis)
 
     # -- parameter plumbing -------------------------------------------------
 
-    def _layers(self) -> list[_Dense]:
-        dense = [l for l in self.trunk if isinstance(l, _Dense)]
-        dense += [d for d, _ in self.branch_feature]
-        dense += list(self.heads)
-        return dense
-
     def parameters(self) -> list[np.ndarray]:
-        params = []
-        for layer in self._layers():
-            params.append(layer.w)
-            if layer.b is not None:
-                params.append(layer.b)
-        return params
+        """Per-layer views into ``params``, in storage order."""
+        return self.w.tensors()
 
     def gradients(self) -> list[np.ndarray]:
-        grads = []
-        for layer in self._layers():
-            grads.append(layer.dw)
-            if layer.b is not None:
-                grads.append(layer.db)
-        return grads
+        """Per-layer views into ``grads``, matching ``parameters()``."""
+        return self.dw.tensors()
 
     def clone(self) -> "BranchingQNet":
-        """Independent deep copy (activation caches dropped)."""
-        twin = copy.deepcopy(self)
-        twin._last_was_forward = False
-        for layer in twin.trunk:
-            if isinstance(layer, _Dense):
-                layer._x = None
-            else:
-                layer._mask = None
-        for dense, relu in twin.branch_feature:
-            dense._x = None
-            relu._mask = None
-        for head in twin.heads:
-            head._x = None
+        """Independent inference copy (a target network): same parameters,
+        no gradient vector, keeps no activations, cannot run backward."""
+        twin = copy.copy(self)
+        twin.params = self.params.copy()
+        twin.w = twin._views(twin.params)
+        twin.grads = twin.dw = twin._cache = None
         return twin
 
-    def copy_from(self, other: "BranchingQNet") -> None:
-        mine, theirs = self.parameters(), other.parameters()
-        if len(mine) != len(theirs):
-            raise ValueError("parameter lists differ")
-        for p, q in zip(mine, theirs):
-            if p.shape != q.shape:
-                raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
-            p[...] = q
-
-    # -- serialization ------------------------------------------------------
+    def load_params(self, flat: np.ndarray) -> None:
+        """Overwrite every parameter from a flat vector of the same layout."""
+        if flat.shape != self.params.shape:
+            raise ValueError(
+                f"parameter vector of shape {flat.shape}, expected {self.params.shape}"
+            )
+        self.params[...] = flat
 
     def arch(self) -> dict:
         return {
@@ -227,91 +237,82 @@ class BranchingQNet:
             "with_heads": self.with_heads,
         }
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {f"param_{i}": p for i, p in enumerate(self.parameters())}
-
-    def load_state_dict(self, blobs: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        if len(blobs) != len(params):
-            raise ValueError(f"expected {len(params)} tensors, got {len(blobs)}")
-        for i, p in enumerate(params):
-            tensor = blobs[f"param_{i}"]
-            if tensor.shape != p.shape:
-                raise ValueError(
-                    f"param_{i}: shape {tensor.shape} does not match {p.shape}"
-                )
-            p[...] = tensor
-
-
-def clone_into_target(net: BranchingQNet) -> BranchingQNet:
-    return net.clone()
-
 
 class Adam:
-    """Standard Adam with bias correction; rejects non-finite gradients."""
+    """Standard Adam with bias correction over one flat parameter vector,
+    updated in place in blocks of ``ADAM_BLOCK``; rejects non-finite
+    gradients."""
 
     def __init__(
         self,
-        params: list[np.ndarray],
+        params: np.ndarray,
         lr: float = 1e-4,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
+        if params.ndim != 1:
+            raise ValueError(f"Adam takes one flat parameter vector, got shape {params.shape}")
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros(params.size)
+        self.v = np.zeros(params.size)
         self.t = 0
+        self._scratch = np.empty((2, min(ADAM_BLOCK, params.size)))
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        if len(grads) != len(self.params):
-            raise ValueError("gradient list does not match parameter list")
-        for g, p in zip(grads, self.params):
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape {g.shape} does not match {p.shape}")
-            if not np.all(np.isfinite(g)):
-                raise GradientError("non-finite gradient, update rejected")
+    def step(self, grads: np.ndarray) -> None:
+        if grads.shape != self.params.shape:
+            raise ValueError(f"gradient shape {grads.shape} does not match {self.params.shape}")
+        if not np.isfinite(grads).all():
+            raise GradientError("non-finite gradient, update rejected")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        b1, b2 = self.beta1, self.beta2
+        b1t = 1.0 - b1 ** self.t
+        b2t = 1.0 - b2 ** self.t
+        # Each operation in the order of m = b1*m + (1-b1)*g,
+        # v = b2*v + (1-b2)*g*g and p -= lr*(m/b1t) / (sqrt(v/b2t) + eps),
+        # so the result is bit-equal to that unblocked formula.
+        for lo in range(0, self.params.size, ADAM_BLOCK):
+            p, g, m, v = (a[lo:lo + ADAM_BLOCK] for a in (self.params, grads, self.m, self.v))
+            s, r = self._scratch[:, :p.size]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=s)
+            m += s
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v += s
+            np.divide(m, b1t, out=s)
+            s *= self.lr
+            np.divide(v, b2t, out=r)
+            np.sqrt(r, out=r)
+            r += self.eps
+            s /= r
+            p -= s
 
-    def state_dict(self) -> dict:
-        out: dict[str, np.ndarray] = {}
-        for i, (m, v) in enumerate(zip(self.m, self.v)):
-            out[f"adam_m_{i}"] = m
-            out[f"adam_v_{i}"] = v
-        return {"tensors": out, "t": self.t}
-
-    def load_state_dict(self, tensors: dict[str, np.ndarray], t: int) -> None:
-        for i, (m, v) in enumerate(zip(self.m, self.v)):
-            src_m, src_v = tensors[f"adam_m_{i}"], tensors[f"adam_v_{i}"]
-            if src_m.shape != m.shape or src_v.shape != v.shape:
-                raise ValueError(f"adam moment {i}: shape mismatch")
-            m[...] = src_m
-            v[...] = src_v
+    def load_state(self, m: np.ndarray, v: np.ndarray, t: int) -> None:
+        if m.shape != self.m.shape or v.shape != self.v.shape:
+            raise ValueError(f"adam moments {m.shape}/{v.shape}, expected {self.m.shape}")
+        self.m[...] = m
+        self.v[...] = v
         self.t = int(t)
 
 
 def save_checkpoint(path, net: BranchingQNet, adam: Adam | None = None, extra: dict | None = None) -> None:
     """Dump network (and optionally optimizer/posterior state) to one file.
 
-    The archive carries a json header with the architecture; loading
-    validates every tensor shape against it.
+    The archive holds the flat parameter vector, Adam's flat moments and a
+    json header with the architecture.
     """
-    blobs: dict[str, np.ndarray] = dict(net.state_dict())
+    blobs: dict[str, np.ndarray] = {"params": net.params}
     meta = {"version": CHECKPOINT_VERSION, "arch": net.arch(), "adam_t": None}
     if adam is not None:
-        st = adam.state_dict()
-        blobs.update(st["tensors"])
-        meta["adam_t"] = st["t"]
+        blobs["adam_m"] = adam.m
+        blobs["adam_v"] = adam.v
+        meta["adam_t"] = adam.t
     if extra:
         for key, arr in extra.items():
             blobs[f"extra_{key}"] = np.asarray(arr)
@@ -321,31 +322,13 @@ def save_checkpoint(path, net: BranchingQNet, adam: Adam | None = None, extra: d
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint into {meta, params, adam, extra} dictionaries."""
+    """Read a checkpoint into {meta, params, adam, extra}: ``params`` is the
+    flat vector, ``adam`` holds moments ``m`` and ``v`` when saved."""
     with np.load(path) as archive:
         blobs = {k: archive[k] for k in archive.files}
     meta = json.loads(bytes(blobs.pop("_meta")).decode())
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
-    params = {k: v for k, v in blobs.items() if k.startswith("param_")}
-    adam = {k: v for k, v in blobs.items() if k.startswith("adam_")}
+    adam = {k[len("adam_"):]: v for k, v in blobs.items() if k.startswith("adam_")}
     extra = {k[len("extra_"):]: v for k, v in blobs.items() if k.startswith("extra_")}
-    return {"meta": meta, "params": params, "adam": adam, "extra": extra}
-
-
-def build_net_from_checkpoint(data: dict, with_adam: bool = True) -> tuple[BranchingQNet, Adam | None]:
-    arch = data["meta"]["arch"]
-    net = BranchingQNet(
-        state_dim=arch["state_dim"],
-        branch_sizes=arch["branch_sizes"],
-        trunk_widths=tuple(arch["trunk_widths"]),
-        feature_dim=arch["feature_dim"],
-        with_heads=arch["with_heads"],
-        seed=0,
-    )
-    net.load_state_dict(data["params"])
-    adam = None
-    if with_adam and data["meta"].get("adam_t") is not None:
-        adam = Adam(net.parameters())
-        adam.load_state_dict(data["adam"], data["meta"]["adam_t"])
-    return net, adam
+    return {"meta": meta, "params": blobs["params"], "adam": adam, "extra": extra}

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from oranmec import agents
 from oranmec.agents import (
     AgentConfig,
     BayesAgent,
@@ -13,9 +16,7 @@ from oranmec.agents import (
     run_training,
     select_action_egreedy,
     select_action_thompson,
-    td_target_bayes,
-    td_target_bddqn,
-    td_target_ddqn,
+    td_target,
     thompson_sample,
 )
 from oranmec.env import ActionLayout
@@ -83,12 +84,14 @@ class TestTdTargets:
             term = rng.uniform(size=B) < 0.3
             q_on = rng.normal(size=(B, n))
             q_tg = rng.normal(size=(B, n))
-            plain = td_target_ddqn(r, term, 0.9, q_on, q_tg)
-            branched = td_target_bddqn(r, term, 0.9, [q_on], [q_tg], [1])
+            # plain double DQN: online argmax, target price, reward at the end
+            best = np.argmax(q_on, axis=1)
+            plain = np.where(term, r, r + 0.9 * q_tg[np.arange(B), best])
+            branched = td_target(r, term, 0.9, [q_on], [q_tg], [1])
             assert np.array_equal(plain, branched)
 
     def test_terminal_uses_reward_only(self):
-        u = td_target_bddqn(
+        u = td_target(
             np.array([-5.0]), np.array([True]), 1.0,
             [np.array([[1.0, 2.0]])], [np.array([[9.0, 9.0]])], [1],
         )
@@ -99,7 +102,7 @@ class TestTdTargets:
         # u = 1 + 1 * (2 + 4) / 2 = 4
         q_on = [np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])]
         q_tg = [np.array([[9.0, 2.0]]), np.array([[4.0, 9.0]])]
-        u = td_target_bddqn(np.array([1.0]), np.array([False]), 1.0, q_on, q_tg, [2])
+        u = td_target(np.array([1.0]), np.array([False]), 1.0, q_on, q_tg, [2])
         assert u[0] == 4.0
 
     def test_bayes_target_collapse(self, rng):
@@ -108,13 +111,13 @@ class TestTdTargets:
         scores = [rng.normal(size=(4, 3))]
         r = rng.normal(size=4)
         term = np.zeros(4, dtype=bool)
-        u = td_target_bayes(r, term, 0.5, scores, scores, [1])
+        u = td_target(r, term, 0.5, scores, scores, [1])
         assert np.allclose(u, r + 0.5 * scores[0].max(axis=1))
 
     def test_bayes_two_branch_hand_case(self):
         on = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
         tg = [np.array([[1.0, 9.0]]), np.array([[9.0, 3.0]])]
-        u = td_target_bayes(np.array([0.0]), np.array([False]), 1.0, on, tg, [2])
+        u = td_target(np.array([0.0]), np.array([False]), 1.0, on, tg, [2])
         assert u[0] == 2.0                      # (1 + 3) / 2
 
 
@@ -154,11 +157,22 @@ class TestBranchPosterior:
         assert np.array_equal(post.mu, np.zeros((3, 4)))
         assert np.array_equal(post.cov[1], 2.0 * np.eye(4))
 
+    def test_prior_is_shared_until_the_first_refit(self, rng):
+        post = BranchPosterior(3, 4, prior_sigma=2.0, sigma_eps=1.0, rng=rng)
+        assert post.cov.strides[0] == 0 and not post.cov.flags.writeable
+        post.refit(1, rng.normal(size=(5, 4)), rng.normal(size=5))
+        assert post.cov.flags.c_contiguous and post.cov.flags.writeable
+        assert post._scale.flags.c_contiguous and post._scale.flags.writeable
+        for a in (0, 2):
+            assert np.array_equal(post.cov[a], 2.0 * np.eye(4))
+            assert np.array_equal(post._scale[a], np.sqrt(2.0) * np.eye(4))
+        assert not np.array_equal(post.cov[1], 2.0 * np.eye(4))
+
     def test_near_zero_covariance_samples_the_mean(self, rng):
         post = BranchPosterior(2, 3, prior_sigma=1.0, sigma_eps=1.0, rng=rng)
         post.mu[...] = 5.0
-        post.cov[...] = 0.0
-        post._scale[...] = 0.0
+        post.cov = np.zeros((2, 3, 3))
+        post._scale = np.zeros((2, 3, 3))
         post.resample(rng)
         assert np.array_equal(post.omega, post.mu)
 
@@ -214,9 +228,9 @@ class TestThompsonSelection:
         q_rows = net.q_values(x)
         greedy = select_action_egreedy(q_rows, 0.0, rng)
         posts = []
-        for j, head in enumerate(net.heads):
-            post = BranchPosterior(head.w.shape[1], 5, 1.0, 1.0, rng)
-            post.omega = head.w.T.copy()
+        for head in net.w.heads:
+            post = BranchPosterior(head.shape[1], 5, 1.0, 1.0, rng)
+            post.omega = head.T.copy()
             posts.append(post)
         sampled = select_action_thompson(net.features(x), posts)
         assert np.array_equal(greedy, sampled)
@@ -347,6 +361,18 @@ class TestPosteriorUpdate:
         assert np.array_equal(post.cov[1], agent.config.prior_sigma * np.eye(post.d))
         assert np.any(post.mu[0] != 0.0)
 
+    def test_chunked_refresh_matches_one_chunk(self, monkeypatch):
+        fits = []
+        for rows_per_chunk in (64, 5):
+            agent = _filled_agent(mode="bayes", n_fill=64)
+            row_bytes = 8 * agent.net.n_branches * agent.net.feature_dim
+            monkeypatch.setattr(agents, "REFRESH_CHUNK_BYTES", rows_per_chunk * row_bytes)
+            agent.update_posteriors()
+            fits.append(agent.posteriors)
+        for whole, chunked in zip(*fits):
+            np.testing.assert_allclose(chunked.mu, whole.mu, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(chunked.cov, whole.cov, rtol=0, atol=1e-10)
+
 
 class TestTargetStaleness:
     def test_target_constant_between_syncs(self):
@@ -363,6 +389,41 @@ class TestTargetStaleness:
         online = agent.net.q_values(x)
         for s, o in zip(synced, online):
             assert np.array_equal(s, o)
+
+
+class TestCheckpointRoundTrip:
+    @pytest.mark.parametrize("mode", ["egreedy", "bayes"])
+    def test_save_then_pretrained_load(self, tmp_path, mode):
+        agent = _filled_agent(mode=mode, n_fill=32, batch_size=8)
+        for _ in range(3):
+            agent.sync_target()
+            if mode == "bayes":
+                agent.update_posteriors()
+                agent.resample()
+            for _ in range(4):
+                agent.train_step()
+        path = tmp_path / "agent.npz"
+        agent.save_checkpoint(path)
+
+        cfg = dataclasses.replace(
+            agent.config, seed=agent.config.seed + 1, pretrained_checkpoint=str(path)
+        )
+        twin = make_agent(agent.layout, 6, cfg)
+        x = np.random.default_rng(9).normal(size=(4, 6))
+        forward = "q_values" if mode == "egreedy" else "features"
+        ref = getattr(agent.net, forward)(x)
+        for net in (twin.net, twin.target_net):
+            for a, b in zip(ref, getattr(net, forward)(x)):
+                assert np.array_equal(a, b)
+        assert twin.adam.t == agent.adam.t == 12
+        assert np.array_equal(twin.adam.m, agent.adam.m)
+        assert np.array_equal(twin.adam.v, agent.adam.v)
+        if mode == "bayes":
+            for post, loaded in zip(agent.posteriors, twin.posteriors):
+                for attr in ("mu", "cov", "omega", "omega_tilde"):
+                    assert np.array_equal(getattr(post, attr), getattr(loaded, attr))
+            # the target weights come from the file, not from a sync
+            assert any(not np.array_equal(p.mu, p.omega_tilde) for p in twin.posteriors)
 
 
 class TestRunTraining:
