@@ -364,9 +364,13 @@ class EGreedyAgent(_AgentBase):
         return True
 
     def epsilon(self, episode: int) -> float:
+        """Linear decay from ``eps_max`` to ``eps_min`` over
+        ``eps_decay_episodes``.  A run from a pretrained checkpoint already
+        knows a policy, so it starts at most at 0.1."""
         cfg = self.config
+        eps_max = min(cfg.eps_max, 0.1) if cfg.pretrained_checkpoint else cfg.eps_max
         frac = min(1.0, episode / max(1, cfg.eps_decay_episodes))
-        return cfg.eps_max + (cfg.eps_min - cfg.eps_max) * frac
+        return eps_max + (cfg.eps_min - eps_max) * frac
 
     def select_action(self, state_vec: np.ndarray, episode: int) -> np.ndarray:
         q_rows = self.net.q_values(state_vec)
@@ -631,15 +635,15 @@ def run_training(
     demand_provider,
     n_episodes: int,
     episode_seed_base: int | None = None,
-    collect_steps: bool = True,
 ) -> TrainingResult:
     """Run the full slotted learning loop for ``n_episodes`` episodes.
 
-    ``demand_provider(e)`` returns episode e's demand slot sequence.  The
-    schedule counters are global: with the Bayesian agent, posteriors are
-    refreshed at slot counts divisible by ``T_p`` (before acting), the
-    target network syncs at multiples of ``T_g`` and the Thompson weights
-    are re-drawn at multiples of ``T_s`` (both after the gradient step).
+    ``demand_provider(e)`` returns episode e's ``(slots, n_bs, 1 + C)``
+    demand array.  The schedule counters are global: with the Bayesian
+    agent, posteriors are refreshed at slot counts divisible by ``T_p``
+    (before acting), the target network syncs at multiples of ``T_g`` and
+    the Thompson weights are re-drawn at multiples of ``T_s`` (both after
+    the gradient step).
     """
     cfg = agent.config
     bayes = isinstance(agent, BayesAgent)
@@ -679,14 +683,13 @@ def run_training(
             rec += costs.reconfig_total
             rou += costs.routing
             dly += costs.elastic_delay
-            if collect_steps:
-                result.steps.append(StepRecord(
-                    episode=e, step=t, reward=reward, total_cost=costs.total,
-                    elastic_delay=costs.elastic_delay,
-                    penalty_total=costs.penalty_total,
-                    reconfig_total=costs.reconfig_total,
-                    routing_total=costs.routing,
-                ))
+            result.steps.append(StepRecord(
+                episode=e, step=t, reward=reward, total_cost=costs.total,
+                elastic_delay=costs.elastic_delay,
+                penalty_total=costs.penalty_total,
+                reconfig_total=costs.reconfig_total,
+                routing_total=costs.routing,
+            ))
             state_vec = next_vec
             t += 1
         result.episodes.append(EpisodeRecord(

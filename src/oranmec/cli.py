@@ -67,7 +67,6 @@ def main(argv=None) -> int:
                 cfg.out_dir = Path(args.out)
             if args.pretrained:
                 cfg.agent.pretrained_checkpoint = args.pretrained
-                cfg.agent.eps_max = min(cfg.agent.eps_max, 0.1)
             written = run_experiment(cfg)
             for path in written:
                 print(path)

@@ -1,5 +1,8 @@
 """The orchestration MDP: state, multi-dimensional action, cost model, reward.
 
+An episode runs over a demand array of shape ``(slots, n_bs, 1 + C)`` (see
+``workload``); ``reset`` checks it once for the whole episode and clips
+demands above the achievable cell rate, and slot t's state holds row t.
 Each slot the operator picks, per BS: a functional split, DU/CU/MEC compute
 flavors (discrete reference-core sizes), DU/CU hosting servers and the MEC
 hosting side (DU- or CU-colocated).  Routing follows from the placement via
@@ -34,7 +37,7 @@ import numpy as np
 from . import splits as splits_mod
 from .splits import DEMAND_CAP_GBPS, SPLIT_IDS, get_split
 from .topology import Topology
-from .workload import DemandSlot, UtilizationModel
+from .workload import UtilizationModel
 
 logger = logging.getLogger("oranmec.env")
 
@@ -131,7 +134,6 @@ class RewardConfig:
     delta2: float = 1.0
     delay_threshold: dict[int, float] = field(default_factory=lambda: {1: 1.0})
     max_delay_ms: float = 1e3  # finite sentinel when a demanded service has no compute
-    gamma: float = 1.0         # long-run discount (1 during online operation)
 
     def __post_init__(self):
         numeric = (
@@ -257,9 +259,6 @@ class ActionLayout:
     def m_per_bs(self) -> list[int]:
         return [self.branches_per_bs] * self.n_bs
 
-    def head_output_count(self) -> int:
-        return sum(self.branch_sizes())
-
     def joint_cardinality(self) -> int:
         per_bs = math.prod(len(dom) for _, dom in self.per_bs_domains())
         return per_bs ** self.n_bs
@@ -348,8 +347,7 @@ class OranMecEnv:
     """One episode-scoped orchestration environment instance.
 
     Instances are independent; run any number in parallel with disjoint
-    seeds.  Demands above the achievable cell rate are clipped at ingestion
-    (error instead when ``strict_demand`` is set).
+    seeds.  Demands above the achievable cell rate are clipped at ingestion.
     """
 
     def __init__(
@@ -360,7 +358,6 @@ class OranMecEnv:
         reward_cfg: RewardConfig | None = None,
         services: ServiceMix | None = None,
         initial_action: Action | None = None,
-        strict_demand: bool = False,
     ):
         self.topo = topo
         self.layout = layout
@@ -383,35 +380,48 @@ class OranMecEnv:
             else layout.default_initial_action()
         )
         self.layout.validate(self.initial_action)
-        self.strict_demand = strict_demand
-        self._demands: list[DemandSlot] | None = None
+        self._demands: np.ndarray | None = None
         self._state: State | None = None
 
     # -- episode control -------------------------------------------------
 
-    def reset(self, episode_demands: list[DemandSlot], noise_seed: int | None = None) -> State:
-        if not episode_demands:
-            raise ValueError("episode demand sequence must be nonempty")
-        self._demands = [self._ingest(slot) for slot in episode_demands]
+    def reset(self, episode_demands: np.ndarray, noise_seed: int | None = None) -> State:
+        """Start an episode over ``episode_demands``, a ``(slots, n_bs, 1 + C)``
+        array; see ``ingest``."""
+        self._demands = self.ingest(episode_demands)
         if noise_seed is not None:
             self.util.reseed(noise_seed)
-        self._state = State(0, self._demands[0].demand, self.initial_action)
+        self._state = State(0, self._demands[0], self.initial_action)
         return self._state
 
-    def _ingest(self, slot: DemandSlot) -> DemandSlot:
-        expected = (self.layout.n_bs, 1 + self.layout.n_services)
-        if slot.demand.shape != expected:
-            raise ValueError(f"demand slot shape {slot.demand.shape}, expected {expected}")
-        if np.any(slot.demand < 0):
-            raise ValueError(f"slot {slot.t}: negative demand")
-        if np.any(slot.demand > DEMAND_CAP_GBPS):
-            if self.strict_demand:
-                raise splits_mod.DemandCapError(
-                    f"slot {slot.t}: demand above {DEMAND_CAP_GBPS} Gbps"
-                )
-            logger.warning("slot %d: demands clipped to %.1f Gbps", slot.t, DEMAND_CAP_GBPS)
-            return DemandSlot(slot.t, np.minimum(slot.demand, DEMAND_CAP_GBPS))
-        return slot
+    def ingest(self, episode_demands: np.ndarray) -> np.ndarray:
+        """Check an episode's demands in one pass and return them read-only.
+
+        Wrong shapes and negative demands raise ValueError.  Demands above
+        the achievable cell rate are clipped to it, with one warning per
+        episode that counts the slots clipped.
+        """
+        demands = np.asarray(episode_demands, dtype=np.float64)
+        n_bs, width = self.layout.n_bs, 1 + self.layout.n_services
+        if demands.ndim != 3 or demands.shape[1:] != (n_bs, width):
+            raise ValueError(
+                f"episode demands have shape {demands.shape}, expected (slots, {n_bs}, {width})"
+            )
+        if len(demands) == 0:
+            raise ValueError("episode demand sequence must be nonempty")
+        negative = (demands < 0).any(axis=(1, 2))
+        if negative.any():
+            raise ValueError(f"slot {int(np.argmax(negative))}: negative demand")
+        clipped = (demands > DEMAND_CAP_GBPS).any(axis=(1, 2))
+        if clipped.any():
+            logger.warning(
+                "demands clipped to %.1f Gbps in %d of %d slots",
+                DEMAND_CAP_GBPS, int(clipped.sum()), len(demands),
+            )
+            demands = np.minimum(demands, DEMAND_CAP_GBPS)
+        demands = demands.view()     # read-only without freezing the caller's array
+        demands.setflags(write=False)
+        return demands
 
     @property
     def horizon(self) -> int:
@@ -432,7 +442,7 @@ class OranMecEnv:
         self.layout.validate(action)
         costs = self.compute_costs(state, action)
         terminal = state.t == self.horizon - 1
-        next_demand = self._demands[min(state.t + 1, self.horizon - 1)].demand
+        next_demand = self._demands[min(state.t + 1, self.horizon - 1)]
         next_state = State(state.t + 1, next_demand, action)
         self._state = next_state
         return next_state, costs.reward, costs, terminal
@@ -512,7 +522,7 @@ class OranMecEnv:
             )
             out.reconfig_server_migration += cfg.kappa_r * moved
 
-            fh, mh, bh = splits_mod.segment_loads(split, lam0, strict=self.strict_demand)
+            fh, mh, bh = splits_mod.segment_loads(split, lam0)
             out.routing += cfg.kappa_h * (fh + mh + bh)
 
         for server, load in server_load.items():
@@ -530,8 +540,10 @@ class OranMecEnv:
     ) -> float:
         """Routing plus processing delay for one MEC flow.
 
-        A demanded service with no compute at all gets a large finite
-        sentinel instead of a division by zero.
+        Hosted with the DU the flow stops at the fronthaul; hosted with the
+        CU it continues over the midhaul.  A demanded service with no
+        compute at all gets a large finite sentinel instead of a division
+        by zero.
         """
         cfg = self.reward_cfg
         host = beta if at_cu else alpha
@@ -579,39 +591,6 @@ class OranMecEnv:
             for c in range(lay.n_services):
                 vec.append(prev.mec_flavor[k][c] / mec_scale[c])
         return np.asarray(vec, dtype=np.float64)
-
-    def decode_prev_action(self, vec: np.ndarray) -> Action:
-        """Recover the previous-configuration fields from an encoded state."""
-        lay = self.layout
-        bbu_scale = max(max(lay.bbu_flavors), 1)
-        mec_scale = [max(max(f), 1) for f in lay.mec_flavors]
-        per_bs = self.state_dim // lay.n_bs
-        split, du_s, cu_s, du_f, cu_f, mec_f, mec_side = [], [], [], [], [], [], []
-        for k in range(lay.n_bs):
-            block = vec[k * per_bs:(k + 1) * per_bs]
-            pos = 1 + lay.n_services
-            split.append(lay.splits[int(np.argmax(block[pos:pos + len(lay.splits)]))])
-            pos += len(lay.splits)
-            du_s.append(lay.du_servers[int(np.argmax(block[pos:pos + len(lay.du_servers)]))])
-            pos += len(lay.du_servers)
-            cu_s.append(lay.cu_servers[int(np.argmax(block[pos:pos + len(lay.cu_servers)]))])
-            pos += len(lay.cu_servers)
-            sides = []
-            for _ in range(lay.n_services):
-                sides.append(int(np.argmax(block[pos:pos + 2])))
-                pos += 2
-            mec_side.append(tuple(sides))
-            du_f.append(round(float(block[pos]) * bbu_scale))
-            cu_f.append(round(float(block[pos + 1]) * bbu_scale))
-            pos += 2
-            mec_f.append(tuple(
-                round(float(block[pos + c]) * mec_scale[c]) for c in range(lay.n_services)
-            ))
-        return Action(
-            split=tuple(split), du_server=tuple(du_s), cu_server=tuple(cu_s),
-            du_flavor=tuple(du_f), cu_flavor=tuple(cu_f),
-            mec_flavor=tuple(mec_f), mec_at_cu=tuple(mec_side),
-        )
 
 
 def _one_hot(index: int, size: int) -> np.ndarray:

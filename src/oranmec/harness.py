@@ -17,6 +17,7 @@ episodes-to-convergence estimate: the first episode whose trailing
 from __future__ import annotations
 
 import csv
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass, field
@@ -88,21 +89,15 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
 
 
-_AGENT_KEY_MAP = {"T_p": "T_p", "T_g": "T_g", "T_s": "T_s"}
-
-
 def _parse_agent(raw: dict) -> AgentConfig:
     kwargs = {}
     valid = {f.name for f in AgentConfig.__dataclass_fields__.values()}
     for key, val in raw.items():
-        name = _AGENT_KEY_MAP.get(key, key)
-        if name not in valid:
+        if key not in valid:
             raise ConfigError(f"unknown agent config key {key!r}")
-        if name == "trunk_widths":
+        if key == "trunk_widths":
             val = tuple(int(v) for v in val)
-        kwargs[name] = val
-    if kwargs.get("pretrained_checkpoint") and "eps_max" not in kwargs:
-        kwargs["eps_max"] = 0.1   # pretrained runs explore less by default
+        kwargs[key] = val
     return AgentConfig(**kwargs)
 
 
@@ -169,7 +164,6 @@ def build_utilization(cfg: dict, n_services: int, seed: int | None = None) -> Ut
             mec_base=p.get("mec_base", 0.2),
             mec_slope=p.get("mec_slope", 1.0),
             noise_std=noise,
-            platform_id=str(platform),
             n_services=n_services,
             seed=seed,
         )
@@ -191,7 +185,8 @@ def build_env(cfg: ExperimentConfig, util_seed: int | None = None) -> OranMecEnv
 
 
 def make_demand_provider(cfg: ExperimentConfig, seed: int):
-    """Per-episode demand sequences from the configured source."""
+    """``provider(e)`` returns episode e's ``(slots, n_bs, 1 + C)`` demand
+    array, a read-only view into the configured source's array."""
     wl = cfg.workload
     source = wl.get("source", "synthetic")
     slots = cfg.episode_slots
@@ -281,10 +276,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
         ss = np.random.SeedSequence(seed)
         util_seed, agent_seed, ep_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(3))
         env = build_env(cfg, util_seed=util_seed)
-        agent_cfg = AgentConfig(**{
-            **{f: getattr(cfg.agent, f) for f in cfg.agent.__dataclass_fields__},
-            "seed": agent_seed,
-        })
+        agent_cfg = dataclasses.replace(cfg.agent, seed=agent_seed)
         agent = make_agent(env.layout, env.state_dim, agent_cfg)
         provider = make_demand_provider(cfg, seed)
         result = run_training(
@@ -315,10 +307,11 @@ def run_oracle(cfg: ExperimentConfig, limit: int = 1_000_000) -> OracleResult:
     """Score every action as a stationary policy over one episode and return
     the best by average reward.
 
-    Reconfiguration charges appear only in the first slot (the change away
-    from the initial configuration); with stationary demands and a
-    noise-free utilization model each later slot costs the same, which the
-    evaluation exploits.
+    The demands pass ``OranMecEnv.ingest`` as in training, so demands above
+    the cell-rate cap are scored clipped.  Reconfiguration charges appear
+    only in the first slot (the change away from the initial configuration);
+    with stationary demands and a noise-free utilization model each later
+    slot costs the same, which the evaluation exploits.
     """
     env = build_env(cfg)
     n = env.layout.joint_cardinality()
@@ -327,26 +320,23 @@ def run_oracle(cfg: ExperimentConfig, limit: int = 1_000_000) -> OracleResult:
             f"oracle refuses: {n} joint actions over limit {limit} "
             f"(or more than one BS)"
         )
-    demands = make_demand_provider(cfg, cfg.seeds[0])(0)
-    noise_free = env.util.noise_std == 0.0
-    stationary = noise_free and all(
-        np.array_equal(d.demand, demands[0].demand) for d in demands[1:]
-    )
+    demands = env.ingest(make_demand_provider(cfg, cfg.seeds[0])(0))
+    stationary = env.util.noise_std == 0.0 and bool(np.all(demands == demands[0]))
     T = len(demands)
     best_action = None
     best_reward = -math.inf
     count = 0
     for action in enumerate_actions(env.layout, limit=limit):
         count += 1
-        first = State(0, demands[0].demand, env.initial_action)
+        first = State(0, demands[0], env.initial_action)
         r0 = env.compute_costs(first, action).reward
         if stationary:
-            steady = env.compute_costs(State(1, demands[1 % T].demand, action), action).reward
+            steady = env.compute_costs(State(1, demands[1 % T], action), action).reward
             avg = (r0 + (T - 1) * steady) / T
         else:
             total = r0
             for t in range(1, T):
-                total += env.compute_costs(State(t, demands[t].demand, action), action).reward
+                total += env.compute_costs(State(t, demands[t], action), action).reward
             avg = total / T
         if avg > best_reward:
             best_reward = avg

@@ -32,10 +32,6 @@ logger = logging.getLogger("oranmec.splits")
 DEMAND_CAP_GBPS = 4.0
 
 
-class DemandCapError(ValueError):
-    """Demand exceeds the achievable cell rate in strict mode."""
-
-
 @dataclass(frozen=True)
 class SplitOption:
     """One 3GPP split point: load model and delay budget for its segment."""
@@ -43,25 +39,20 @@ class SplitOption:
     name: str
     load_slope: float     # Gbps carried per Gbps of demand
     load_offset: float    # constant Gbps component
-    max_load_gbps: float
     delay_req_ms: float
 
     def load(self, demand_gbps: float) -> float:
         return self.load_slope * demand_gbps + self.load_offset
 
 
-#: 3GPP options O1..O8.  O2/O4/O6 are the deployable HLS choices, O7/O8
-#: the deployable LLS choices.  O6's nominal max load (4.13) is kept as
-#: metadata; the affine model is authoritative for load computations.
+#: The 3GPP options the composite splits use: O2/O4/O6 are the deployable
+#: HLS choices, O7/O8 the deployable LLS choices.
 OPTIONS: dict[str, SplitOption] = {
-    "O1": SplitOption("O1", 1.0, 0.0, 4.0, 10.0),
-    "O2": SplitOption("O2", 1.0, 0.0, 4.0, 10.0),
-    "O3": SplitOption("O3", 1.0, 0.0, 4.0, 10.0),
-    "O4": SplitOption("O4", 1.0, 0.0, 4.0, 1.0),
-    "O5": SplitOption("O5", 1.0, 0.0, 4.0, 1.0),
-    "O6": SplitOption("O6", 1.02, 0.5, 4.13, 0.25),
-    "O7": SplitOption("O7", 0.0, 10.1, 10.1, 0.25),
-    "O8": SplitOption("O8", 0.0, 157.3, 157.3, 0.25),
+    "O2": SplitOption("O2", 1.0, 0.0, 10.0),
+    "O4": SplitOption("O4", 1.0, 0.0, 1.0),
+    "O6": SplitOption("O6", 1.02, 0.5, 0.25),
+    "O7": SplitOption("O7", 0.0, 10.1, 0.25),
+    "O8": SplitOption("O8", 0.0, 157.3, 0.25),
 }
 
 #: Share of total BBU computing effort per stack function, bottom (radio)
@@ -120,15 +111,10 @@ def get_split(split_id: str) -> CompositeSplit:
         raise KeyError(f"unknown split {split_id!r}; expected one of {SPLIT_IDS}") from None
 
 
-def _cap_demand(demand_gbps: float, strict: bool) -> float:
+def _cap_demand(demand_gbps: float) -> float:
     if demand_gbps < 0:
         raise ValueError(f"demand must be nonnegative, got {demand_gbps}")
     if demand_gbps > DEMAND_CAP_GBPS:
-        if strict:
-            raise DemandCapError(
-                f"demand {demand_gbps} Gbps exceeds the achievable rate "
-                f"{DEMAND_CAP_GBPS} Gbps"
-            )
         logger.warning(
             "demand %.3f Gbps above achievable rate, clipping to %.1f",
             demand_gbps, DEMAND_CAP_GBPS,
@@ -137,9 +123,7 @@ def _cap_demand(demand_gbps: float, strict: bool) -> float:
     return demand_gbps
 
 
-def segment_loads(
-    split: CompositeSplit, demand_gbps: float, strict: bool = False
-) -> tuple[float, float, float]:
+def segment_loads(split: CompositeSplit, demand_gbps: float) -> tuple[float, float, float]:
     """Data flow (Gbps) on fronthaul, midhaul and backhaul for one BS.
 
     The LLS option sets the FH load, the HLS option the MH load, and the
@@ -147,7 +131,7 @@ def segment_loads(
     integrated S4 stack there is no HLS: the MH just forwards the user
     plane (demand) toward the CU site.
     """
-    lam = _cap_demand(demand_gbps, strict)
+    lam = _cap_demand(demand_gbps)
     fh = split.lls.load(lam)
     mh = split.hls.load(lam) if split.hls is not None else lam
     bh = lam
@@ -158,11 +142,6 @@ def delay_requirements(split: CompositeSplit) -> tuple[float, float]:
     """(HLS deadline, LLS deadline) in ms; S4 has no HLS constraint."""
     hls_ms = split.hls.delay_req_ms if split.hls is not None else math.inf
     return hls_ms, split.lls.delay_req_ms
-
-
-def compute_shares(split: CompositeSplit) -> tuple[float, float]:
-    """(DU-side, CU-side) fraction of the BS's total BBU computing effort."""
-    return split.du_compute_share, split.cu_compute_share
 
 
 def derived_du_share(hls_name: str) -> float:

@@ -8,8 +8,9 @@ separate fields.
 
 For every (RU, DU server, CU server) combination the constructor stores the
 min-weight fronthaul (RU to DU), midhaul (DU to CU) and backhaul (CU to EPC)
-paths, so action evaluation later is a table lookup.  Topologies are
-immutable after construction and safe to share across workers.
+paths with their delays, so action evaluation later is one lookup through
+``Topology.path_entry``.  Topologies are immutable after construction and
+safe to share across workers.
 """
 from __future__ import annotations
 
@@ -97,10 +98,6 @@ class Topology:
     ru_ids: tuple[int, ...]
     paths: dict[tuple[int, int, int], PathEntry] = field(repr=False)
 
-    @property
-    def servers(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.du_servers) | set(self.cu_servers)))
-
     def path_entry(self, ru: int, du: int, cu: int) -> PathEntry:
         """Stored shortest FH/MH/BH paths for one placement choice."""
         if du not in self.du_servers:
@@ -113,15 +110,6 @@ class Topology:
             raise RoutingInfeasibleError(
                 f"no stored route for RU {ru} via DU {du} / CU {cu}"
             ) from None
-
-    def link_between(self, u: int, v: int) -> Link:
-        for link in self.links:
-            if {link.src, link.dst} == {u, v}:
-                return link
-        raise TopologyError(f"no link between {u} and {v}")
-
-    def path_delay(self, path: tuple[int, ...]) -> float:
-        return sum(self.link_between(u, v).delay_ms for u, v in zip(path, path[1:]))
 
 
 def _adjacency(links: tuple[Link, ...]) -> dict[int, list[tuple[int, float, float]]]:
@@ -157,23 +145,6 @@ def _dijkstra(
             if nbr not in settled:
                 heappush(heap, (weight + w, path + (nbr,), delay + d))
     raise RoutingInfeasibleError(f"no path from node {src} to node {dst}")
-
-
-def shortest_paths(topo: Topology, ru: int, du: int, cu: int) -> PathEntry:
-    """Lookup of the precomputed FH/MH/BH routes for one placement."""
-    return topo.path_entry(ru, du, cu)
-
-
-def mec_path(entry: PathEntry, colocated_with_cu: bool) -> tuple[tuple[int, ...], float]:
-    """Route and delay for a MEC flow given its hosting side.
-
-    Hosted with the DU the flow stops at the fronthaul; hosted with the CU
-    it continues over the midhaul.
-    """
-    if not colocated_with_cu:
-        return entry.fh_path, entry.fh_delay_ms
-    combined = entry.fh_path + entry.mh_path[1:]
-    return combined, entry.fh_delay_ms + entry.mh_delay_ms
 
 
 def _validate(

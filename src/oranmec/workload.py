@@ -1,8 +1,10 @@
 """Per-slot traffic demands and the demand-to-compute utilization model.
 
-Demands come either from a trace file (csv: ``t,bs,svc,demand_gbps``) or
-from a synthetic diurnal generator.  Service 0 is the legacy mobile
-broadband stream; services 1..C are MEC classes.
+Demands come from a trace file (csv: ``t,bs,svc,demand_gbps``), a
+synthetic diurnal generator or a constant rate.  Every source returns one
+read-only float64 array of shape ``(slots, n_bs, 1 + C)``: ``[t, k, 0]`` is
+BS k's legacy mobile broadband demand in slot t and ``[t, k, c]`` its MEC
+class-c demand (Gbps), c = 1..C.
 
 The utilization model maps a demand to the compute (reference cores) the
 hosting platform actually burns serving it.  The real relation is platform
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .splits import CompositeSplit, compute_shares
+from .splits import CompositeSplit
 
 logger = logging.getLogger("oranmec.workload")
 
@@ -33,34 +35,9 @@ class TraceError(ValueError):
     """Malformed or invalid demand trace."""
 
 
-@dataclass(frozen=True, eq=False)
-class DemandSlot:
-    """Demands for one time slot: ``demand[k, 0]`` is BS-k's legacy traffic,
-    ``demand[k, c]`` its MEC class-c demand (Gbps)."""
-
-    t: int
-    demand: np.ndarray
-
-    def __post_init__(self):
-        self.demand.setflags(write=False)
-
-    @property
-    def n_bs(self) -> int:
-        return self.demand.shape[0]
-
-    @property
-    def n_services(self) -> int:
-        return self.demand.shape[1] - 1
-
-    def legacy(self, k: int) -> float:
-        return float(self.demand[k, 0])
-
-    def mec(self, k: int, c: int) -> float:
-        return float(self.demand[k, c])
-
-
-def load_trace(path, n_bs: int | None = None, n_services: int | None = None) -> list[DemandSlot]:
-    """Read a demand trace; one slot per distinct ``t``, missing cells are 0.
+def load_trace(path, n_bs: int | None = None, n_services: int | None = None) -> np.ndarray:
+    """Read a demand trace into a ``(slots, n_bs, 1 + C)`` array; slots run
+    from 0 to the largest ``t`` and missing cells are 0.
 
     Rows must be sorted by slot.  ``n_bs``/``n_services`` override the shape
     inferred from the largest indices seen.
@@ -91,7 +68,7 @@ def load_trace(path, n_bs: int | None = None, n_services: int | None = None) -> 
             rows.append((t, k, c, demand))
 
     if not rows:
-        return []
+        return _read_only(np.zeros((0, n_bs or 0, 1 + (n_services or 0))))
     k_max = max(r[1] for r in rows)
     c_max = max(r[2] for r in rows)
     n_bs = n_bs if n_bs is not None else k_max + 1
@@ -108,7 +85,7 @@ def load_trace(path, n_bs: int | None = None, n_services: int | None = None) -> 
     n_missing = filled.size - int(filled.sum())
     if n_missing:
         logger.warning("%s: %d missing (t,bs,svc) cells defaulted to 0", path, n_missing)
-    return [DemandSlot(t, demand[t]) for t in range(horizon)]
+    return _read_only(demand)
 
 
 def synth_demands(
@@ -118,7 +95,7 @@ def synth_demands(
     n_services: int,
     peak_gbps: float,
     noise_frac: float = 0.05,
-) -> list[DemandSlot]:
+) -> np.ndarray:
     """Synthetic diurnal demands: one sinusoidal day-cycle per (BS, service)
     with a per-BS phase offset plus seeded noise, clipped to [0, peak]."""
     if horizon % SLOTS_PER_DAY != 0:
@@ -130,17 +107,19 @@ def synth_demands(
     wave = 1.0 + np.sin(2.0 * math.pi * (t / SLOTS_PER_DAY + phase[None, :, None]))
     demand = amp[None, :, :] * wave
     demand += rng.normal(0.0, noise_frac * peak_gbps, size=demand.shape)
-    demand = np.clip(demand, 0.0, peak_gbps)
-    return [DemandSlot(i, demand[i]) for i in range(horizon)]
+    return _read_only(np.clip(demand, 0.0, peak_gbps))
 
 
-def constant_demands(
-    horizon: int, n_bs: int, legacy_gbps: float, mec_gbps
-) -> list[DemandSlot]:
-    """Stationary demand sequence (toy environments and oracles)."""
+def constant_demands(horizon: int, n_bs: int, legacy_gbps: float, mec_gbps) -> np.ndarray:
+    """Stationary demands (toy environments and oracles): the same row for
+    every slot and BS."""
     row = np.array([legacy_gbps, *mec_gbps], dtype=float)
-    demand = np.tile(row, (n_bs, 1))
-    return [DemandSlot(t, demand.copy()) for t in range(horizon)]
+    return np.broadcast_to(row, (horizon, n_bs, row.size))
+
+
+def _read_only(demand: np.ndarray) -> np.ndarray:
+    demand.setflags(write=False)
+    return demand
 
 
 def _per_class(value, n_services: int, name: str) -> tuple[float, ...]:
@@ -168,7 +147,6 @@ class UtilizationModel:
     mec_base: tuple[float, ...] | float = 0.2
     mec_slope: tuple[float, ...] | float = 1.0
     noise_std: float = 0.0
-    platform_id: str = "A"
     n_services: int = 2
     seed: int | None = None
     _rng: np.random.Generator = field(init=False, repr=False)
@@ -196,8 +174,7 @@ class UtilizationModel:
         if legacy_gbps < 0:
             raise ValueError(f"demand must be nonnegative, got {legacy_gbps}")
         total = max(0.0, self.bbu_base + self.bbu_slope * legacy_gbps + self._noise())
-        du_share, cu_share = compute_shares(split)
-        return du_share * total, cu_share * total
+        return split.du_compute_share * total, split.cu_compute_share * total
 
     def mec_utilization(self, c: int, demand_gbps: float) -> float:
         """Actual reference-core draw for MEC class ``c`` (1-based)."""
@@ -211,9 +188,7 @@ class UtilizationModel:
 
 
 def platform_a(n_services: int = 2, noise_std: float = 0.0, seed: int | None = None) -> UtilizationModel:
-    return UtilizationModel(
-        n_services=n_services, noise_std=noise_std, seed=seed, platform_id="A"
-    )
+    return UtilizationModel(n_services=n_services, noise_std=noise_std, seed=seed)
 
 
 def platform_b(n_services: int = 2, noise_std: float = 0.0, seed: int | None = None) -> UtilizationModel:
@@ -226,7 +201,6 @@ def platform_b(n_services: int = 2, noise_std: float = 0.0, seed: int | None = N
         mec_base=tuple(b * 1.1 for b in a.mec_base),
         mec_slope=tuple(s * 1.25 for s in a.mec_slope),
         noise_std=noise_std,
-        platform_id="B",
         n_services=n_services,
         seed=seed,
     )

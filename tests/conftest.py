@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as the benchmark runs: the small GEMMs of the toy nets only
+# lose from a second thread.  Set before numpy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 
@@ -28,6 +35,24 @@ COST_TOPOLOGY = {
     "capacity_rc": {2: 20, 3: 4, 4: 100},
     "server_rate": {2: 1.0, 3: 2.0, 4: 1.0},
 }
+
+def chain_config():
+    # RU(1) - server(2) - EPC(0); server doubles as DU and CU host
+    return {
+        "nodes": [
+            {"id": 0, "kind": "epc"},
+            {"id": 1, "kind": "ru"},
+            {"id": 2, "kind": "du_server"},
+        ],
+        "links": [
+            {"src": 1, "dst": 2, "capacity_gbps": 10, "delay_ms": 0.1, "weight": 0.05},
+            {"src": 2, "dst": 0, "capacity_gbps": 10, "delay_ms": 0.2, "weight": 0.05},
+        ],
+        "du_servers": [2],
+        "cu_servers": [2],
+        "capacity_rc": {2: 20},
+    }
+
 
 # The learning toy: same shape but symmetric fast links everywhere.
 TOY_TOPOLOGY = {

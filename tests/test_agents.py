@@ -476,8 +476,28 @@ class TestEpsilonSchedule:
         assert agent.epsilon(100) == pytest.approx(0.05)
         assert agent.epsilon(500) == pytest.approx(0.05)
 
-    def test_pretrained_default_lowers_exploration(self, tmp_path):
+    def test_pretrained_default_lowers_exploration(self, tmp_path, monkeypatch):
+        from oranmec import cli
         from oranmec.harness import _parse_agent
 
-        cfg = _parse_agent({"mode": "egreedy", "pretrained_checkpoint": "x.npz"})
-        assert cfg.eps_max == 0.1
+        def start(agent_cfg):
+            return EGreedyAgent(TOY_LAYOUT, 4, agent_cfg).epsilon(0)
+
+        # the yaml key: eps_max is capped at 0.1, whether set or defaulted
+        for eps_max, expected in ((None, 0.1), (0.5, 0.1), (0.05, 0.05)):
+            raw = {"mode": "egreedy", "pretrained_checkpoint": "x.npz"}
+            if eps_max is not None:
+                raw["eps_max"] = eps_max
+            assert start(_parse_agent(raw)) == expected
+        assert start(_parse_agent({"mode": "egreedy"})) == 1.0
+
+        # oranmec run --pretrained: the same rule on the config it runs
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or [])
+        config = tmp_path / "toy.yaml"
+        config.write_text(
+            "topology: {}\nagent: {mode: egreedy, eps_max: 0.5, eps_min: 0.05}\n"
+        )
+        assert cli.main(["run", "--config", str(config), "--pretrained", "x.npz"]) == 0
+        assert seen[0].agent.pretrained_checkpoint == "x.npz"
+        assert start(seen[0].agent) == 0.1

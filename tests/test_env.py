@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from oranmec.env import (
     ServiceMix,
     enumerate_actions,
 )
-from oranmec.splits import DemandCapError
 from oranmec.topology import build_topology
 from oranmec.workload import constant_demands, platform_a
 from tests.conftest import COST_TOPOLOGY, make_cost_env
@@ -45,15 +46,39 @@ class TestReset:
         with pytest.raises(ValueError):
             env.reset([])
 
-    def test_strict_mode_rejects_oversized_demand(self):
-        env = make_cost_env()
-        env.strict_demand = True
-        with pytest.raises(DemandCapError):
-            env.reset(constant_demands(2, 1, 5.0, [0, 0]))
-
     def test_lenient_mode_clips(self, env, caplog):
         state = env.reset(constant_demands(2, 1, 5.0, [0, 0]))
         assert state.demand[0, 0] == 4.0
+
+    def test_wrong_shape_rejected(self, env):
+        with pytest.raises(ValueError, match="shape"):
+            env.reset(constant_demands(4, 2, 1.0, [0.5, 0.5]))   # two BSs, env has one
+        with pytest.raises(ValueError, match="shape"):
+            env.reset(constant_demands(4, 1, 1.0, [0.5]))        # one MEC class short
+        with pytest.raises(ValueError, match="shape"):
+            env.reset(np.full((1, 3), 0.5))                     # one slot, no slot axis
+
+    def test_negative_cell_rejected(self, env):
+        demand = np.full((4, 1, 3), 0.5)
+        demand[2, 0, 1] = -0.1
+        with pytest.raises(ValueError, match="slot 2: negative"):
+            env.reset(demand)
+
+    def test_clipped_episode_warns_once(self, env, caplog):
+        demand = np.full((6, 1, 3), 0.5)
+        demand[[1, 4], 0, 0] = 5.0
+        demand[4, 0, 2] = 4.5
+        with caplog.at_level(logging.WARNING, logger="oranmec"):
+            state = env.reset(demand)
+            seen = [state.demand]
+            for _ in range(5):
+                state, *_ = env.step(env.initial_action)
+                seen.append(state.demand)
+        assert [r.getMessage() for r in caplog.records] == [
+            "demands clipped to 4.0 Gbps in 2 of 6 slots"
+        ]
+        assert np.array_equal(np.stack(seen), np.minimum(demand, 4.0))
+        assert demand[1, 0, 0] == 5.0 and demand.flags.writeable   # caller's array untouched
 
 
 class TestStep:
@@ -141,16 +166,6 @@ class TestEncodeState:
         vec = env.encode_state(state)
         assert vec[:3] == pytest.approx([1.0, 0.5, 0.25])
 
-    def test_round_trip_recovers_action(self, env, rng):
-        env.reset(constant_demands(1, 1, 1.0, [0.5, 0.5]))
-        for _ in range(50):
-            idx = [rng.integers(n) for n in env.layout.branch_sizes()]
-            action = env.layout.indices_to_action(idx)
-            state, *_ = env.step(action)
-            decoded = env.decode_prev_action(env.encode_state(state))
-            assert decoded == action
-            env.reset(constant_demands(1, 1, 1.0, [0.5, 0.5]))
-
 
 class TestActionLayout:
     def test_branch_sizes_default_cluster(self):
@@ -158,7 +173,6 @@ class TestActionLayout:
             n_bs=1, du_servers=(1, 2, 3, 4), cu_servers=(5, 6), n_services=2
         )
         assert layout.branch_sizes() == [4, 4, 2, 16, 16, 16, 16, 2, 2]
-        assert layout.head_output_count() == 78
         assert layout.joint_cardinality() == 8_388_608
 
     def test_index_round_trip(self, rng):

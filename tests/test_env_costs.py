@@ -26,7 +26,7 @@ from oranmec.env import (
 )
 from oranmec.topology import build_topology
 from oranmec.workload import UtilizationModel
-from tests.conftest import COST_TOPOLOGY, make_cost_env, make_toy_env
+from tests.conftest import COST_TOPOLOGY, chain_config, make_cost_env, make_toy_env
 
 APPROX = dict(abs=1e-12)
 
@@ -149,6 +149,18 @@ class TestHandScenarios:
         assert costs.routing == pytest.approx(10.1, **APPROX)
         assert costs.total == pytest.approx(10.6, **APPROX)
         assert costs.reward == pytest.approx(-11.1035, **APPROX)
+
+    def test_sc3b_colocated_du_cu_keeps_fronthaul_delay(self):
+        # DU and CU on host 2: the empty midhaul adds no delay, so a CU-side
+        # service sees the DU side's D = 1*0.1 + 1*(1*1/2) + (1/20)^2 = 0.6025
+        env = build_env(
+            topology=chain_config(), bbu=(0.0, 0.0), mec=(0.0, 1.0), n_services=1,
+            services=ServiceMix(n_services=1, inelastic=(), elastic=(1,)),
+        )
+        for at_cu in (0, 1):
+            a = Action(("S1",), (2,), (2,), (0,), (0,), ((2,),), ((at_cu,),))
+            costs = env.compute_costs(State(0, np.array([[0.0, 1.0]]), a), a)
+            assert costs.elastic_delay == pytest.approx(0.6025, **APPROX)
 
     def test_sc4_low_layer_deadline_violation(self):
         # DU host 3 sits behind a 0.5 ms fronthaul; S1's low-layer budget is

@@ -66,6 +66,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="learning_rate"):
             load_experiment_config(path)
 
+    def test_reward_gamma_rejected(self, tmp_path):
+        # the discount is agent.gamma; a reward-level gamma would do nothing
+        path = toy_config(tmp_path)
+        raw = yaml.safe_load(path.read_text())
+        raw["reward"]["gamma"] = 0.5
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match="unknown reward config keys"):
+            load_experiment_config(path)
+
     def test_no_seeds_rejected(self, tmp_path):
         path = toy_config(tmp_path, seeds=[])
         with pytest.raises(ConfigError):
@@ -152,6 +161,17 @@ class TestOracle:
         with pytest.raises(ActionSpaceTooLarge, match="8192"):
             run_oracle(cfg, limit=100)
 
+    def test_scores_demand_clipped_as_training_sees_it(self, tmp_path):
+        best = []
+        for legacy in (5.0, 4.0):
+            path = toy_config(
+                tmp_path,
+                workload={"source": "constant", "legacy_gbps": legacy, "mec_gbps": [0.6, 0.6]},
+            )
+            best.append(run_oracle(load_experiment_config(path)))
+        assert best[0].mean_reward == best[1].mean_reward
+        assert best[0].action == best[1].action
+
     def test_oracle_upper_bounds_stationary_policies(self, tmp_path):
         import numpy as np
         from oranmec.env import State
@@ -166,8 +186,8 @@ class TestOracle:
         for _ in range(50):
             idx = [rng.integers(n) for n in env.layout.branch_sizes()]
             action = env.layout.indices_to_action(idx)
-            r0 = env.compute_costs(State(0, demands[0].demand, env.initial_action), action).reward
-            steady = env.compute_costs(State(1, demands[0].demand, action), action).reward
+            r0 = env.compute_costs(State(0, demands[0], env.initial_action), action).reward
+            steady = env.compute_costs(State(1, demands[0], action), action).reward
             avg = (r0 + (T - 1) * steady) / T
             assert avg <= best.mean_reward + 1e-12
 

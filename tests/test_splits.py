@@ -10,8 +10,6 @@ from oranmec.splits import (
     OPTIONS,
     SPLIT_IDS,
     SPLITS,
-    DemandCapError,
-    compute_shares,
     delay_requirements,
     derived_du_share,
     get_split,
@@ -32,12 +30,12 @@ class TestOptionTable:
         assert OPTIONS["O6"].load(0.0) == 0.5
 
     def test_demand_proportional_options(self):
-        for name in ("O1", "O2", "O3", "O4", "O5"):
+        for name in ("O2", "O4"):
             assert OPTIONS[name].load(2.5) == 2.5
 
     def test_deadlines(self):
-        assert [OPTIONS[o].delay_req_ms for o in ("O1", "O2", "O3")] == [10.0] * 3
-        assert [OPTIONS[o].delay_req_ms for o in ("O4", "O5")] == [1.0] * 2
+        assert OPTIONS["O2"].delay_req_ms == 10.0
+        assert OPTIONS["O4"].delay_req_ms == 1.0
         assert [OPTIONS[o].delay_req_ms for o in ("O6", "O7", "O8")] == [0.25] * 3
 
 
@@ -54,10 +52,6 @@ class TestSegmentLoads:
         fh, mh, bh = segment_loads(get_split("S4"), 1.0)
         assert fh == 157.3
         assert (mh, bh) == (1.0, 1.0)
-
-    def test_strict_mode_rejects_above_cap(self):
-        with pytest.raises(DemandCapError):
-            segment_loads(get_split("S1"), 4.5, strict=True)
 
     def test_default_mode_clips_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING, logger="oranmec.splits"):
@@ -95,21 +89,21 @@ class TestComputeShares:
         ],
     )
     def test_values(self, split_id, expected):
-        assert compute_shares(get_split(split_id)) == expected
+        split = get_split(split_id)
+        assert (split.du_compute_share, split.cu_compute_share) == expected
 
     def test_shares_sum_to_one_exactly(self):
         for split in ALL_SPLITS:
-            du, cu = compute_shares(split)
-            assert du + cu == 1.0
+            assert split.du_compute_share + split.cu_compute_share == 1.0
 
     def test_shares_match_function_table(self):
         # DU share = sum of per-function shares below the HLS point
         for split_id, hls in (("S1", "O2"), ("S2", "O4"), ("S3", "O6")):
-            du, _ = compute_shares(get_split(split_id))
+            du = get_split(split_id).du_compute_share
             assert du == pytest.approx(derived_du_share(hls), abs=1e-12)
 
     def test_centralization_ordering(self):
-        cu = [compute_shares(get_split(s))[1] for s in ("S1", "S2", "S3")]
+        cu = [get_split(s).cu_compute_share for s in ("S1", "S2", "S3")]
         assert cu[0] <= cu[1] <= cu[2]
 
 

@@ -7,28 +7,8 @@ from oranmec.topology import (
     RoutingInfeasibleError,
     TopologyError,
     build_topology,
-    mec_path,
-    shortest_paths,
 )
-from tests.conftest import COST_TOPOLOGY
-
-
-def chain_config():
-    # RU(1) - server(2) - EPC(0); server doubles as DU and CU host
-    return {
-        "nodes": [
-            {"id": 0, "kind": "epc"},
-            {"id": 1, "kind": "ru"},
-            {"id": 2, "kind": "du_server"},
-        ],
-        "links": [
-            {"src": 1, "dst": 2, "capacity_gbps": 10, "delay_ms": 0.1, "weight": 0.05},
-            {"src": 2, "dst": 0, "capacity_gbps": 10, "delay_ms": 0.2, "weight": 0.05},
-        ],
-        "du_servers": [2],
-        "cu_servers": [2],
-        "capacity_rc": {2: 20},
-    }
+from tests.conftest import COST_TOPOLOGY, chain_config
 
 
 def brute_force_shortest(links, src, dst):
@@ -53,10 +33,17 @@ def brute_force_shortest(links, src, dst):
     return best
 
 
+def link_sums(links, path):
+    """(weight, delay) of ``path`` summed over the config's link table."""
+    table = {frozenset((l["src"], l["dst"])): l for l in links}
+    hops = [table[frozenset(hop)] for hop in zip(path, path[1:])]
+    return sum(l["weight"] for l in hops), sum(l["delay_ms"] for l in hops)
+
+
 class TestBuild:
     def test_chain_single_path(self):
         topo = build_topology(chain_config())
-        entry = shortest_paths(topo, 1, 2, 2)
+        entry = topo.path_entry(1, 2, 2)
         assert entry.fh_path == (1, 2)
         assert entry.fh_delay_ms == 0.1
         assert entry.mh_path == (2,)
@@ -122,7 +109,7 @@ class TestShortestPaths:
             "cu_servers": [4],
         }
         topo = build_topology(cfg)
-        entry = shortest_paths(topo, 1, 2, 4)
+        entry = topo.path_entry(1, 2, 4)
         assert entry.fh_path == (1, 3, 2)    # weight 0.2 beats direct 0.3
 
     def test_lexicographic_tie_break(self):
@@ -148,7 +135,7 @@ class TestShortestPaths:
             "cu_servers": [5],
         }
         topo = build_topology(cfg)
-        assert shortest_paths(topo, 1, 2, 5).fh_path == (1, 3, 2)
+        assert topo.path_entry(1, 2, 5).fh_path == (1, 3, 2)
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(42)
@@ -177,53 +164,32 @@ class TestShortestPaths:
                 topo = build_topology(cfg)
             except TopologyError:
                 continue                      # disconnected draw
-            entry = shortest_paths(topo, 1, 2, 3)
+            entry = topo.path_entry(1, 2, 3)
             for path, (src, dst) in (
                 (entry.fh_path, (1, 2)),
                 (entry.mh_path, (2, 3)),
                 (entry.bh_path, (3, 0)),
             ):
                 weight, delay = brute_force_shortest(links, src, dst)
-                got_weight = sum(
-                    topo.link_between(u, v).weight for u, v in zip(path, path[1:])
-                )
+                got_weight, got_delay = link_sums(links, path)
                 assert got_weight == pytest.approx(weight, abs=1e-12)
-                assert topo.path_delay(path) == pytest.approx(delay, abs=1e-12)
+                assert got_delay == pytest.approx(delay, abs=1e-12)
 
     def test_stored_delay_is_link_sum(self):
         topo = build_topology(COST_TOPOLOGY)
+        links = COST_TOPOLOGY["links"]
         for entry in topo.paths.values():
-            assert entry.fh_delay_ms == pytest.approx(topo.path_delay(entry.fh_path), abs=1e-12)
-            assert entry.mh_delay_ms == pytest.approx(topo.path_delay(entry.mh_path), abs=1e-12)
-            assert entry.bh_delay_ms == pytest.approx(topo.path_delay(entry.bh_path), abs=1e-12)
+            for path, delay in (
+                (entry.fh_path, entry.fh_delay_ms),
+                (entry.mh_path, entry.mh_delay_ms),
+                (entry.bh_path, entry.bh_delay_ms),
+            ):
+                assert delay == pytest.approx(link_sums(links, path)[1], abs=1e-12)
 
     def test_unknown_servers_rejected(self):
         topo = build_topology(COST_TOPOLOGY)
         with pytest.raises(TopologyError):
-            shortest_paths(topo, 1, 4, 4)    # 4 is a CU host, not DU
-
-
-class TestMecPath:
-    def test_du_side_is_fronthaul(self):
-        topo = build_topology(COST_TOPOLOGY)
-        entry = shortest_paths(topo, 1, 2, 4)
-        path, delay = mec_path(entry, colocated_with_cu=False)
-        assert path == entry.fh_path
-        assert delay == 0.125
-
-    def test_cu_side_adds_midhaul(self):
-        topo = build_topology(COST_TOPOLOGY)
-        entry = shortest_paths(topo, 1, 2, 4)
-        path, delay = mec_path(entry, colocated_with_cu=True)
-        assert path == (1, 2, 4)
-        assert delay == 0.125 + 0.0625
-
-    def test_colocated_du_cu_keeps_fronthaul_delay(self):
-        topo = build_topology(chain_config())
-        entry = shortest_paths(topo, 1, 2, 2)
-        path, delay = mec_path(entry, colocated_with_cu=True)
-        assert delay == entry.fh_delay_ms    # empty midhaul contributes nothing
-        assert path == entry.fh_path
+            topo.path_entry(1, 4, 4)    # 4 is a CU host, not DU
 
 
 class TestWaxman:

@@ -26,19 +26,19 @@ def write_trace(tmp_path, rows, header="t,bs,svc,demand_gbps"):
 class TestLoadTrace:
     def test_basic_rows(self, tmp_path):
         path = write_trace(tmp_path, ["0,0,0,2.0", "0,0,1,0.5"])
-        slots = load_trace(path)
-        assert len(slots) == 1
-        assert slots[0].legacy(0) == 2.0
-        assert slots[0].mec(0, 1) == 0.5
+        demand = load_trace(path)
+        assert demand.shape == (1, 1, 2)
+        assert demand[0, 0, 0] == 2.0
+        assert demand[0, 0, 1] == 0.5
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        assert load_trace(path) == []
+        assert len(load_trace(path)) == 0
 
     def test_header_only(self, tmp_path):
         path = write_trace(tmp_path, [])
-        assert load_trace(path) == []
+        assert len(load_trace(path)) == 0
 
     def test_negative_demand_rejected(self, tmp_path):
         path = write_trace(tmp_path, ["0,0,0,-1"])
@@ -58,10 +58,10 @@ class TestLoadTrace:
     def test_missing_cells_default_zero(self, tmp_path, caplog):
         path = write_trace(tmp_path, ["0,0,0,1.0", "1,1,2,0.25"])
         with caplog.at_level(logging.WARNING, logger="oranmec.workload"):
-            slots = load_trace(path)
-        assert len(slots) == 2
-        assert slots[1].mec(1, 2) == 0.25
-        assert slots[0].mec(1, 2) == 0.0
+            demand = load_trace(path)
+        assert len(demand) == 2
+        assert demand[1, 1, 2] == 0.25
+        assert demand[0, 1, 2] == 0.0
         assert any("missing" in r.message for r in caplog.records)
 
     def test_bad_header_rejected(self, tmp_path):
@@ -71,35 +71,48 @@ class TestLoadTrace:
 
     def test_shape_override(self, tmp_path):
         path = write_trace(tmp_path, ["0,0,0,1.0"])
-        slots = load_trace(path, n_bs=3, n_services=2)
-        assert slots[0].demand.shape == (3, 3)
+        demand = load_trace(path, n_bs=3, n_services=2)
+        assert demand.shape == (1, 3, 3)
 
 
 class TestSynthDemands:
     def test_deterministic(self):
         a = synth_demands(3, SLOTS_PER_DAY, 2, 2, 4.0)
         b = synth_demands(3, SLOTS_PER_DAY, 2, 2, 4.0)
-        assert all(np.array_equal(x.demand, y.demand) for x, y in zip(a, b))
+        assert np.array_equal(a, b)
 
     def test_zero_peak(self):
-        slots = synth_demands(0, SLOTS_PER_DAY, 2, 2, 0.0)
-        assert all(np.all(s.demand == 0.0) for s in slots)
+        demand = synth_demands(0, SLOTS_PER_DAY, 2, 2, 0.0)
+        assert np.all(demand == 0.0)
 
     def test_bounds(self):
-        slots = synth_demands(1, SLOTS_PER_DAY, 3, 2, 4.0)
-        stacked = np.stack([s.demand for s in slots])
-        assert stacked.min() >= 0.0
-        assert stacked.max() <= 4.0
+        demand = synth_demands(1, SLOTS_PER_DAY, 3, 2, 4.0)
+        assert demand.shape == (SLOTS_PER_DAY, 3, 3)
+        assert demand.min() >= 0.0
+        assert demand.max() <= 4.0
 
     def test_rejects_partial_days(self):
         with pytest.raises(ValueError):
             synth_demands(0, 100, 1, 1, 4.0)
 
     def test_constant_demands_shape(self):
-        slots = constant_demands(4, 2, 1.0, [0.5, 0.25])
-        assert len(slots) == 4
-        assert slots[0].demand.shape == (2, 3)
-        assert slots[3].mec(1, 2) == 0.25
+        demand = constant_demands(4, 2, 1.0, [0.5, 0.25])
+        assert demand.shape == (4, 2, 3)
+        assert demand[3, 1, 2] == 0.25
+
+
+class TestDemandArrays:
+    def test_every_source_is_read_only_float64(self, tmp_path):
+        path = write_trace(tmp_path, ["0,0,0,1.0", "1,0,1,0.5"])
+        for demand in (
+            load_trace(path),
+            synth_demands(0, SLOTS_PER_DAY, 2, 2, 4.0),
+            constant_demands(3, 2, 1.0, [0.5, 0.5]),
+        ):
+            assert demand.dtype == np.float64 and demand.ndim == 3
+            assert not demand.flags.writeable
+            with pytest.raises(ValueError):
+                demand[0, 0, 0] = 9.0
 
 
 class TestBbuUtilization:
