@@ -18,6 +18,14 @@ The training loop follows a fixed schedule: posteriors refresh every
 to the posterior means) syncs every ``T_g``, and the Thompson weights are
 re-drawn every ``T_s``.  All counters are global across episodes and fire
 when ``count % period == 0``.
+
+Between syncs the target side of a TD target is fixed, so each stored
+transition's target score row (the target network's Q rows, or the target
+features times the target weights) is computed once per sync epoch and
+cached in the replay ring, keyed by ring slot.  A row lives until its slot
+is overwritten by a push, or until ``sync_target`` or ``load_checkpoint``
+clears every row.  Training batches and posterior refreshes both read the
+cache and score only the rows missing from it.
 """
 from __future__ import annotations
 
@@ -41,6 +49,9 @@ JITTER = 1e-6
 # transparent huge pages: huge-page backing makes resident memory depend on
 # what the host has free.
 REFRESH_CHUNK_BYTES = 2 << 20
+
+# Rows of the replay ring's first allocation; it doubles from there.
+RING_START_ROWS = 256
 
 
 @dataclass
@@ -76,56 +87,108 @@ class AgentConfig:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions, oldest evicted first."""
+    """Fixed-capacity ring of transitions, oldest evicted first.
 
-    def __init__(self, capacity: int):
+    Transitions live in ring arrays (``state``, ``action``, ``reward``,
+    ``next_state``, ``terminal``), allocated at the first push and doubled
+    as they fill, never past ``capacity``; row i of each array is storage
+    slot i.  Beside each slot the ring keeps a row of ``score_width`` target
+    scores (``target_scores``) and a bit saying whether that row is valid
+    (``score_valid``): a push clears its slot's bit and
+    ``clear_target_scores`` clears them all.
+    """
+
+    _RING = ("state", "action", "reward", "next_state", "terminal",
+             "target_scores", "score_valid")
+
+    def __init__(self, capacity: int, score_width: int = 0):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._data: list = []
+        self.score_width = score_width
+        self._size = 0
         self._pos = 0
+        self.state = self.action = self.reward = self.next_state = self.terminal = None
+        self.target_scores = self.score_valid = None
+
+    def _grow(self, state: np.ndarray, action: np.ndarray) -> None:
+        """Allocate the ring at the first push, then double it when full."""
+        if self.state is None:
+            rows = min(self.capacity, RING_START_ROWS)
+            self.state = np.empty((rows, *state.shape))
+            self.action = np.empty((rows, *action.shape), dtype=np.int64)
+            self.reward = np.empty(rows)
+            self.next_state = np.empty((rows, *state.shape))
+            self.terminal = np.empty(rows, dtype=bool)
+            self.target_scores = np.empty((rows, self.score_width))
+            self.score_valid = np.zeros(rows, dtype=bool)
+            return
+        rows = min(self.capacity, 2 * len(self.state))
+        for name in self._RING:
+            old = getattr(self, name)
+            new = np.zeros((rows, *old.shape[1:]), dtype=old.dtype)
+            new[:len(old)] = old
+            setattr(self, name, new)
 
     def push(self, state_vec, action_idx, reward, next_vec, terminal) -> None:
-        item = (
-            np.asarray(state_vec, dtype=np.float64),
-            np.asarray(action_idx, dtype=np.int64),
-            float(reward),
-            np.asarray(next_vec, dtype=np.float64),
-            bool(terminal),
-        )
-        if len(self._data) < self.capacity:
-            self._data.append(item)
-        else:
-            self._data[self._pos] = item
-        self._pos = (self._pos + 1) % self.capacity
+        state = np.asarray(state_vec, dtype=np.float64)
+        action = np.asarray(action_idx, dtype=np.int64)
+        next_state = np.asarray(next_vec, dtype=np.float64)
+        if self.state is None or (self._pos == len(self.state) < self.capacity):
+            self._grow(state, action)
+        if state.shape != self.state.shape[1:] or next_state.shape != state.shape:
+            raise ValueError(
+                f"transition states of shape {state.shape} and {next_state.shape}, "
+                f"the ring holds {self.state.shape[1:]}"
+            )
+        if action.shape != self.action.shape[1:]:
+            raise ValueError(
+                f"action of shape {action.shape}, the ring holds {self.action.shape[1:]}"
+            )
+        i = self._pos
+        self.state[i] = state
+        self.action[i] = action
+        self.reward[i] = reward
+        self.next_state[i] = next_state
+        self.terminal[i] = terminal
+        self.score_valid[i] = False
+        self._pos = (i + 1) % self.capacity
+        self._size = max(self._size, i + 1)
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._size
 
-    def _stack(self, indices) -> dict[str, np.ndarray]:
-        rows = [self._data[i] for i in indices]
+    def clear_target_scores(self) -> None:
+        """Mark every stored target-score row stale."""
+        if self.score_valid is not None:
+            self.score_valid[:] = False
+
+    def gather(self, index: np.ndarray) -> dict[str, np.ndarray]:
+        """The transitions at storage slots ``index``, with ``index`` itself."""
         return {
-            "state": np.stack([r[0] for r in rows]),
-            "action": np.stack([r[1] for r in rows]),
-            "reward": np.array([r[2] for r in rows]),
-            "next_state": np.stack([r[3] for r in rows]),
-            "terminal": np.array([r[4] for r in rows]),
+            "state": self.state[index],
+            "action": self.action[index],
+            "reward": self.reward[index],
+            "next_state": self.next_state[index],
+            "terminal": self.terminal[index],
+            "index": index,
         }
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
         """Uniform sample without replacement within the batch."""
         if batch_size > len(self):
             raise ValueError(f"cannot sample {batch_size} from {len(self)} transitions")
-        idx = rng.choice(len(self), size=batch_size, replace=False)
-        return self._stack(idx)
+        return self.gather(rng.choice(len(self), size=batch_size, replace=False))
+
+    def chronological_index(self) -> np.ndarray:
+        """Storage slots of all stored transitions, oldest first."""
+        if self._size < self.capacity:
+            return np.arange(self._size)
+        return (self._pos + np.arange(self.capacity)) % self.capacity
 
     def chronological(self) -> dict[str, np.ndarray]:
         """All stored transitions, oldest first."""
-        if len(self._data) < self.capacity:
-            order = range(len(self._data))
-        else:
-            order = [(self._pos + i) % self.capacity for i in range(self.capacity)]
-        return self._stack(order)
+        return self.gather(self.chronological_index())
 
 
 # -- TD targets -----------------------------------------------------------
@@ -320,7 +383,10 @@ class _AgentBase:
         )
         self.target_net = self.net.clone()
         self.adam = Adam(self.net.params, lr=config.lr)
-        self.buffer = ReplayBuffer(config.buffer_capacity)
+        sizes = layout.branch_sizes()
+        self.buffer = ReplayBuffer(config.buffer_capacity, score_width=sum(sizes))
+        ends = np.cumsum(sizes)
+        self._score_cols = [slice(e - n, e) for n, e in zip(sizes, ends)]
         self.m_per_bs = layout.m_per_bs()
 
     def _with_heads(self) -> bool:
@@ -328,6 +394,38 @@ class _AgentBase:
 
     def sync_target(self) -> None:
         self.target_net.load_params(self.net.params)
+        self.buffer.clear_target_scores()
+
+    def _score_target(self, next_states: np.ndarray) -> np.ndarray:
+        """(rows, sum of branch sizes) target scores of ``next_states``,
+        branch by branch."""
+        raise NotImplementedError
+
+    def _target_scores(self, batch: dict[str, np.ndarray]) -> list[np.ndarray]:
+        """Per-branch target scores of ``batch["next_state"]``.
+
+        A batch drawn from the replay ring (one with an ``index``) reads them
+        from the ring's cache: the rows missing there are scored in one
+        target forward and stored.  Any other batch is scored afresh.
+        """
+        index = batch.get("index")
+        if index is None:
+            scores = self._score_target(batch["next_state"])
+        else:
+            buf = self.buffer
+            missing = ~buf.score_valid[index]
+            n = int(np.count_nonzero(missing))
+            if n:
+                x = batch["next_state"][missing]
+                if n == 1:
+                    # a 1-row forward takes BLAS's matrix-vector path, whose
+                    # last bit differs from the same row in a larger batch
+                    x = np.repeat(x, 2, axis=0)
+                slots = index[missing]
+                buf.target_scores[slots] = self._score_target(x)[:n]
+                buf.score_valid[slots] = True
+            scores = buf.target_scores[index]
+        return [scores[:, cols] for cols in self._score_cols]
 
     def save_checkpoint(self, path) -> None:
         neural.save_checkpoint(path, self.net, self.adam)
@@ -341,7 +439,7 @@ class _AgentBase:
         self.net.load_params(data["params"])
         if data["meta"]["adam_t"] is not None:
             self.adam.load_state(data["adam"]["m"], data["adam"]["v"], data["meta"]["adam_t"])
-        self.sync_target()
+        self.sync_target()      # also clears the cached target scores
         return data
 
     def store(self, state_vec, action_idx, reward, next_vec, terminal) -> None:
@@ -380,12 +478,14 @@ class EGreedyAgent(_AgentBase):
         q_rows = self.net.q_values(state_vec)
         return select_action_egreedy(q_rows, 0.0, self.rng)
 
+    def _score_target(self, next_states: np.ndarray) -> np.ndarray:
+        return np.concatenate(self.target_net.q_values(next_states), axis=1)
+
     def compute_targets(self, batch: dict[str, np.ndarray]) -> np.ndarray:
         q_next_online = self.net.q_values(batch["next_state"])
-        q_next_target = self.target_net.q_values(batch["next_state"])
         return td_target(
             batch["reward"], batch["terminal"], self.config.gamma,
-            q_next_online, q_next_target, self.m_per_bs,
+            q_next_online, self._target_scores(batch), self.m_per_bs,
         )
 
     def train_step(self) -> float | None:
@@ -458,12 +558,15 @@ class BayesAgent(_AgentBase):
             for phi, post in zip(phis, self.posteriors)
         ]
 
+    def _score_target(self, next_states: np.ndarray) -> np.ndarray:
+        phis = self.target_net.features(next_states)
+        return np.concatenate(self._scores(phis, "omega_tilde"), axis=1)
+
     def compute_targets(self, batch: dict[str, np.ndarray]) -> np.ndarray:
         online = self._scores(self.net.features(batch["next_state"]), "omega")
-        target = self._scores(self.target_net.features(batch["next_state"]), "omega_tilde")
         return td_target(
             batch["reward"], batch["terminal"], self.config.gamma,
-            online, target, self.m_per_bs,
+            online, self._target_scores(batch), self.m_per_bs,
         )
 
     def train_step(self) -> float | None:
@@ -507,15 +610,16 @@ class BayesAgent(_AgentBase):
         """
         if len(self.buffer) == 0:
             return
-        data = self.buffer.chronological()
+        order = self.buffer.chronological_index()
+        taken = self.buffer.action[order]
         cap = self.config.blr_dataset_cap
-        n = len(data["reward"])
+        n = len(order)
         n_branches = self.net.n_branches
 
         member_rows: list[list[np.ndarray]] = []
         needed = np.zeros(n, dtype=bool)
         for j in range(n_branches):
-            actions = data["action"][:, j]
+            actions = taken[:, j]
             per_action = []
             for a in range(self.layout.branch_sizes()[j]):
                 rows = np.nonzero(actions == a)[0][-cap:]
@@ -527,7 +631,7 @@ class BayesAgent(_AgentBase):
         remap = np.full(n, -1, dtype=np.int64)
         remap[keep] = np.arange(len(keep))
 
-        phis, u = self._features_and_targets(data, keep)
+        phis, u = self._features_and_targets(order[keep])
         for j in range(n_branches):
             for a, rows in enumerate(member_rows[j]):
                 if len(rows) == 0:
@@ -536,25 +640,22 @@ class BayesAgent(_AgentBase):
                 self.posteriors[j].refit(a, phis[j][local], u[local])
 
     def _features_and_targets(
-        self, data: dict[str, np.ndarray], keep: np.ndarray
+        self, index: np.ndarray
     ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Online features and TD targets of the ring slots ``index``, in
+        chunks gathered straight from the ring."""
         n_branches = self.net.n_branches
         chunk = max(1, REFRESH_CHUNK_BYTES // (8 * n_branches * self.net.feature_dim))
         phis = [
-            np.empty((len(keep), self.net.feature_dim)) for _ in range(n_branches)
+            np.empty((len(index), self.net.feature_dim)) for _ in range(n_branches)
         ]
-        u = np.empty(len(keep))
-        for start in range(0, len(keep), chunk):
-            rows = keep[start:start + chunk]
-            sub = {
-                "state": data["state"][rows],
-                "next_state": data["next_state"][rows],
-                "reward": data["reward"][rows],
-                "terminal": data["terminal"][rows],
-            }
-            u[start:start + len(rows)] = self.compute_targets(sub)
+        u = np.empty(len(index))
+        for start in range(0, len(index), chunk):
+            sub = self.buffer.gather(index[start:start + chunk])
+            stop = start + len(sub["index"])
+            u[start:stop] = self.compute_targets(sub)
             for j, phi in enumerate(self.net.features(sub["state"])):
-                phis[j][start:start + len(rows)] = phi
+                phis[j][start:stop] = phi
         return phis, u
 
     # -- checkpointing ----------------------------------------------------
@@ -584,6 +685,7 @@ class BayesAgent(_AgentBase):
                     raise ValueError(f"{name}: shape mismatch")
                 setattr(post, attr, tensor)
             post.rebuild_scale()
+        self.buffer.clear_target_scores()     # omega_tilde was restored
         return data
 
 

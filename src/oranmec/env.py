@@ -347,7 +347,9 @@ class OranMecEnv:
     """One episode-scoped orchestration environment instance.
 
     Instances are independent; run any number in parallel with disjoint
-    seeds.  Demands above the achievable cell rate are clipped at ingestion.
+    seeds.  Demands above the achievable cell rate are clipped at ingestion,
+    and ``compute_costs`` prices a hand-built state's demands clipped the
+    same way.
     """
 
     def __init__(
@@ -464,8 +466,11 @@ class OranMecEnv:
             zeta = action.mec_at_cu[k]
             xp, yp = prev.du_flavor[k], prev.cu_flavor[k]
             zp, zetap = prev.mec_flavor[k], prev.mec_at_cu[k]
-            # Python floats, not numpy scalars, so every cost item is a float
+            # Python floats, not numpy scalars, so every cost item is a float;
+            # clipped to the achievable rate as ``ingest`` clips an episode
             demand = state.demand[k].tolist()
+            if max(demand) > DEMAND_CAP_GBPS:
+                demand = [min(d, DEMAND_CAP_GBPS) for d in demand]
             lam0 = demand[0]
 
             x_hat, y_hat = self.util.bbu_utilization(split, lam0)

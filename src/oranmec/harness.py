@@ -51,6 +51,11 @@ from .workload import (
 
 logger = logging.getLogger("oranmec.harness")
 
+# libyaml's safe loader parses a config about ten times faster than the
+# pure-Python one and builds the same dicts; the pure-Python one serves where
+# libyaml is absent.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 EPISODE_FIELDS = (
     "episode", "total_reward", "mean_reward", "penalty_total",
     "reconfig_total", "routing_total", "elastic_delay_total",
@@ -127,7 +132,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        raw = yaml.load(fh, Loader=YAML_LOADER)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     try:

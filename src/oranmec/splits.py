@@ -22,11 +22,8 @@ Four composite splits are deployable per BS:
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-
-logger = logging.getLogger("oranmec.splits")
 
 #: Achievable cell rate for the assumed radio configuration (Gbps).
 DEMAND_CAP_GBPS = 4.0
@@ -111,30 +108,20 @@ def get_split(split_id: str) -> CompositeSplit:
         raise KeyError(f"unknown split {split_id!r}; expected one of {SPLIT_IDS}") from None
 
 
-def _cap_demand(demand_gbps: float) -> float:
-    if demand_gbps < 0:
-        raise ValueError(f"demand must be nonnegative, got {demand_gbps}")
-    if demand_gbps > DEMAND_CAP_GBPS:
-        logger.warning(
-            "demand %.3f Gbps above achievable rate, clipping to %.1f",
-            demand_gbps, DEMAND_CAP_GBPS,
-        )
-        return DEMAND_CAP_GBPS
-    return demand_gbps
-
-
 def segment_loads(split: CompositeSplit, demand_gbps: float) -> tuple[float, float, float]:
     """Data flow (Gbps) on fronthaul, midhaul and backhaul for one BS.
 
     The LLS option sets the FH load, the HLS option the MH load, and the
     raw user demand always traverses the BH toward the core.  For the
     integrated S4 stack there is no HLS: the MH just forwards the user
-    plane (demand) toward the CU site.
+    plane (demand) toward the CU site.  The demand is taken as given: the
+    env clips it to ``DEMAND_CAP_GBPS`` before pricing a slot.
     """
-    lam = _cap_demand(demand_gbps)
-    fh = split.lls.load(lam)
-    mh = split.hls.load(lam) if split.hls is not None else lam
-    bh = lam
+    if demand_gbps < 0:
+        raise ValueError(f"demand must be nonnegative, got {demand_gbps}")
+    fh = split.lls.load(demand_gbps)
+    mh = split.hls.load(demand_gbps) if split.hls is not None else demand_gbps
+    bh = demand_gbps
     return fh, mh, bh
 
 

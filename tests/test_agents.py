@@ -51,6 +51,118 @@ class TestReplayBuffer:
             buf.sample(2, rng)
 
 
+class _ListReplay:
+    """Reference replay buffer, one tuple of arrays per transition: the
+    ring's ``sample`` must return exactly its rows."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.data = []
+        self.pos = 0
+
+    def push(self, s, a, r, s2, term):
+        item = (np.asarray(s, dtype=np.float64), np.asarray(a, dtype=np.int64),
+                float(r), np.asarray(s2, dtype=np.float64), bool(term))
+        if len(self.data) < self.capacity:
+            self.data.append(item)
+        else:
+            self.data[self.pos] = item
+        self.pos = (self.pos + 1) % self.capacity
+
+    def sample(self, batch_size, rng):
+        rows = [self.data[i] for i in rng.choice(len(self.data), size=batch_size, replace=False)]
+        return {
+            "state": np.stack([r[0] for r in rows]),
+            "action": np.stack([r[1] for r in rows]),
+            "reward": np.array([r[2] for r in rows]),
+            "next_state": np.stack([r[3] for r in rows]),
+            "terminal": np.array([r[4] for r in rows]),
+        }
+
+
+def _random_transitions(n, state_dim=3, n_branches=2, seed=0):
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.normal(size=state_dim), rng.integers(0, 4, size=n_branches),
+         float(rng.normal()), rng.normal(size=state_dim), bool(rng.uniform() < 0.2))
+        for _ in range(n)
+    ]
+
+
+class TestReplayRing:
+    FIELDS = ("state", "action", "reward", "next_state", "terminal")
+
+    def test_chronological_after_a_wrap(self):
+        buf = ReplayBuffer(capacity=5)
+        for i in range(12):
+            buf.push([float(i)], [i], float(i), [float(i + 1)], False)
+        assert list(buf.chronological_index()) == [2, 3, 4, 0, 1]
+        data = buf.chronological()
+        assert list(data["reward"]) == [7.0, 8.0, 9.0, 10.0, 11.0]
+        assert list(data["action"][:, 0]) == [7, 8, 9, 10, 11]
+        assert list(data["next_state"][:, 0]) == [8.0, 9.0, 10.0, 11.0, 12.0]
+
+    def test_growth_across_doublings_keeps_every_row(self, monkeypatch):
+        monkeypatch.setattr(agents, "RING_START_ROWS", 4)
+        buf = ReplayBuffer(capacity=1000)
+        pushed = _random_transitions(11)
+        for t in pushed:
+            buf.push(*t)
+        assert len(buf) == 11
+        assert len(buf.state) == 16            # 4 -> 8 -> 16
+        data = buf.chronological()
+        for k, name in enumerate(self.FIELDS):
+            assert np.array_equal(data[name], np.array([t[k] for t in pushed])), name
+
+    def test_never_more_than_capacity_rows(self, monkeypatch):
+        monkeypatch.setattr(agents, "RING_START_ROWS", 4)
+        buf = ReplayBuffer(capacity=6)
+        for t in _random_transitions(20):
+            buf.push(*t)
+        assert len(buf) == 6
+        assert all(len(getattr(buf, name)) == 6 for name in self.FIELDS)
+
+    def test_large_capacity_is_not_allocated(self):
+        buf = ReplayBuffer(capacity=1_000_000)
+        for t in _random_transitions(3):
+            buf.push(*t)
+        assert len(buf.state) == agents.RING_START_ROWS
+
+    @pytest.mark.parametrize("bad", [
+        ([0.0, 0.0], [0, 0], 0.0, [0.0, 0.0, 0.0], False),     # state shape
+        ([0.0, 0.0, 0.0], [0, 0], 0.0, [0.0, 0.0], False),     # next_state shape
+        ([0.0, 0.0, 0.0], [0], 0.0, [0.0, 0.0, 0.0], False),   # action shape
+    ])
+    def test_mismatched_push_shape_rejected(self, bad):
+        buf = ReplayBuffer(capacity=10)
+        buf.push([1.0, 2.0, 3.0], [1, 2], 1.0, [3.0, 2.0, 1.0], False)
+        with pytest.raises(ValueError):
+            buf.push(*bad)
+        assert len(buf) == 1
+
+    def test_sample_matches_the_list_buffer(self, monkeypatch):
+        monkeypatch.setattr(agents, "RING_START_ROWS", 8)
+        ring, ref = ReplayBuffer(capacity=50), _ListReplay(50)
+        for n_pushed, t in enumerate(_random_transitions(80), start=1):
+            ring.push(*t)
+            ref.push(*t)
+            if n_pushed % 7 == 0 and n_pushed >= 20:
+                rng_ring, rng_ref = np.random.default_rng(n_pushed), np.random.default_rng(n_pushed)
+                got, want = ring.sample(20, rng_ring), ref.sample(20, rng_ref)
+                for name in self.FIELDS:
+                    assert got[name].dtype == want[name].dtype, name
+                    assert np.array_equal(got[name], want[name]), name
+                assert rng_ring.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_sample_returns_storage_index(self, rng):
+        buf = ReplayBuffer(capacity=10)
+        for t in _random_transitions(15):
+            buf.push(*t)
+        batch = buf.sample(6, rng)
+        assert np.array_equal(batch["state"], buf.state[batch["index"]])
+        assert np.array_equal(batch["reward"], buf.reward[batch["index"]])
+
+
 class TestEGreedySelection:
     def test_greedy_is_deterministic(self, rng):
         q = [np.array([[0.1, 0.9, 0.2]]), np.array([[5.0, 1.0]])]
@@ -264,6 +376,25 @@ def _filled_agent(mode="egreedy", batch_size=8, n_fill=32, seed=0):
     return agent
 
 
+def _count_target_rows(agent) -> list[int]:
+    """Rows of every target-network forward from now on (a Q forward runs
+    through ``features`` as well)."""
+    rows: list[int] = []
+    forward = agent.target_net.features
+
+    def counted(x):
+        rows.append(len(np.atleast_2d(x)))
+        return forward(x)
+
+    agent.target_net.features = counted
+    return rows
+
+
+def _fresh(batch):
+    """The batch without its ring index: scored without the cache."""
+    return {k: v for k, v in batch.items() if k != "index"}
+
+
 class TestTrainSteps:
     def test_underfull_buffer_skips(self):
         agent = _filled_agent(n_fill=2, batch_size=8)
@@ -276,8 +407,7 @@ class TestTrainSteps:
             p[...] = 0.0
         agent.sync_target()
         # rewards zero too -> u = 0 = Q exactly
-        for i, item in enumerate(agent.buffer._data):
-            agent.buffer._data[i] = (item[0], item[1], 0.0, item[3], item[4])
+        agent.buffer.reward[:len(agent.buffer)] = 0.0
         before = [p.copy() for p in agent.net.parameters()]
         loss = agent.train_step()
         assert loss == 0.0
@@ -351,10 +481,7 @@ class TestPosteriorUpdate:
     def test_unseen_sub_actions_keep_prior(self):
         agent = _filled_agent(mode="bayes", n_fill=16)
         # force every stored transition to sub-action 0 on branch 0
-        for i, item in enumerate(agent.buffer._data):
-            idx = item[1].copy()
-            idx[0] = 0
-            agent.buffer._data[i] = (item[0], idx, item[2], item[3], item[4])
+        agent.buffer.action[:len(agent.buffer), 0] = 0
         agent.update_posteriors()
         post = agent.posteriors[0]
         assert np.array_equal(post.mu[1], np.zeros(post.d))
@@ -372,6 +499,102 @@ class TestPosteriorUpdate:
         for whole, chunked in zip(*fits):
             np.testing.assert_allclose(chunked.mu, whole.mu, rtol=0, atol=1e-10)
             np.testing.assert_allclose(chunked.cov, whole.cov, rtol=0, atol=1e-10)
+
+    def test_refresh_fills_the_target_score_cache(self):
+        agent = _filled_agent(mode="bayes", n_fill=32, batch_size=16)
+        agent.update_posteriors()
+        agent.sync_target()
+        rows = _count_target_rows(agent)
+        agent.update_posteriors()
+        assert rows == [32]
+        assert agent.buffer.score_valid[:32].all()
+        agent.compute_targets(agent.buffer.sample(16, agent.rng))
+        assert rows == [32]
+
+
+@pytest.mark.parametrize("mode", ["egreedy", "bayes"])
+class TestTargetScoreCache:
+    def test_second_call_is_all_hits_and_equal(self, mode):
+        agent = _filled_agent(mode=mode, n_fill=32, batch_size=16)
+        batch = agent.buffer.sample(16, agent.rng)
+        rows = _count_target_rows(agent)
+        first = agent.compute_targets(batch)
+        assert rows == [16]
+        second = agent.compute_targets(batch)
+        assert rows == [16]
+        assert np.array_equal(first, second)
+        assert agent.buffer.score_valid[batch["index"]].all()
+
+    def test_cached_targets_match_a_cache_free_recomputation(self, mode):
+        agent = _filled_agent(mode=mode, n_fill=64, batch_size=16)
+        for _ in range(5):      # fill the cache from batches of other compositions
+            agent.compute_targets(agent.buffer.sample(16, agent.rng))
+        batch = agent.buffer.sample(48, agent.rng)
+        cached = agent.compute_targets(batch)
+        np.testing.assert_allclose(cached, agent.compute_targets(_fresh(batch)), rtol=1e-12, atol=0)
+
+    def test_sync_target_clears_the_cache(self, mode):
+        agent = _filled_agent(mode=mode, n_fill=32, batch_size=16)
+        batch = agent.buffer.chronological()
+        agent.compute_targets(batch)
+        agent.net.params[...] *= 1.5
+        if mode == "bayes":
+            for post in agent.posteriors:
+                post.mu[...] = 1.0
+        agent.sync_target()
+        assert not agent.buffer.score_valid.any()
+        rows = _count_target_rows(agent)
+        after = agent.compute_targets(batch)
+        assert rows == [32]
+        assert np.array_equal(after, agent.compute_targets(_fresh(batch)))
+
+    def test_overwriting_push_clears_its_slot_only(self, mode):
+        agent = _filled_agent(mode=mode, n_fill=0, batch_size=4)
+        agent.buffer = ReplayBuffer(capacity=8, score_width=agent.buffer.score_width)
+        for t in _random_transitions(8, state_dim=6, n_branches=agent.net.n_branches):
+            agent.store(*t)
+        batch = agent.buffer.chronological()
+        agent.compute_targets(batch)
+        s, a, r, s2, term = _random_transitions(1, 6, agent.net.n_branches, seed=9)[0]
+        agent.store(s, a, r, s2, term)         # overwrites slot 0, the oldest
+        assert list(agent.buffer.score_valid) == [False] + [True] * 7
+        rows = _count_target_rows(agent)
+        batch = agent.buffer.chronological()
+        u = agent.compute_targets(batch)
+        assert rows == [2]                     # the one miss, padded to two rows
+        np.testing.assert_allclose(u, agent.compute_targets(_fresh(batch)), rtol=1e-12, atol=0)
+
+    def test_lone_miss_is_padded_to_two_rows(self, mode):
+        agent = _filled_agent(mode=mode, n_fill=32, batch_size=8)
+        batch = agent.buffer.sample(8, agent.rng)
+        agent.compute_targets(batch)
+        slot = batch["index"][3]
+        agent.buffer.score_valid[slot] = False
+        stale = agent.buffer.target_scores[slot].copy()
+        rows = _count_target_rows(agent)
+        agent.compute_targets(batch)
+        assert rows == [2]
+        # a two-row forward gives the row as the 8-row one did, to rounding
+        np.testing.assert_allclose(agent.buffer.target_scores[slot], stale, rtol=1e-12, atol=0)
+        assert agent.buffer.score_valid[slot]
+
+    def test_load_checkpoint_clears_the_cache(self, mode, tmp_path):
+        agent = _filled_agent(mode=mode, n_fill=32, batch_size=16)
+        if mode == "bayes":
+            agent.update_posteriors()
+        agent.sync_target()
+        path = tmp_path / "ckpt.npz"
+        agent.save_checkpoint(path)
+        for _ in range(3):
+            agent.train_step()
+        if mode == "bayes":
+            agent.update_posteriors()
+        agent.sync_target()
+        batch = agent.buffer.chronological()
+        agent.compute_targets(batch)
+        agent.load_checkpoint(path)
+        assert not agent.buffer.score_valid.any()
+        assert np.array_equal(agent.compute_targets(batch), agent.compute_targets(_fresh(batch)))
 
 
 class TestTargetStaleness:

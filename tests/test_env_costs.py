@@ -293,6 +293,26 @@ class TestHandScenarios:
         assert costs.reward == pytest.approx(-costs.total - costs.elastic_delay, **APPROX)
 
 
+class TestDemandCap:
+    """``compute_costs`` prices demand above the achievable cell rate as the
+    rate itself, on every cost item, as ``ingest`` clips an episode."""
+
+    @pytest.mark.parametrize("above", [(5.0, 0.0, 0.0), (5.0, 6.0, 4.5)])
+    def test_demand_above_cap_is_priced_as_the_cap(self, above):
+        env = make_cost_env()
+        a = env.layout.default_initial_action()
+        at_cap = env.compute_costs(State(0, np.minimum([above], 4.0), a), a)
+        clipped = env.compute_costs(State(0, np.array([above]), a), a)
+        assert clipped.as_dict() == at_cap.as_dict()
+
+    def test_legacy_five_gbps_prices_routing_and_underprovision_at_four(self):
+        env = make_cost_env()
+        a = env.layout.default_initial_action()
+        costs = env.compute_costs(State(0, np.array([[5.0, 0.0, 0.0]]), a), a)
+        assert costs.routing == pytest.approx(18.1, **APPROX)
+        assert costs.sla_underprovision == pytest.approx(21.0, **APPROX)
+
+
 class TestCostProperties:
     def _random_action(self, layout, rng):
         idx = [rng.integers(n) for n in layout.branch_sizes()]

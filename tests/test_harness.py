@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from oranmec import harness
 from oranmec.agents import make_agent, run_training
 from oranmec.cli import main as cli_main
 from oranmec.env import ActionSpaceTooLarge, CostBreakdown
@@ -53,6 +54,13 @@ class TestConfig:
         assert cfg.agent.T_p == 1440
         assert cfg.agent.feature_dim == 128
         assert cfg.bbu_flavors == tuple(range(16))
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="libyaml is not installed")
+    @pytest.mark.parametrize("name", ["toy.yaml", "default.yaml"])
+    def test_libyaml_and_pure_python_loaders_agree(self, name):
+        assert harness.YAML_LOADER is yaml.CSafeLoader
+        text = (CONFIG_DIR / name).read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -1,4 +1,3 @@
-import logging
 import math
 
 import hypothesis.strategies as st
@@ -6,7 +5,6 @@ import pytest
 from hypothesis import given
 
 from oranmec.splits import (
-    DEMAND_CAP_GBPS,
     OPTIONS,
     SPLIT_IDS,
     SPLITS,
@@ -52,12 +50,6 @@ class TestSegmentLoads:
         fh, mh, bh = segment_loads(get_split("S4"), 1.0)
         assert fh == 157.3
         assert (mh, bh) == (1.0, 1.0)
-
-    def test_default_mode_clips_with_warning(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="oranmec.splits"):
-            clipped = segment_loads(get_split("S1"), 5.0)
-        assert clipped == segment_loads(get_split("S1"), DEMAND_CAP_GBPS)
-        assert any("clipping" in r.message for r in caplog.records)
 
     def test_negative_demand_rejected(self):
         with pytest.raises(ValueError):

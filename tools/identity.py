@@ -1,0 +1,72 @@
+"""Print the byte-identity fingerprints of seeded training runs.
+
+Run from the repository root on two trees and compare the output:
+
+    PYTHONPATH=src python3 tools/identity.py
+    PYTHONPATH=src python3 tools/identity.py toy-egreedy
+
+Each training run prints the sha256 of its slot rewards written as
+``float.hex`` (one per line) and the ``mean_loss`` of its last three
+episodes; ``toy-oracle`` prints the exhaustive oracle's best mean reward.
+Runs are seeded as ``harness.run_experiment`` seeds them, with BLAS on one
+thread as the benchmark runs it.
+"""
+from __future__ import annotations
+
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"       # before numpy is first imported
+
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from oranmec import agents, harness  # noqa: E402
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# name: (config, agent mode, experiment seed, episodes)
+RUNS = {
+    "toy-bayes": ("toy.yaml", "bayes", 7, 30),
+    "toy-egreedy": ("toy.yaml", "egreedy", 7, 10),
+    "default-bayes": ("default.yaml", "bayes", 0, 2),
+}
+
+
+def fingerprint(config: str, mode: str, seed: int, episodes: int) -> tuple[str, list]:
+    """sha256 of the float-hex slot rewards and the last three episodes'
+    ``mean_loss`` of one seeded training run."""
+    cfg = harness.load_experiment_config(CONFIGS / config)
+    ss = np.random.SeedSequence(seed)
+    util_seed, agent_seed, ep_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(3))
+    env = harness.build_env(cfg, util_seed=util_seed)
+    agent_cfg = dataclasses.replace(cfg.agent, mode=mode, seed=agent_seed)
+    agent = agents.make_agent(env.layout, env.state_dim, agent_cfg)
+    provider = harness.make_demand_provider(cfg, seed)
+    result = agents.run_training(env, agent, provider, episodes, episode_seed_base=ep_seed)
+    text = "\n".join(float.hex(s.reward) for s in result.steps)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return digest, [r.mean_loss for r in result.episodes[-3:]]
+
+
+def main(argv: list[str]) -> int:
+    names = argv or [*RUNS, "toy-oracle"]
+    for name in names:
+        if name == "toy-oracle":
+            best = harness.run_oracle(harness.load_experiment_config(CONFIGS / "toy.yaml"))
+            print(f"toy-oracle best {best.mean_reward!r}")
+        elif name in RUNS:
+            digest, losses = fingerprint(*RUNS[name])
+            print(f"{name} rewards {digest} mean_loss {losses!r}")
+        else:
+            print(f"unknown run {name!r}; expected one of {[*RUNS, 'toy-oracle']}", file=sys.stderr)
+            return 2
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
