@@ -11,7 +11,11 @@ across BSs) into one global TD target.
   weight vector gets a closed-form Gaussian posterior (Bayesian linear
   regression over the branch features), and exploration is Thompson
   sampling from those posteriors.  The feature network itself is trained by
-  regressing the posterior-mean Q values onto the TD targets.
+  regressing the posterior-mean Q values onto the TD targets.  One
+  ``Posterior`` holds them all as stacked arrays with one row per
+  sub-action, in the branch order of the target-score columns: means,
+  sampling factors (the covariance is never formed), sampled weights and
+  target weights.  A checkpoint saves and restores exactly these arrays.
 
 The training loop follows a fixed schedule: posteriors refresh every
 ``T_p`` slots, the target network (and the target last-layer weights, set
@@ -230,20 +234,18 @@ def td_target(
 
 def blr_posterior(
     phi: np.ndarray, u: np.ndarray, sigma_eps: float, prior_sigma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form Gaussian posterior of last-layer weights given features.
 
     ``phi`` is (n, d) with one feature row per regression sample and ``u``
-    the targets.  Returns (mean, covariance, scale) where scale @ scale.T
-    equals the covariance (used for sampling).  A zero-sample input yields
-    the prior.  Ill-conditioned systems get a small jitter added, with a
-    warning.
+    the targets.  Returns (mean, scale): the covariance is scale @ scale.T,
+    and mean + scale @ z with z standard normal is a posterior draw.  A
+    zero-sample input yields the prior.  Ill-conditioned systems get a small
+    jitter added, with a warning.
     """
     d = phi.shape[1] if phi.ndim == 2 else len(phi)
     if phi.size == 0:
-        mu = np.zeros(d)
-        cov = prior_sigma * np.eye(d)
-        return mu, cov, np.sqrt(prior_sigma) * np.eye(d)
+        return np.zeros(d), np.sqrt(prior_sigma) * np.eye(d)
     precision = (phi.T @ phi) / sigma_eps**2 + np.eye(d) / prior_sigma
     rhs = (phi.T @ u) / sigma_eps**2
     for attempt in range(2):
@@ -256,85 +258,83 @@ def blr_posterior(
             logger.warning("ill-conditioned posterior precision, adding jitter")
             precision = precision + JITTER * np.eye(d)
     mu = scipy.linalg.cho_solve(chol, rhs)
-    cov = scipy.linalg.cho_solve(chol, np.eye(d))
     # inv(L).T has the right product with its transpose: a valid sampling scale
     scale = scipy.linalg.solve_triangular(chol[0], np.eye(d), lower=True).T
-    return mu, cov, scale
+    return mu, scale
 
 
-class BranchPosterior:
-    """Per-sub-action Gaussian posteriors for one branch.
+def branch_slices(sizes: list[int]) -> list[slice]:
+    """Consecutive ranges of the given sizes: branch j's sub-actions."""
+    ends = np.cumsum(sizes)
+    return [slice(e - n, e) for n, e in zip(sizes, ends)]
 
-    Holds, for each of the branch's sub-actions: the posterior mean and
-    covariance of its last-layer weight vector, the currently sampled
-    (Thompson) weights, and the frozen target weights used for TD pricing.
+
+class Posterior:
+    """Gaussian posteriors of every sub-action's last-layer weights, stacked.
+
+    Each array has one row per sub-action, branch j's sub-actions in rows
+    ``cols[j]``: the posterior mean ``mu``, the sampling factor ``scale``
+    (the covariance is ``scale[r] @ scale[r].T``), the sampled (Thompson)
+    weights ``omega`` and the frozen target weights ``omega_tilde`` used for
+    TD pricing.  Every row starts at the prior N(0, prior_sigma I), its
+    factor a read-only broadcast of one matrix until the first refit makes
+    a dense copy.
     """
 
     def __init__(
         self,
-        n_actions: int,
+        branch_sizes: list[int],
         feature_dim: int,
         prior_sigma: float,
         sigma_eps: float,
         rng: np.random.Generator,
     ):
-        self.n_actions = n_actions
+        self.cols = branch_slices(branch_sizes)
         self.d = feature_dim
         self.prior_sigma = prior_sigma
         self.sigma_eps = sigma_eps
-        self.mu = np.zeros((n_actions, feature_dim))
-        # Every sub-action starts at the prior N(0, prior_sigma I): read-only
-        # broadcasts of one matrix until the first refit makes dense copies.
-        shape = (n_actions, feature_dim, feature_dim)
-        self.cov = np.broadcast_to(prior_sigma * np.eye(feature_dim), shape)
-        self._scale = np.broadcast_to(np.sqrt(prior_sigma) * np.eye(feature_dim), shape)
-        self.omega = self._draw(rng)
-        self.omega_tilde = self._draw(rng)
+        n_rows = sum(branch_sizes)
+        self.mu = np.zeros((n_rows, feature_dim))
+        self.scale = np.broadcast_to(
+            np.sqrt(prior_sigma) * np.eye(feature_dim), (n_rows, feature_dim, feature_dim)
+        )
+        self.omega = np.empty_like(self.mu)
+        self.omega_tilde = np.empty_like(self.mu)
+        for cols in self.cols:      # branch by branch: sampled, then target
+            self.omega[cols] = self._draw(rng, cols)
+            self.omega_tilde[cols] = self._draw(rng, cols)
 
-    def _draw(self, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal((self.n_actions, self.d))
-        return self.mu + np.einsum("aij,aj->ai", self._scale, z)
+    def _draw(self, rng: np.random.Generator, rows: slice) -> np.ndarray:
+        mu = self.mu[rows]
+        z = rng.standard_normal(mu.shape)
+        return mu + np.einsum("aij,aj->ai", self.scale[rows], z)
 
-    def refit(self, sub_action: int, phi: np.ndarray, u: np.ndarray) -> None:
-        mu, cov, scale = blr_posterior(phi, u, self.sigma_eps, self.prior_sigma)
-        if not self.cov.flags.writeable:
-            self.cov = self.cov.copy()
-            self._scale = self._scale.copy()
-        self.mu[sub_action] = mu
-        self.cov[sub_action] = cov
-        self._scale[sub_action] = scale
+    def refit(self, row: int, phi: np.ndarray, u: np.ndarray) -> None:
+        mu, scale = blr_posterior(phi, u, self.sigma_eps, self.prior_sigma)
+        if not self.scale.flags.writeable:
+            self.scale = self.scale.copy()
+        self.mu[row] = mu
+        self.scale[row] = scale
 
     def resample(self, rng: np.random.Generator) -> None:
-        self.omega = self._draw(rng)
+        """Redraw every sub-action's sampled weights from its posterior."""
+        self.omega = self._draw(rng, slice(None))
 
     def sync_target(self) -> None:
         self.omega_tilde = self.mu.copy()
 
-    def scores(self, phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """(batch, n_actions) inner products of features with weight rows."""
-        return phi @ weights.T
+    def scores(self, phis: list[np.ndarray], weights: np.ndarray) -> list[np.ndarray]:
+        """Per branch, (batch, sub-actions) products of features with the
+        branch's rows of ``weights``."""
+        return [phi @ weights[cols].T for phi, cols in zip(phis, self.cols)]
 
-    def rebuild_scale(self) -> None:
-        """Recompute sampling factors from stored covariances (after a
-        checkpoint load); jitters then fails on a non-PD covariance."""
-        self._scale = np.empty(self.cov.shape)
-        for a in range(self.n_actions):
-            cov = self.cov[a]
-            for attempt in range(2):
-                try:
-                    self._scale[a] = np.linalg.cholesky(cov)
-                    break
-                except np.linalg.LinAlgError:
-                    if attempt:
-                        raise
-                    logger.warning("non-PD posterior covariance, adding jitter")
-                    cov = cov + JITTER * np.eye(self.d)
-
-
-def thompson_sample(posteriors: list[BranchPosterior], rng: np.random.Generator) -> None:
-    """Redraw every branch's sampled weights from its posterior."""
-    for post in posteriors:
-        post.resample(rng)
+    def argmax(self, phis: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+        """Per-branch best sub-action of one state's (1, d) features under
+        ``weights``; ties go to the lowest index."""
+        idx = np.empty(len(phis), dtype=np.int64)
+        for j, (phi, cols) in enumerate(zip(phis, self.cols)):
+            idx[j] = int(np.argmax(phi[0] @ weights[cols].T))
+        return idx
 
 
 def select_action_egreedy(
@@ -350,17 +350,6 @@ def select_action_egreedy(
             idx[j] = rng.integers(len(row))
         else:
             idx[j] = int(np.argmax(row))
-    return idx
-
-
-def select_action_thompson(
-    phis: list[np.ndarray], posteriors: list[BranchPosterior]
-) -> np.ndarray:
-    """Greedy per-branch argmax under the currently sampled weights."""
-    idx = np.empty(len(phis), dtype=np.int64)
-    for j, (phi, post) in enumerate(zip(phis, posteriors)):
-        row = phi[0] if phi.ndim == 2 else phi
-        idx[j] = int(np.argmax(post.scores(row, post.omega)))
     return idx
 
 
@@ -385,8 +374,7 @@ class _AgentBase:
         self.adam = Adam(self.net.params, lr=config.lr)
         sizes = layout.branch_sizes()
         self.buffer = ReplayBuffer(config.buffer_capacity, score_width=sum(sizes))
-        ends = np.cumsum(sizes)
-        self._score_cols = [slice(e - n, e) for n, e in zip(sizes, ends)]
+        self._score_cols = branch_slices(sizes)
         self.m_per_bs = layout.m_per_bs()
 
     def _with_heads(self) -> bool:
@@ -475,8 +463,9 @@ class EGreedyAgent(_AgentBase):
         return select_action_egreedy(q_rows, self.epsilon(episode), self.rng)
 
     def greedy_action(self, state_vec: np.ndarray) -> np.ndarray:
+        """Per-branch argmax of the Q rows; draws nothing from ``rng``."""
         q_rows = self.net.q_values(state_vec)
-        return select_action_egreedy(q_rows, 0.0, self.rng)
+        return np.array([np.argmax(q[0]) for q in q_rows], dtype=np.int64)
 
     def _score_target(self, next_states: np.ndarray) -> np.ndarray:
         return np.concatenate(self.target_net.q_values(next_states), axis=1)
@@ -522,48 +511,37 @@ class BayesAgent(_AgentBase):
 
     def __init__(self, layout: ActionLayout, state_dim: int, config: AgentConfig):
         super().__init__(layout, state_dim, config)
-        self.posteriors = [
-            BranchPosterior(
-                n, config.feature_dim, config.prior_sigma, config.sigma_eps, self.rng
-            )
-            for n in layout.branch_sizes()
-        ]
+        self.posterior = Posterior(
+            layout.branch_sizes(), config.feature_dim, config.prior_sigma,
+            config.sigma_eps, self.rng,
+        )
 
     def _with_heads(self) -> bool:
         return False
 
     def select_action(self, state_vec: np.ndarray, episode: int = 0) -> np.ndarray:
-        phis = self.net.features(state_vec)
-        return select_action_thompson(phis, self.posteriors)
+        """Per-branch argmax under the sampled (Thompson) weights."""
+        return self.posterior.argmax(self.net.features(state_vec), self.posterior.omega)
 
     def greedy_action(self, state_vec: np.ndarray) -> np.ndarray:
         """Argmax under the posterior means (no sampling)."""
-        phis = self.net.features(state_vec)
-        idx = np.empty(len(phis), dtype=np.int64)
-        for j, (phi, post) in enumerate(zip(phis, self.posteriors)):
-            idx[j] = int(np.argmax(post.scores(phi[0], post.mu)))
-        return idx
+        return self.posterior.argmax(self.net.features(state_vec), self.posterior.mu)
 
     def resample(self) -> None:
-        thompson_sample(self.posteriors, self.rng)
+        self.posterior.resample(self.rng)
 
     def sync_target(self) -> None:
         super().sync_target()
-        for post in self.posteriors:
-            post.sync_target()
-
-    def _scores(self, phis: list[np.ndarray], which: str) -> list[np.ndarray]:
-        return [
-            post.scores(phi, getattr(post, which))
-            for phi, post in zip(phis, self.posteriors)
-        ]
+        self.posterior.sync_target()
 
     def _score_target(self, next_states: np.ndarray) -> np.ndarray:
+        post = self.posterior
         phis = self.target_net.features(next_states)
-        return np.concatenate(self._scores(phis, "omega_tilde"), axis=1)
+        return np.concatenate(post.scores(phis, post.omega_tilde), axis=1)
 
     def compute_targets(self, batch: dict[str, np.ndarray]) -> np.ndarray:
-        online = self._scores(self.net.features(batch["next_state"]), "omega")
+        post = self.posterior
+        online = post.scores(self.net.features(batch["next_state"]), post.omega)
         return td_target(
             batch["reward"], batch["terminal"], self.config.gamma,
             online, self._target_scores(batch), self.m_per_bs,
@@ -581,14 +559,14 @@ class BayesAgent(_AgentBase):
         B = len(u)
         rows = np.arange(B)
         K = len(self.m_per_bs)
+        mu = self.posterior.mu
         loss = 0.0
         d_phis = []
         j = 0
         for m in self.m_per_bs:
             for _ in range(m):
-                post = self.posteriors[j]
                 chosen = batch["action"][:, j]
-                w = post.mu[chosen]                      # (B, d)
+                w = mu[self._score_cols[j]][chosen]      # (B, d)
                 pred = np.sum(phis[j] * w, axis=1)
                 err = u - pred
                 loss += float(np.mean(err**2)) / (K * m)
@@ -632,12 +610,12 @@ class BayesAgent(_AgentBase):
         remap[keep] = np.arange(len(keep))
 
         phis, u = self._features_and_targets(order[keep])
-        for j in range(n_branches):
+        for j, cols in enumerate(self._score_cols):
             for a, rows in enumerate(member_rows[j]):
                 if len(rows) == 0:
                     continue
                 local = remap[rows]
-                self.posteriors[j].refit(a, phis[j][local], u[local])
+                self.posterior.refit(cols.start + a, phis[j][local], u[local])
 
     def _features_and_targets(
         self, index: np.ndarray
@@ -660,31 +638,21 @@ class BayesAgent(_AgentBase):
 
     # -- checkpointing ----------------------------------------------------
 
+    _SAVED = ("mu", "scale", "omega", "omega_tilde")
+
     def save_checkpoint(self, path) -> None:
-        extra: dict[str, np.ndarray] = {}
-        for j, post in enumerate(self.posteriors):
-            extra[f"post_mu_{j}"] = post.mu
-            extra[f"post_cov_{j}"] = post.cov
-            extra[f"post_omega_{j}"] = post.omega
-            extra[f"post_omega_tilde_{j}"] = post.omega_tilde
+        extra = {f"post_{name}": getattr(self.posterior, name) for name in self._SAVED}
         neural.save_checkpoint(path, self.net, self.adam, extra=extra)
 
     def load_checkpoint(self, path) -> dict:
-        """As the base class, then restore every posterior, the target
-        weights included."""
+        """As the base class, then restore the posterior as saved, its
+        sampling factor and target weights included."""
         data = super().load_checkpoint(path)
-        for j, post in enumerate(self.posteriors):
-            for name, attr in (
-                (f"post_mu_{j}", "mu"),
-                (f"post_cov_{j}", "cov"),
-                (f"post_omega_{j}", "omega"),
-                (f"post_omega_tilde_{j}", "omega_tilde"),
-            ):
-                tensor = data["extra"][name]
-                if tensor.shape != getattr(post, attr).shape:
-                    raise ValueError(f"{name}: shape mismatch")
-                setattr(post, attr, tensor)
-            post.rebuild_scale()
+        for name in self._SAVED:
+            tensor = data["extra"][f"post_{name}"]
+            if tensor.shape != getattr(self.posterior, name).shape:
+                raise ValueError(f"post_{name}: shape mismatch")
+            setattr(self.posterior, name, tensor)
         self.buffer.clear_target_scores()     # omega_tilde was restored
         return data
 

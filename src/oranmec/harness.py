@@ -28,6 +28,7 @@ import yaml
 
 from .agents import AgentConfig, BayesAgent, make_agent, run_training
 from .env import (
+    DEFAULT_FLAVORS,
     Action,
     ActionLayout,
     ActionSpaceTooLarge,
@@ -84,7 +85,7 @@ class ExperimentConfig:
     out_dir: Path
     utilization: dict = field(default_factory=dict)
     episode_slots: int = SLOTS_PER_DAY
-    bbu_flavors: tuple[int, ...] = tuple(range(16))
+    bbu_flavors: tuple[int, ...] = DEFAULT_FLAVORS
     mec_flavors: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
@@ -118,13 +119,13 @@ def _parse_reward(raw: dict) -> RewardConfig:
 
 
 def _parse_services(raw: dict | None) -> ServiceMix:
-    if not raw:
-        return ServiceMix()
-    return ServiceMix(
-        n_services=int(raw.get("n_services", 2)),
-        inelastic=tuple(raw.get("inelastic", (1,))),
-        elastic=tuple(raw.get("elastic", (2,))),
-    )
+    raw = dict(raw or {})
+    unknown = set(raw) - {f.name for f in dataclasses.fields(ServiceMix)}
+    if unknown:
+        raise ConfigError(f"unknown services config keys {sorted(unknown)}")
+    return ServiceMix(**{
+        key: int(val) if key == "n_services" else tuple(val) for key, val in raw.items()
+    })
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -149,7 +150,7 @@ def load_experiment_config(path) -> ExperimentConfig:
             out_dir=Path(raw.get("out_dir", "results")),
             utilization=raw.get("utilization", {}),
             episode_slots=int(raw.get("episode_slots", SLOTS_PER_DAY)),
-            bbu_flavors=tuple(flavors.get("bbu", range(16))),
+            bbu_flavors=tuple(flavors.get("bbu", DEFAULT_FLAVORS)),
             mec_flavors=tuple(tuple(f) for f in flavors.get("mec", ())),
         )
     except ConfigError:

@@ -36,7 +36,7 @@ import numpy as np
 
 logger = logging.getLogger("oranmec.neural")
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Elements per in-place Adam block: two scratch blocks of 512 KiB.
 ADAM_BLOCK = 65_536

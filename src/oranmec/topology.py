@@ -92,7 +92,6 @@ class Topology:
     links: tuple[Link, ...]
     du_servers: tuple[int, ...]
     cu_servers: tuple[int, ...]
-    mec_servers: tuple[int, ...]
     capacity_rc: dict[int, float]
     server_rate: dict[int, float]
     ru_ids: tuple[int, ...]
@@ -152,7 +151,6 @@ def _validate(
     links: list[Link],
     du_servers: list[int],
     cu_servers: list[int],
-    mec_servers: list[int],
     capacity_rc: dict[int, float],
 ) -> None:
     ids = [n.id for n in nodes]
@@ -175,10 +173,6 @@ def _validate(
     for s in servers:
         if s not in id_set:
             raise TopologyError(f"server {s} is not a node")
-    if not set(mec_servers) <= servers:
-        raise TopologyError(
-            f"MEC servers {sorted(set(mec_servers) - servers)} are not DU/CU servers"
-        )
     for s in servers:
         cap = capacity_rc.get(s)
         if cap is None or cap <= 0:
@@ -229,7 +223,7 @@ def _waxman_links(
     return sorted(edges)
 
 
-def _build_waxman(cfg: dict) -> tuple[list[Node], list[Link], list[int], list[int], list[int]]:
+def _build_waxman(cfg: dict) -> tuple[list[Node], list[Link], list[int], list[int]]:
     n = int(cfg.get("n", 15))
     alpha = float(cfg.get("alpha", 0.5))
     beta = float(cfg.get("beta", 0.1))
@@ -259,21 +253,19 @@ def _build_waxman(cfg: dict) -> tuple[list[Node], list[Link], list[int], list[in
         cap = float(rng.uniform(*WAXMAN_CAPACITY_RANGE_GBPS))
         weight = float(rng.uniform(*WAXMAN_WEIGHT_RANGE))
         links.append(Link(u, v, cap, delay, weight))
-    mec = sorted(set(du) | set(cu))
-    return nodes, links, du, cu, mec
+    return nodes, links, du, cu
 
 
 def build_topology(config: dict) -> Topology:
     """Build and validate a topology, precomputing all placement routes.
 
     ``config`` either describes the graph explicitly (``nodes``, ``links``,
-    ``du_servers``, ``cu_servers``, optional ``mec_servers``,
-    ``capacity_rc``, ``server_rate``) or requests a synthetic one via
-    ``waxman: {n, alpha, beta, seed, n_du, n_cu, n_ru}``.
+    ``du_servers``, ``cu_servers``, ``capacity_rc``, ``server_rate``) or
+    requests a synthetic one via ``waxman: {n, alpha, beta, seed, n_du,
+    n_cu, n_ru}``.  The MEC host of a BS is always its DU or CU server.
     """
     if "waxman" in config:
-        nodes, links, du_servers, cu_servers, mec_default = _build_waxman(config["waxman"])
-        mec_servers = list(config.get("mec_servers", mec_default))
+        nodes, links, du_servers, cu_servers = _build_waxman(config["waxman"])
     else:
         try:
             nodes = [Node(int(n["id"]), NodeKind(n["kind"])) for n in config["nodes"]]
@@ -291,10 +283,6 @@ def build_topology(config: dict) -> Topology:
             cu_servers = [int(s) for s in config["cu_servers"]]
         except (KeyError, ValueError, TypeError) as exc:
             raise TopologyError(f"bad topology config: {exc}") from exc
-        mec_servers = [
-            int(s)
-            for s in config.get("mec_servers", sorted(set(du_servers) | set(cu_servers)))
-        ]
 
     capacity_rc = {int(k): float(v) for k, v in config.get("capacity_rc", {}).items()}
     for s in du_servers:
@@ -305,7 +293,7 @@ def build_topology(config: dict) -> Topology:
     for s in set(du_servers) | set(cu_servers):
         server_rate.setdefault(s, DEFAULT_SERVER_RATE)
 
-    _validate(nodes, links, du_servers, cu_servers, mec_servers, capacity_rc)
+    _validate(nodes, links, du_servers, cu_servers, capacity_rc)
 
     ru_ids = tuple(sorted(n.id for n in nodes if n.kind is NodeKind.RU))
     if not ru_ids:
@@ -331,7 +319,6 @@ def build_topology(config: dict) -> Topology:
         links=tuple(links),
         du_servers=tuple(sorted(du_servers)),
         cu_servers=tuple(sorted(cu_servers)),
-        mec_servers=tuple(sorted(mec_servers)),
         capacity_rc=capacity_rc,
         server_rate=server_rate,
         ru_ids=ru_ids,

@@ -7,17 +7,15 @@ from oranmec import agents
 from oranmec.agents import (
     AgentConfig,
     BayesAgent,
-    BranchPosterior,
     EGreedyAgent,
+    Posterior,
     ReplayBuffer,
     blr_posterior,
     evaluate_greedy,
     make_agent,
     run_training,
     select_action_egreedy,
-    select_action_thompson,
     td_target,
-    thompson_sample,
 )
 from oranmec.env import ActionLayout
 from tests.conftest import make_toy_env, toy_agent_config, toy_demands
@@ -233,18 +231,23 @@ class TestTdTargets:
         assert u[0] == 2.0                      # (1 + 3) / 2
 
 
+def _cov(scale: np.ndarray) -> np.ndarray:
+    """Covariance(s) from sampling factor(s): scale @ scale.T."""
+    return np.einsum("...ij,...kj->...ik", scale, scale)
+
+
 class TestBlrPosterior:
     def test_zero_data_returns_prior(self):
-        mu, cov, scale = blr_posterior(np.empty((0, 3)), np.empty(0), 1.0, 2.0)
+        mu, scale = blr_posterior(np.empty((0, 3)), np.empty(0), 1.0, 2.0)
         assert np.array_equal(mu, np.zeros(3))
-        assert np.array_equal(cov, 2.0 * np.eye(3))
-        assert np.allclose(scale @ scale.T, cov)
+        assert np.array_equal(scale, np.sqrt(2.0) * np.eye(3))
+        assert np.allclose(_cov(scale), 2.0 * np.eye(3))
 
     def test_single_sample_hand_case(self):
         # phi=[1], u=[1], noise 1, prior 1: precision 2, cov 0.5, mean 0.5
-        mu, cov, _ = blr_posterior(np.array([[1.0]]), np.array([1.0]), 1.0, 1.0)
+        mu, scale = blr_posterior(np.array([[1.0]]), np.array([1.0]), 1.0, 1.0)
         assert mu[0] == pytest.approx(0.5, abs=1e-15)
-        assert cov[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert _cov(scale)[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_dense_normal_equation_solve(self, rng):
         for _ in range(25):
@@ -254,43 +257,48 @@ class TestBlrPosterior:
             u = rng.normal(size=n)
             sigma_eps = float(rng.uniform(0.5, 2.0))
             prior = float(rng.uniform(0.5, 2.0))
-            mu, cov, scale = blr_posterior(phi, u, sigma_eps, prior)
+            mu, scale = blr_posterior(phi, u, sigma_eps, prior)
             precision = phi.T @ phi / sigma_eps**2 + np.eye(d) / prior
             cov_ref = np.linalg.inv(precision)
             mu_ref = cov_ref @ (phi.T @ u) / sigma_eps**2
-            assert np.abs(cov - cov_ref).max() < 1e-8
+            assert np.abs(_cov(scale) - cov_ref).max() < 1e-8
             assert np.abs(mu - mu_ref).max() < 1e-8
-            assert np.abs(scale @ scale.T - cov).max() < 1e-10
 
 
 class TestBranchPosterior:
+    """The stacked ``Posterior``: one row per sub-action, branch j in rows
+    ``cols[j]``."""
+
     def test_prior_state(self, rng):
-        post = BranchPosterior(3, 4, prior_sigma=2.0, sigma_eps=1.0, rng=rng)
+        post = Posterior([3], 4, prior_sigma=2.0, sigma_eps=1.0, rng=rng)
         assert np.array_equal(post.mu, np.zeros((3, 4)))
-        assert np.array_equal(post.cov[1], 2.0 * np.eye(4))
+        assert np.array_equal(post.scale[1], np.sqrt(2.0) * np.eye(4))
+        assert np.allclose(_cov(post.scale[1]), 2.0 * np.eye(4))
 
     def test_prior_is_shared_until_the_first_refit(self, rng):
-        post = BranchPosterior(3, 4, prior_sigma=2.0, sigma_eps=1.0, rng=rng)
-        assert post.cov.strides[0] == 0 and not post.cov.flags.writeable
-        post.refit(1, rng.normal(size=(5, 4)), rng.normal(size=5))
-        assert post.cov.flags.c_contiguous and post.cov.flags.writeable
-        assert post._scale.flags.c_contiguous and post._scale.flags.writeable
-        for a in (0, 2):
-            assert np.array_equal(post.cov[a], 2.0 * np.eye(4))
-            assert np.array_equal(post._scale[a], np.sqrt(2.0) * np.eye(4))
-        assert not np.array_equal(post.cov[1], 2.0 * np.eye(4))
+        post = Posterior([3, 2], 4, prior_sigma=2.0, sigma_eps=1.0, rng=rng)
+        assert post.cols == [slice(0, 3), slice(3, 5)]
+        assert post.scale.shape == (5, 4, 4)
+        assert post.scale.strides[0] == 0 and not post.scale.flags.writeable
+        mu_before = post.mu.copy()
+        post.refit(4, rng.normal(size=(5, 4)), rng.normal(size=5))
+        assert post.scale.flags.c_contiguous and post.scale.flags.writeable
+        for r in range(4):      # a refit writes only its own row
+            assert np.array_equal(post.scale[r], np.sqrt(2.0) * np.eye(4))
+            assert np.array_equal(post.mu[r], mu_before[r])
+        assert not np.array_equal(post.scale[4], np.sqrt(2.0) * np.eye(4))
+        assert not np.array_equal(post.mu[4], mu_before[4])
 
     def test_near_zero_covariance_samples_the_mean(self, rng):
-        post = BranchPosterior(2, 3, prior_sigma=1.0, sigma_eps=1.0, rng=rng)
+        post = Posterior([2, 1], 3, prior_sigma=1.0, sigma_eps=1.0, rng=rng)
         post.mu[...] = 5.0
-        post.cov = np.zeros((2, 3, 3))
-        post._scale = np.zeros((2, 3, 3))
+        post.scale = np.zeros((3, 3, 3))
         post.resample(rng)
         assert np.array_equal(post.omega, post.mu)
 
     def test_sample_mean_approaches_posterior_mean(self):
         rng = np.random.default_rng(3)
-        post = BranchPosterior(1, 2, prior_sigma=1.0, sigma_eps=1.0, rng=rng)
+        post = Posterior([1], 2, prior_sigma=1.0, sigma_eps=1.0, rng=rng)
         post.mu[...] = np.array([[1.0, -2.0]])
         draws = []
         for _ in range(10_000):
@@ -304,31 +312,76 @@ class TestBranchPosterior:
         draws = []
         for _ in range(2):
             rng = np.random.default_rng(11)
-            post = BranchPosterior(2, 3, 1.0, 1.0, rng)
+            post = Posterior([2, 3], 3, 1.0, 1.0, rng)
             post.resample(rng)
             draws.append(post.omega.copy())
         assert np.array_equal(draws[0], draws[1])
 
     def test_thompson_sample_covers_all_branches(self, rng):
-        posts = [BranchPosterior(2, 3, 1.0, 1.0, rng) for _ in range(3)]
-        before = [p.omega.copy() for p in posts]
-        thompson_sample(posts, rng)
-        assert all(not np.array_equal(b, p.omega) for b, p in zip(before, posts))
+        post = Posterior([2, 2, 2], 3, 1.0, 1.0, rng)
+        before = post.omega.copy()
+        post.resample(rng)
+        assert all(not np.array_equal(before[c], post.omega[c]) for c in post.cols)
+
+    def test_init_draws_branch_by_branch_sampled_then_target(self):
+        sizes, d = [2, 3, 1], 4
+        post = Posterior(sizes, d, 9.0, 1.0, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        for cols, n in zip(post.cols, sizes):
+            for weights in (post.omega, post.omega_tilde):
+                assert np.array_equal(weights[cols], 3.0 * rng.standard_normal((n, d)))
+
+    def test_stacked_resample_equals_per_branch_draws(self, rng):
+        sizes, d = [3, 2, 4], 5
+        post = Posterior(sizes, d, 2.0, 1.5, rng)
+        for r in (0, 4, 5, 8):
+            post.refit(r, rng.normal(size=(7, d)), rng.normal(size=7))
+        ref_rng = np.random.default_rng(77)
+        post.resample(np.random.default_rng(77))
+        for cols, n in zip(post.cols, sizes):
+            z = ref_rng.standard_normal((n, d))
+            ref = post.mu[cols] + np.einsum("aij,aj->ai", post.scale[cols], z)
+            assert np.array_equal(post.omega[cols], ref)
+        stacked_rng = np.random.default_rng(77)
+        post.resample(stacked_rng)
+        assert stacked_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _rows(*rows):
+    """One-state (1, d) feature matrices, as ``features`` returns them."""
+    return [np.array([row], dtype=float) for row in rows]
 
 
 class TestThompsonSelection:
     def test_tie_breaks_to_lowest_index(self, rng):
-        post = BranchPosterior(3, 2, 1.0, 1.0, rng)
+        post = Posterior([3], 2, 1.0, 1.0, rng)
         post.omega[...] = 1.0                    # identical weights per arm
-        idx = select_action_thompson([np.array([0.5, 0.5])], [post])
-        assert idx[0] == 0
+        assert post.argmax(_rows([0.5, 0.5]), post.omega)[0] == 0
 
     def test_hand_dot_products(self, rng):
-        post = BranchPosterior(2, 2, 1.0, 1.0, rng)
+        post = Posterior([2], 2, 1.0, 1.0, rng)
         post.omega[0] = [0.0, 0.0]
         post.omega[1] = [1.0, 1.0]
-        idx = select_action_thompson([np.array([1.0, 1.0])], [post])
-        assert idx[0] == 1
+        assert post.argmax(_rows([1.0, 1.0]), post.omega)[0] == 1
+
+    def test_each_branch_argmax_reads_its_own_rows(self, rng):
+        post = Posterior([2, 3], 2, 1.0, 1.0, rng)
+        post.omega[:] = [[1, 0], [0, 1], [0, 0], [5, 0], [0, 9]]
+        post.mu[:] = post.omega[::-1]
+        assert list(post.argmax(_rows([1, 0], [1, 0]), post.omega)) == [0, 1]
+        assert list(post.argmax(_rows([1, 0], [0, 1]), post.omega)) == [0, 2]
+        assert list(post.argmax(_rows([1, 0], [0, 1]), post.mu)) == [1, 1]
+
+    def test_agent_acts_under_omega_and_evaluates_under_mu(self):
+        agent = _filled_agent(mode="bayes", n_fill=32)
+        agent.update_posteriors()
+        agent.resample()
+        x = np.random.default_rng(6).normal(size=6)
+        phis = agent.net.features(x)
+        post = agent.posterior
+        for weights, act in ((post.omega, agent.select_action), (post.mu, agent.greedy_action)):
+            ref = [np.argmax(phi[0] @ weights[c].T) for phi, c in zip(phis, post.cols)]
+            assert list(act(x)) == ref
 
     def test_matches_greedy_head_when_weights_shared(self, rng):
         # a linear-head net and Thompson selection with the head's rows as
@@ -339,22 +392,19 @@ class TestThompsonSelection:
         x = rng.normal(size=4)
         q_rows = net.q_values(x)
         greedy = select_action_egreedy(q_rows, 0.0, rng)
-        posts = []
-        for head in net.w.heads:
-            post = BranchPosterior(head.shape[1], 5, 1.0, 1.0, rng)
-            post.omega = head.T.copy()
-            posts.append(post)
-        sampled = select_action_thompson(net.features(x), posts)
+        post = Posterior([3, 2], 5, 1.0, 1.0, rng)
+        for head, cols in zip(net.w.heads, post.cols):
+            post.omega[cols] = head.T
+        sampled = post.argmax(net.features(x), post.omega)
         assert np.array_equal(greedy, sampled)
 
     def test_positive_scaling_invariance(self, rng):
         for _ in range(20):
-            post = BranchPosterior(4, 3, 1.0, 1.0, rng)
+            post = Posterior([4], 3, 1.0, 1.0, rng)
             post.omega = rng.normal(size=(4, 3))
-            phi = [rng.normal(size=3)]
-            base = select_action_thompson(phi, [post])
-            post.omega = post.omega * 7.5
-            assert select_action_thompson(phi, [post]) == base
+            phi = [rng.normal(size=(1, 3))]
+            base = post.argmax(phi, post.omega)
+            assert post.argmax(phi, post.omega * 7.5) == base
 
 
 def _filled_agent(mode="egreedy", batch_size=8, n_fill=32, seed=0):
@@ -453,10 +503,9 @@ class TestTrainSteps:
 class TestPosteriorUpdate:
     def test_empty_buffer_keeps_posteriors(self):
         agent = _filled_agent(mode="bayes", n_fill=0)
-        before_mu = [p.mu.copy() for p in agent.posteriors]
+        before_mu = agent.posterior.mu.copy()
         agent.update_posteriors()
-        for b, p in zip(before_mu, agent.posteriors):
-            assert np.array_equal(b, p.mu)
+        assert np.array_equal(before_mu, agent.posterior.mu)
 
     def test_matches_direct_solve(self):
         agent = _filled_agent(mode="bayes", n_fill=64)
@@ -465,9 +514,10 @@ class TestPosteriorUpdate:
         u = agent.compute_targets(data)
         phis = agent.net.features(data["state"])
         cfg = agent.config
-        for j, post in enumerate(agent.posteriors):
+        post = agent.posterior
+        for j, cols in enumerate(post.cols):
             actions = data["action"][:, j]
-            for a in range(post.n_actions):
+            for a in range(cols.stop - cols.start):
                 rows = np.nonzero(actions == a)[0]
                 if len(rows) == 0:
                     continue
@@ -475,17 +525,19 @@ class TestPosteriorUpdate:
                 precision = phi.T @ phi / cfg.sigma_eps**2 + np.eye(post.d) / cfg.prior_sigma
                 cov_ref = np.linalg.inv(precision)
                 mu_ref = cov_ref @ (phi.T @ u[rows]) / cfg.sigma_eps**2
-                assert np.abs(post.mu[a] - mu_ref).max() < 1e-8
-                assert np.abs(post.cov[a] - cov_ref).max() < 1e-8
+                assert np.abs(post.mu[cols.start + a] - mu_ref).max() < 1e-8
+                assert np.abs(_cov(post.scale[cols.start + a]) - cov_ref).max() < 1e-8
 
     def test_unseen_sub_actions_keep_prior(self):
         agent = _filled_agent(mode="bayes", n_fill=16)
         # force every stored transition to sub-action 0 on branch 0
         agent.buffer.action[:len(agent.buffer), 0] = 0
         agent.update_posteriors()
-        post = agent.posteriors[0]
+        post = agent.posterior          # branch 0 owns rows 0 and 1
+        prior_scale = np.sqrt(agent.config.prior_sigma) * np.eye(post.d)
         assert np.array_equal(post.mu[1], np.zeros(post.d))
-        assert np.array_equal(post.cov[1], agent.config.prior_sigma * np.eye(post.d))
+        assert np.array_equal(post.scale[1], prior_scale)
+        assert np.allclose(_cov(post.scale[1]), agent.config.prior_sigma * np.eye(post.d))
         assert np.any(post.mu[0] != 0.0)
 
     def test_chunked_refresh_matches_one_chunk(self, monkeypatch):
@@ -495,10 +547,10 @@ class TestPosteriorUpdate:
             row_bytes = 8 * agent.net.n_branches * agent.net.feature_dim
             monkeypatch.setattr(agents, "REFRESH_CHUNK_BYTES", rows_per_chunk * row_bytes)
             agent.update_posteriors()
-            fits.append(agent.posteriors)
-        for whole, chunked in zip(*fits):
-            np.testing.assert_allclose(chunked.mu, whole.mu, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(chunked.cov, whole.cov, rtol=0, atol=1e-10)
+            fits.append(agent.posterior)
+        whole, chunked = fits
+        np.testing.assert_allclose(chunked.mu, whole.mu, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(_cov(chunked.scale), _cov(whole.scale), rtol=0, atol=1e-10)
 
     def test_refresh_fills_the_target_score_cache(self):
         agent = _filled_agent(mode="bayes", n_fill=32, batch_size=16)
@@ -539,8 +591,7 @@ class TestTargetScoreCache:
         agent.compute_targets(batch)
         agent.net.params[...] *= 1.5
         if mode == "bayes":
-            for post in agent.posteriors:
-                post.mu[...] = 1.0
+            agent.posterior.mu[...] = 1.0
         agent.sync_target()
         assert not agent.buffer.score_valid.any()
         rows = _count_target_rows(agent)
@@ -642,11 +693,24 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(twin.adam.m, agent.adam.m)
         assert np.array_equal(twin.adam.v, agent.adam.v)
         if mode == "bayes":
-            for post, loaded in zip(agent.posteriors, twin.posteriors):
-                for attr in ("mu", "cov", "omega", "omega_tilde"):
-                    assert np.array_equal(getattr(post, attr), getattr(loaded, attr))
+            for attr in ("mu", "scale", "omega", "omega_tilde"):
+                assert np.array_equal(getattr(agent.posterior, attr), getattr(twin.posterior, attr))
             # the target weights come from the file, not from a sync
-            assert any(not np.array_equal(p.mu, p.omega_tilde) for p in twin.posteriors)
+            assert not np.array_equal(twin.posterior.mu, twin.posterior.omega_tilde)
+
+    def test_next_thompson_draw_after_a_load_equals_the_saved_agents(self, tmp_path):
+        env = make_toy_env()
+        demands = toy_demands(144)
+        agent = make_agent(env.layout, env.state_dim, toy_agent_config(2))
+        run_training(env, agent, lambda e: demands, 2, episode_seed_base=4)
+        path = tmp_path / "agent.npz"
+        agent.save_checkpoint(path)
+        twin = make_agent(env.layout, env.state_dim, toy_agent_config(5))
+        twin.load_checkpoint(path)
+        twin.rng.bit_generator.state = agent.rng.bit_generator.state
+        agent.resample()
+        twin.resample()
+        assert np.array_equal(twin.posterior.omega, agent.posterior.omega)
 
 
 class TestRunTraining:
@@ -687,6 +751,18 @@ class TestRunTraining:
         agent = make_agent(env.layout, env.state_dim, toy_agent_config(1))
         value = evaluate_greedy(env, agent, demands)
         assert np.isfinite(value)
+
+    @pytest.mark.parametrize("mode", ["egreedy", "bayes"])
+    def test_greedy_evaluation_leaves_the_rng_alone(self, mode):
+        # an evaluation between training episodes must not shift the
+        # training stream that follows it
+        env = make_toy_env()
+        demands = toy_demands(8)
+        agent = make_agent(env.layout, env.state_dim, toy_agent_config(1, mode=mode))
+        run_training(env, agent, lambda e: demands, 1)
+        before = agent.rng.bit_generator.state
+        evaluate_greedy(env, agent, demands, noise_seed=3)
+        assert agent.rng.bit_generator.state == before
 
 
 class TestEpsilonSchedule:

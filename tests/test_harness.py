@@ -83,6 +83,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown reward config keys"):
             load_experiment_config(path)
 
+    def test_services_keys_parsed_and_typos_rejected(self, tmp_path):
+        path = toy_config(tmp_path)
+        raw = yaml.safe_load(path.read_text())
+        raw["services"] = {"n_services": 2, "inelastic": [2], "elastic": [1]}
+        path.write_text(yaml.safe_dump(raw))
+        services = load_experiment_config(path).services
+        assert (services.n_services, services.inelastic, services.elastic) == (2, (2,), (1,))
+        raw["services"] = {"n_services": 2, "inelastc": [1]}
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match=r"unknown services config keys \['inelastc'\]"):
+            load_experiment_config(path)
+
     def test_no_seeds_rejected(self, tmp_path):
         path = toy_config(tmp_path, seeds=[])
         with pytest.raises(ConfigError):

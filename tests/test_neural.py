@@ -249,7 +249,7 @@ class TestCheckpoint:
         net.backward_from_q([np.ones_like(q) for q in qs])
         opt.step(net.grads)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, net, opt, extra={"post_mu_0": np.arange(3.0)})
+        save_checkpoint(path, net, opt, extra={"post_mu": np.arange(3.0)})
 
         data = load_checkpoint(path)
         assert data["meta"]["arch"] == net.arch()
@@ -262,7 +262,7 @@ class TestCheckpoint:
             assert np.array_equal(qa, qb)
         assert twin_opt.t == opt.t
         assert np.array_equal(twin_opt.m, opt.m) and np.array_equal(twin_opt.v, opt.v)
-        assert np.array_equal(data["extra"]["post_mu_0"], np.arange(3.0))
+        assert np.array_equal(data["extra"]["post_mu"], np.arange(3.0))
 
     def test_shape_table_validated(self, tmp_path):
         net = small_net(seed=14)
@@ -281,8 +281,16 @@ class TestCheckpoint:
         blobs["_meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         path = tmp_path / "v1.npz"
         np.savez(path, **blobs)
-        assert CHECKPOINT_VERSION == 2
+        assert CHECKPOINT_VERSION == 3
         with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+        # the flat layout with one posterior covariance per branch
+        meta = {"version": 2, "arch": net.arch(), "adam_t": None, "extra_keys": ["post_cov_0"]}
+        blobs = {"params": net.params, "extra_post_cov_0": np.zeros((3, 4, 4))}
+        blobs["_meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        path = tmp_path / "v2.npz"
+        np.savez(path, **blobs)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
             load_checkpoint(path)
 
 

@@ -51,12 +51,6 @@ class TestBuild:
         assert entry.bh_path == (2, 0)
         assert entry.bh_delay_ms == 0.2
 
-    def test_mec_server_subset_enforced(self):
-        cfg = chain_config()
-        cfg["mec_servers"] = [2, 1]          # RU is not a hosting server
-        with pytest.raises(TopologyError):
-            build_topology(cfg)
-
     def test_capacity_must_be_positive(self):
         cfg = chain_config()
         cfg["links"][0]["capacity_gbps"] = 0.0
