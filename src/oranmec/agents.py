@@ -15,7 +15,8 @@ across BSs) into one global TD target.
   ``Posterior`` holds them all as stacked arrays with one row per
   sub-action, in the branch order of the target-score columns: means,
   sampling factors (the covariance is never formed), sampled weights and
-  target weights.  A checkpoint saves and restores exactly these arrays.
+  target weights.  A checkpoint restores exactly these arrays; it stores
+  only the sampling factors a refit has moved off the prior.
 
 The training loop follows a fixed schedule: posteriors refresh every
 ``T_p`` slots, the target network (and the target last-layer weights, set
@@ -295,9 +296,8 @@ class Posterior:
         self.sigma_eps = sigma_eps
         n_rows = sum(branch_sizes)
         self.mu = np.zeros((n_rows, feature_dim))
-        self.scale = np.broadcast_to(
-            np.sqrt(prior_sigma) * np.eye(feature_dim), (n_rows, feature_dim, feature_dim)
-        )
+        self.prior_scale = np.sqrt(prior_sigma) * np.eye(feature_dim)
+        self.set_scale_rows([], None)
         self.omega = np.empty_like(self.mu)
         self.omega_tilde = np.empty_like(self.mu)
         for cols in self.cols:      # branch by branch: sampled, then target
@@ -315,6 +315,13 @@ class Posterior:
             self.scale = self.scale.copy()
         self.mu[row] = mu
         self.scale[row] = scale
+
+    def set_scale_rows(self, rows, scale) -> None:
+        """``scale`` in ``rows``, the prior's shared read-only factor elsewhere."""
+        self.scale = np.broadcast_to(self.prior_scale, (len(self.mu), self.d, self.d))
+        if len(rows):
+            self.scale = self.scale.copy()
+            self.scale[rows] = scale
 
     def resample(self, rng: np.random.Generator) -> None:
         """Redraw every sub-action's sampled weights from its posterior."""
@@ -367,7 +374,7 @@ class _AgentBase:
             layout.branch_sizes(),
             trunk_widths=config.trunk_widths,
             feature_dim=config.feature_dim,
-            with_heads=self._with_heads(),
+            with_heads=self.WITH_HEADS,
             seed=net_seed,
         )
         self.target_net = self.net.clone()
@@ -376,9 +383,6 @@ class _AgentBase:
         self.buffer = ReplayBuffer(config.buffer_capacity, score_width=sum(sizes))
         self._score_cols = branch_slices(sizes)
         self.m_per_bs = layout.m_per_bs()
-
-    def _with_heads(self) -> bool:
-        raise NotImplementedError
 
     def sync_target(self) -> None:
         self.target_net.load_params(self.net.params)
@@ -446,8 +450,7 @@ class _AgentBase:
 class EGreedyAgent(_AgentBase):
     """Non-Bayesian branching double-Q agent with annealed epsilon-greedy."""
 
-    def _with_heads(self) -> bool:
-        return True
+    WITH_HEADS = True       # linear Q heads on the branch features
 
     def epsilon(self, episode: int) -> float:
         """Linear decay from ``eps_max`` to ``eps_min`` over
@@ -509,15 +512,14 @@ class BayesAgent(_AgentBase):
     """Branching double-Q agent with Bayesian last layers and Thompson
     sampling."""
 
+    WITH_HEADS = False      # the posterior stands in for the Q heads
+
     def __init__(self, layout: ActionLayout, state_dim: int, config: AgentConfig):
         super().__init__(layout, state_dim, config)
         self.posterior = Posterior(
             layout.branch_sizes(), config.feature_dim, config.prior_sigma,
             config.sigma_eps, self.rng,
         )
-
-    def _with_heads(self) -> bool:
-        return False
 
     def select_action(self, state_vec: np.ndarray, episode: int = 0) -> np.ndarray:
         """Per-branch argmax under the sampled (Thompson) weights."""
@@ -557,7 +559,6 @@ class BayesAgent(_AgentBase):
         u = self.compute_targets(batch)
         phis = self.net.features(batch["state"])
         B = len(u)
-        rows = np.arange(B)
         K = len(self.m_per_bs)
         mu = self.posterior.mu
         loss = 0.0
@@ -638,21 +639,29 @@ class BayesAgent(_AgentBase):
 
     # -- checkpointing ----------------------------------------------------
 
-    _SAVED = ("mu", "scale", "omega", "omega_tilde")
+    _SAVED = ("mu", "omega", "omega_tilde")
 
     def save_checkpoint(self, path) -> None:
-        extra = {f"post_{name}": getattr(self.posterior, name) for name in self._SAVED}
+        post = self.posterior      # of the sampling factor, only the rows off the prior
+        rows = np.flatnonzero((post.scale != post.prior_scale).any(axis=(1, 2)))
+        extra = {f"post_{name}": getattr(post, name) for name in self._SAVED}
+        extra.update(post_scale_rows=rows, post_scale=post.scale[rows])
         neural.save_checkpoint(path, self.net, self.adam, extra=extra)
 
     def load_checkpoint(self, path) -> dict:
         """As the base class, then restore the posterior as saved, its
         sampling factor and target weights included."""
         data = super().load_checkpoint(path)
+        post, extra = self.posterior, data["extra"]
         for name in self._SAVED:
-            tensor = data["extra"][f"post_{name}"]
-            if tensor.shape != getattr(self.posterior, name).shape:
+            if extra[f"post_{name}"].shape != getattr(post, name).shape:
                 raise ValueError(f"post_{name}: shape mismatch")
-            setattr(self.posterior, name, tensor)
+            setattr(post, name, extra[f"post_{name}"])
+        rows, scale = extra["post_scale_rows"], extra["post_scale"]
+        in_range = np.all((rows >= 0) & (rows < len(post.mu)))
+        if scale.shape != (len(rows), post.d, post.d) or not in_range:
+            raise ValueError("post_scale: shape mismatch")
+        post.set_scale_rows(rows, scale)
         self.buffer.clear_target_scores()     # omega_tilde was restored
         return data
 
@@ -726,7 +735,7 @@ def run_training(
         ep_reward = 0.0
         losses: list[float] = []
         cost_sums: dict[str, float] = {}
-        pen = rec = rou = dly = 0.0
+        pen = rec = 0.0
         terminal = False
         t = 0
         while not terminal:
@@ -751,8 +760,6 @@ def run_training(
                 cost_sums[key] = cost_sums.get(key, 0.0) + val
             pen += costs.penalty_total
             rec += costs.reconfig_total
-            rou += costs.routing
-            dly += costs.elastic_delay
             result.steps.append(StepRecord(
                 episode=e, step=t, reward=reward, total_cost=costs.total,
                 elastic_delay=costs.elastic_delay,
@@ -769,8 +776,8 @@ def run_training(
             cost_sums=cost_sums,
             penalty_total=pen,
             reconfig_total=rec,
-            routing_total=rou,
-            elastic_delay_total=dly,
+            routing_total=cost_sums["routing"],
+            elastic_delay_total=cost_sums["elastic_delay"],
             mean_loss=float(np.mean(losses)) if losses else None,
         ))
         logger.info(

@@ -3,6 +3,7 @@ run comparisons.  The ORANMEC_LOG environment variable sets the log level."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -51,24 +52,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _replaced(obj, **changes):
+    """``obj`` with the non-None ``changes``, checked again by its class."""
+    return dataclasses.replace(obj, **{k: v for k, v in changes.items() if v is not None})
+
+
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             cfg = load_experiment_config(args.config)
-            if args.mode:
-                cfg.agent.mode = args.mode
-            if args.seed is not None:
-                cfg.seeds = [args.seed]
-            if args.episodes is not None:
-                cfg.episodes = args.episodes
-            if args.out:
-                cfg.out_dir = Path(args.out)
-            if args.pretrained:
-                cfg.agent.pretrained_checkpoint = args.pretrained
-            written = run_experiment(cfg)
-            for path in written:
+            cfg = _replaced(
+                cfg,
+                agent=_replaced(cfg.agent, mode=args.mode, pretrained_checkpoint=args.pretrained),
+                seeds=None if args.seed is None else [args.seed],
+                episodes=args.episodes,
+                out_dir=Path(args.out) if args.out else None,
+            )
+            for path in run_experiment(cfg):
                 print(path)
             return 0
         if args.command == "oracle":

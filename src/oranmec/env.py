@@ -136,12 +136,8 @@ class RewardConfig:
     max_delay_ms: float = 1e3  # finite sentinel when a demanded service has no compute
 
     def __post_init__(self):
-        numeric = (
-            self.kappa_dm, self.kappa_cm, self.kappa_d, self.kappa_i,
-            self.kappa_r, self.kappa_h, self.delay_weight, self.delay_slope,
-            self.delta1, self.delta2, self.max_delay_ms,
-        )
-        if any(v < 0 for v in numeric) or any(v < 0 for v in self.delay_threshold.values()):
+        numeric = [getattr(self, f.name) for f in fields(self) if f.name != "delay_threshold"]
+        if any(v < 0 for v in [*numeric, *self.delay_threshold.values()]):
             raise ValueError("reward coefficients must be nonnegative")
 
 
@@ -218,20 +214,11 @@ class ActionLayout:
             raise ValueError("layout needs at least one DU and one CU server")
 
     @classmethod
-    def from_topology(
-        cls,
-        topo: Topology,
-        n_services: int = 2,
-        bbu_flavors: tuple[int, ...] = DEFAULT_FLAVORS,
-        mec_flavors: tuple[tuple[int, ...], ...] = (),
-    ) -> "ActionLayout":
+    def from_topology(cls, topo: Topology, **fields) -> "ActionLayout":
+        """The layout over ``topo``'s RUs and servers; ``fields`` sets the rest."""
         return cls(
-            n_bs=len(topo.ru_ids),
-            du_servers=topo.du_servers,
-            cu_servers=topo.cu_servers,
-            bbu_flavors=tuple(bbu_flavors),
-            mec_flavors=tuple(tuple(f) for f in mec_flavors),
-            n_services=n_services,
+            n_bs=len(topo.ru_ids), du_servers=topo.du_servers, cu_servers=topo.cu_servers,
+            **fields,
         )
 
     def per_bs_domains(self) -> list[tuple[str, tuple]]:
@@ -303,9 +290,6 @@ class ActionLayout:
             *action.mec_flavor[k], *action.mec_at_cu[k],
         ]
 
-    def validate(self, action: Action) -> None:
-        self.action_to_indices(action)
-
     def default_initial_action(self) -> Action:
         """Start-of-episode configuration: first split, 1-RC flavors (or the
         smallest available), first servers, MEC with the DUs."""
@@ -365,9 +349,7 @@ class OranMecEnv:
         self.layout = layout
         self.util = util_model
         self.reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
-        self.services = services if services is not None else ServiceMix(
-            n_services=layout.n_services
-        )
+        self.services = services or ServiceMix(n_services=layout.n_services)
         if self.services.n_services != layout.n_services:
             raise ValueError("service mix and layout disagree on the class count")
         if util_model.n_services != layout.n_services:
@@ -377,11 +359,8 @@ class OranMecEnv:
         for c in self.services.inelastic:
             if c not in self.reward_cfg.delay_threshold:
                 raise ValueError(f"inelastic class {c} needs a delay threshold")
-        self.initial_action = (
-            initial_action if initial_action is not None
-            else layout.default_initial_action()
-        )
-        self.layout.validate(self.initial_action)
+        self.initial_action = initial_action or layout.default_initial_action()
+        self.layout.action_to_indices(self.initial_action)     # raises if out of domain
         self._demands: np.ndarray | None = None
         self._state: State | None = None
 
@@ -441,7 +420,7 @@ class OranMecEnv:
         state = self.state
         if state.t >= self.horizon:
             raise EpisodeExhausted(f"episode of {self.horizon} slots is exhausted")
-        self.layout.validate(action)
+        self.layout.action_to_indices(action)      # raises on a value outside its domain
         costs = self.compute_costs(state, action)
         terminal = state.t == self.horizon - 1
         next_demand = self._demands[min(state.t + 1, self.horizon - 1)]

@@ -1,8 +1,15 @@
 """Experiment runner: wire configs into envs and agents, write metrics.
 
-A yaml experiment file describes the topology, the demand source, the
-utilization platform, the cost coefficients and the agent; ``run_experiment``
-executes it per seed and writes:
+``load_experiment_config`` turns a yaml experiment file into the objects a
+run uses.  ``config.read_section`` reads each section into the dataclass
+whose fields are its keys, so a misspelt key raises ``ConfigError``: the top
+level into ``ExperimentConfig``, ``topology`` into ``TopologyConfig`` (its
+``waxman`` into ``Waxman``), built and routed once at load, ``flavors``,
+``workload`` and ``utilization`` into ``Flavors``, ``Workload`` and
+``UtilizationSection`` (whose ``params`` are ``UtilizationModel``'s affine
+fields and override ``platform``), and ``reward``, ``services`` and
+``agent`` into ``RewardConfig``, ``ServiceMix`` and ``AgentConfig``.
+``run_experiment`` executes it per seed and writes:
 
   * ``episodes_seed<S>_<mode>.csv``: one record per episode,
   * ``steps_seed<S>_<mode>.csv``: per-slot reward and cost aggregates,
@@ -26,7 +33,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .agents import AgentConfig, BayesAgent, make_agent, run_training
+from .agents import AgentConfig, make_agent, run_training
+from .config import ConfigError, read_section
 from .env import (
     DEFAULT_FLAVORS,
     Action,
@@ -39,7 +47,7 @@ from .env import (
     State,
     enumerate_actions,
 )
-from .topology import build_topology
+from .topology import Topology, build_topology
 from .workload import (
     SLOTS_PER_DAY,
     UtilizationModel,
@@ -69,24 +77,63 @@ STEP_FIELDS = (
 )
 
 
-class ConfigError(ValueError):
-    """Unusable experiment configuration."""
+@dataclass(frozen=True)
+class Flavors:
+    """Reference-core flavor ladders: ``bbu`` for the DU and CU hosts, ``mec``
+    one per MEC class (empty: ``bbu`` for every class)."""
+
+    bbu: tuple[int, ...] = DEFAULT_FLAVORS
+    mec: tuple[tuple[int, ...], ...] = ()
+
+
+@dataclass(frozen=True)
+class Workload:
+    """Demand source: ``synthetic`` diurnal demands (drawn from the experiment
+    seed if ``seed`` is absent), a ``constant`` rate or a ``trace`` file."""
+
+    source: str = "synthetic"
+    seed: int | None = None
+    peak_gbps: float = 4.0
+    legacy_gbps: float = 1.0
+    mec_gbps: tuple[float, ...] | None = None   # None: 0.5 per class
+    path: str | None = None
+
+    def __post_init__(self):
+        if self.source not in ("synthetic", "constant", "trace"):
+            raise ConfigError(f"unknown workload source {self.source!r}")
+
+
+@dataclass(frozen=True)
+class UtilizationSection:
+    """Stock ``platform`` A or B with Gaussian noise; non-empty ``params`` override it."""
+
+    platform: str = "A"
+    noise_std: float = 0.0
+    params: dict = field(default_factory=dict)
+
+    def build(self, n_services: int) -> UtilizationModel:
+        stock = {"A": platform_a, "B": platform_b}.get(self.platform)
+        if stock is None:
+            raise ConfigError(f"utilization platform must be A or B, got {self.platform!r}")
+        if self.params:
+            return read_section(UtilizationModel, self.params, "utilization.params",
+                                noise_std=self.noise_std, n_services=n_services, seed=None)
+        return stock(n_services, noise_std=self.noise_std)
 
 
 @dataclass
 class ExperimentConfig:
-    topology: dict
-    workload: dict
-    reward: RewardConfig
-    services: ServiceMix
-    agent: AgentConfig
-    episodes: int
-    seeds: list[int]
-    out_dir: Path
-    utilization: dict = field(default_factory=dict)
+    topology: Topology
+    workload: Workload = field(default_factory=Workload)
+    utilization: UtilizationModel = field(default_factory=UtilizationModel)
+    reward: RewardConfig = field(default_factory=RewardConfig)
+    services: ServiceMix = field(default_factory=ServiceMix)
+    agent: AgentConfig = field(default_factory=AgentConfig)
+    flavors: Flavors = field(default_factory=Flavors)
+    episodes: int = 1
     episode_slots: int = SLOTS_PER_DAY
-    bbu_flavors: tuple[int, ...] = DEFAULT_FLAVORS
-    mec_flavors: tuple[tuple[int, ...], ...] = ()
+    seeds: list[int] = field(default_factory=lambda: [0])
+    out_dir: Path = Path("results")
 
     def __post_init__(self):
         if self.episodes <= 0:
@@ -95,149 +142,67 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
 
 
-def _parse_agent(raw: dict) -> AgentConfig:
-    kwargs = {}
-    valid = {f.name for f in AgentConfig.__dataclass_fields__.values()}
-    for key, val in raw.items():
-        if key not in valid:
-            raise ConfigError(f"unknown agent config key {key!r}")
-        if key == "trunk_widths":
-            val = tuple(int(v) for v in val)
-        kwargs[key] = val
-    return AgentConfig(**kwargs)
-
-
-def _parse_reward(raw: dict) -> RewardConfig:
-    raw = dict(raw)
-    if "delay_threshold" in raw:
-        raw["delay_threshold"] = {int(k): float(v) for k, v in raw["delay_threshold"].items()}
-    valid = {f.name for f in RewardConfig.__dataclass_fields__.values()}
-    unknown = set(raw) - valid
-    if unknown:
-        raise ConfigError(f"unknown reward config keys {sorted(unknown)}")
-    return RewardConfig(**raw)
-
-
-def _parse_services(raw: dict | None) -> ServiceMix:
-    raw = dict(raw or {})
-    unknown = set(raw) - {f.name for f in dataclasses.fields(ServiceMix)}
-    if unknown:
-        raise ConfigError(f"unknown services config keys {sorted(unknown)}")
-    return ServiceMix(**{
-        key: int(val) if key == "n_services" else tuple(val) for key, val in raw.items()
-    })
-
-
 def load_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    with open(path) as fh:
-        raw = yaml.load(fh, Loader=YAML_LOADER)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
     try:
-        services = _parse_services(raw.get("services"))
-        flavors = raw.get("flavors", {})
-        return ExperimentConfig(
-            topology=raw["topology"],
-            workload=raw.get("workload", {"source": "synthetic", "seed": 0, "peak_gbps": 4.0}),
-            reward=_parse_reward(raw.get("reward", {})),
-            services=services,
-            agent=_parse_agent(raw.get("agent", {})),
-            episodes=int(raw.get("episodes", 1)),
-            seeds=[int(s) for s in raw.get("seeds", [0])],
-            out_dir=Path(raw.get("out_dir", "results")),
-            utilization=raw.get("utilization", {}),
-            episode_slots=int(raw.get("episode_slots", SLOTS_PER_DAY)),
-            bbu_flavors=tuple(flavors.get("bbu", DEFAULT_FLAVORS)),
-            mec_flavors=tuple(tuple(f) for f in flavors.get("mec", ())),
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        with open(path) as fh:
+            raw = yaml.load(fh, Loader=YAML_LOADER)
+        if not isinstance(raw, dict):
+            raise ConfigError("top level must be a mapping")
+        topology = build_topology(raw.pop("topology"))
+        services = read_section(ServiceMix, raw.pop("services", None), "services")
+        utilization = read_section(UtilizationSection, raw.pop("utilization", None), "utilization")
+        return read_section(ExperimentConfig, raw, topology=topology, services=services,
+                            utilization=utilization.build(services.n_services))
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def build_utilization(cfg: dict, n_services: int, seed: int | None = None) -> UtilizationModel:
-    platform = cfg.get("platform", "A")
-    noise = float(cfg.get("noise_std", 0.0))
-    if cfg.get("params"):
-        p = cfg["params"]
-        return UtilizationModel(
-            bbu_base=float(p.get("bbu_base", 0.5)),
-            bbu_slope=float(p.get("bbu_slope", 1.5)),
-            mec_base=p.get("mec_base", 0.2),
-            mec_slope=p.get("mec_slope", 1.0),
-            noise_std=noise,
-            n_services=n_services,
-            seed=seed,
-        )
-    if str(platform).upper() == "B":
-        return platform_b(n_services, noise_std=noise, seed=seed)
-    return platform_a(n_services, noise_std=noise, seed=seed)
-
-
 def build_env(cfg: ExperimentConfig, util_seed: int | None = None) -> OranMecEnv:
-    topo = build_topology(cfg.topology)
     layout = ActionLayout.from_topology(
-        topo,
-        n_services=cfg.services.n_services,
-        bbu_flavors=cfg.bbu_flavors,
-        mec_flavors=cfg.mec_flavors,
+        cfg.topology, n_services=cfg.services.n_services,
+        bbu_flavors=cfg.flavors.bbu, mec_flavors=cfg.flavors.mec,
     )
-    util = build_utilization(cfg.utilization, cfg.services.n_services, seed=util_seed)
-    return OranMecEnv(topo, layout, util, cfg.reward, cfg.services)
+    util = dataclasses.replace(cfg.utilization, seed=util_seed)
+    return OranMecEnv(cfg.topology, layout, util, cfg.reward, cfg.services)
 
 
 def make_demand_provider(cfg: ExperimentConfig, seed: int):
     """``provider(e)`` returns episode e's ``(slots, n_bs, 1 + C)`` demand
     array, a read-only view into the configured source's array."""
     wl = cfg.workload
-    source = wl.get("source", "synthetic")
     slots = cfg.episode_slots
-    n_bs = None
-
-    def n_bs_lazy() -> int:
-        nonlocal n_bs
-        if n_bs is None:
-            n_bs = len(build_topology(cfg.topology).ru_ids)
-        return n_bs
-
-    if source == "constant":
-        episode = constant_demands(
-            slots, n_bs_lazy(), float(wl.get("legacy_gbps", 1.0)),
-            wl.get("mec_gbps", [0.5] * cfg.services.n_services),
-        )
+    n_bs = len(cfg.topology.ru_ids)
+    n_services = cfg.services.n_services
+    if wl.source == "constant":
+        mec = (0.5,) * n_services if wl.mec_gbps is None else wl.mec_gbps
+        episode = constant_demands(slots, n_bs, wl.legacy_gbps, mec)
         return lambda e: episode
-    if source == "trace":
-        sequence = load_trace(
-            wl["path"], n_bs=n_bs_lazy(), n_services=cfg.services.n_services
-        )
+    if wl.source == "trace":
+        sequence = load_trace(wl.path, n_bs=n_bs, n_services=n_services)
         if len(sequence) < cfg.episodes * slots:
             raise ConfigError(
                 f"trace holds {len(sequence)} slots, the experiment needs "
                 f"{cfg.episodes * slots}"
             )
-        return lambda e: sequence[e * slots:(e + 1) * slots]
-    if source == "synthetic":
+    else:
         sequence = synth_demands(
-            int(wl.get("seed", seed)),
-            cfg.episodes * slots,
-            n_bs_lazy(),
-            cfg.services.n_services,
-            float(wl.get("peak_gbps", 4.0)),
+            seed if wl.seed is None else wl.seed,
+            cfg.episodes * slots, n_bs, n_services, wl.peak_gbps,
         )
-        return lambda e: sequence[e * slots:(e + 1) * slots]
-    raise ConfigError(f"unknown workload source {source!r}")
+    return lambda e: sequence[e * slots:(e + 1) * slots]
+
+
+def _tail_mean(mean_rewards: list[float]) -> float:
+    """Mean over the last 20% of episodes, at least one."""
+    return float(np.mean(mean_rewards[-max(1, math.ceil(0.2 * len(mean_rewards))):]))
 
 
 def _convergence_episode(mean_rewards: list[float]) -> int:
     """First episode whose trailing 10-episode moving average is within 5%
-    of the mean over the last 20% of episodes (1-based)."""
+    of ``_tail_mean`` (1-based)."""
     n = len(mean_rewards)
-    tail = max(1, int(math.ceil(0.2 * n)))
-    final = float(np.mean(mean_rewards[-tail:]))
+    final = _tail_mean(mean_rewards)
     band = 0.05 * abs(final)
     for e in range(1, n + 1):
         window = mean_rewards[max(0, e - 10):e]
@@ -246,9 +211,8 @@ def _convergence_episode(mean_rewards: list[float]) -> int:
     return n
 
 
-def write_episode_csv(path, records, convergence_episode: int | None = None) -> None:
-    if convergence_episode is None:
-        convergence_episode = _convergence_episode([r.mean_reward for r in records])
+def write_episode_csv(path, records) -> None:
+    convergence_episode = _convergence_episode([r.mean_reward for r in records])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EPISODE_FIELDS)
@@ -392,19 +356,10 @@ def compare_runs(paths) -> list[RunSummary]:
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
         raise ValueError(f"episode counts differ across files: {sorted(lengths)}")
-    summaries = []
-    base = None
-    for p, s in zip(paths, series):
-        tail = max(1, int(math.ceil(0.2 * len(s))))
-        mean = float(np.mean(s[-tail:]))
-        conv = _convergence_episode(s)
-        if base is None:
-            base = mean
-            pct = 0.0
-        else:
-            pct = 100.0 * abs(mean - base) / abs(base) if base != 0 else math.inf
-        summaries.append(RunSummary(p, mean, conv, pct))
-    return summaries
+    means = [_tail_mean(s) for s in series]
+    base = means[0]
+    pcts = [0.0] + [100.0 * abs(m - base) / abs(base) if base else math.inf for m in means[1:]]
+    return [RunSummary(*row) for row in zip(paths, means, map(_convergence_episode, series), pcts)]
 
 
 def format_comparison(summaries: list[RunSummary]) -> str:

@@ -36,7 +36,7 @@ import numpy as np
 
 logger = logging.getLogger("oranmec.neural")
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # Elements per in-place Adam block: two scratch blocks of 512 KiB.
 ADAM_BLOCK = 65_536
@@ -313,10 +313,8 @@ def save_checkpoint(path, net: BranchingQNet, adam: Adam | None = None, extra: d
         blobs["adam_m"] = adam.m
         blobs["adam_v"] = adam.v
         meta["adam_t"] = adam.t
-    if extra:
-        for key, arr in extra.items():
-            blobs[f"extra_{key}"] = np.asarray(arr)
-        meta["extra_keys"] = sorted(extra.keys())
+    for key, arr in (extra or {}).items():
+        blobs[f"extra_{key}"] = np.asarray(arr)
     blobs["_meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **blobs)
 

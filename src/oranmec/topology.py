@@ -22,6 +22,8 @@ from heapq import heappop, heappush
 
 import numpy as np
 
+from .config import read_section
+
 logger = logging.getLogger("oranmec.topology")
 
 EPC_ID = 0
@@ -67,7 +69,11 @@ class Link:
     dst: int
     capacity_gbps: float
     delay_ms: float
-    weight: float
+    weight: float | None = None     # None: the delay
+
+    def __post_init__(self):
+        if self.weight is None:
+            object.__setattr__(self, "weight", self.delay_ms)
 
 
 @dataclass(frozen=True)
@@ -169,14 +175,11 @@ def _validate(
             )
         if link.delay_ms < 0 or link.weight < 0:
             raise TopologyError(f"link {link.src}-{link.dst} has negative delay or weight")
-    servers = set(du_servers) | set(cu_servers)
-    for s in servers:
+    for s in set(du_servers) | set(cu_servers):
         if s not in id_set:
             raise TopologyError(f"server {s} is not a node")
-    for s in servers:
-        cap = capacity_rc.get(s)
-        if cap is None or cap <= 0:
-            raise TopologyError(f"server {s} needs a positive capacity, got {cap}")
+        if capacity_rc[s] <= 0:
+            raise TopologyError(f"server {s} needs a positive capacity, got {capacity_rc[s]}")
 
 
 def _waxman_links(
@@ -223,14 +226,35 @@ def _waxman_links(
     return sorted(edges)
 
 
-def _build_waxman(cfg: dict) -> tuple[list[Node], list[Link], list[int], list[int]]:
-    n = int(cfg.get("n", 15))
-    alpha = float(cfg.get("alpha", 0.5))
-    beta = float(cfg.get("beta", 0.1))
-    seed = int(cfg["seed"])
-    n_du = int(cfg.get("n_du", 4))
-    n_cu = int(cfg.get("n_cu", 2))
-    n_ru = int(cfg.get("n_ru", 4))
+@dataclass(frozen=True)
+class Waxman:
+    """Keys of ``waxman:``, a synthetic graph of ``n`` nodes: the EPC, then
+    DU, CU and RU nodes, routers after, linked by the Waxman model."""
+
+    seed: int
+    n: int = 15
+    alpha: float = 0.5
+    beta: float = 0.1
+    n_du: int = 4
+    n_cu: int = 2
+    n_ru: int = 4
+
+
+@dataclass(frozen=True)
+class TopologyConfig:
+    """Keys of a topology: an explicit graph or ``waxman``."""
+
+    nodes: tuple[Node, ...] = ()
+    links: tuple[Link, ...] = ()
+    du_servers: tuple[int, ...] = ()
+    cu_servers: tuple[int, ...] = ()
+    capacity_rc: dict[int, float] = field(default_factory=dict)     # per-server overrides
+    server_rate: dict[int, float] = field(default_factory=dict)
+    waxman: Waxman | None = None
+
+
+def _build_waxman(w: Waxman) -> tuple[list[Node], list[Link], list[int], list[int]]:
+    n, n_du, n_cu, n_ru = w.n, w.n_du, w.n_cu, w.n_ru
     if n < 1 + n_du + n_cu + n_ru:
         raise TopologyError(
             f"waxman n={n} too small for 1 EPC + {n_du} DU + {n_cu} CU + {n_ru} RU"
@@ -239,14 +263,12 @@ def _build_waxman(cfg: dict) -> tuple[list[Node], list[Link], list[int], list[in
     du = list(range(1, 1 + n_du))
     cu = list(range(1 + n_du, 1 + n_du + n_cu))
     ru = list(range(1 + n_du + n_cu, 1 + n_du + n_cu + n_ru))
-    kinds: dict[int, NodeKind] = {EPC_ID: NodeKind.EPC}
-    kinds.update({i: NodeKind.DU_SERVER for i in du})
-    kinds.update({i: NodeKind.CU_SERVER for i in cu})
-    kinds.update({i: NodeKind.RU for i in ru})
+    kinds = {EPC_ID: NodeKind.EPC, **dict.fromkeys(du, NodeKind.DU_SERVER),
+             **dict.fromkeys(cu, NodeKind.CU_SERVER), **dict.fromkeys(ru, NodeKind.RU)}
     nodes = [Node(i, kinds.get(i, NodeKind.ROUTER)) for i in range(n)]
 
-    rng = np.random.default_rng(seed)
-    edges = _waxman_links(n, alpha, beta, rng)
+    rng = np.random.default_rng(w.seed)
+    edges = _waxman_links(n, w.alpha, w.beta, rng)
     links = []
     for u, v in edges:
         delay = float(rng.uniform(*WAXMAN_DELAY_RANGE_MS))
@@ -257,41 +279,23 @@ def _build_waxman(cfg: dict) -> tuple[list[Node], list[Link], list[int], list[in
 
 
 def build_topology(config: dict) -> Topology:
-    """Build and validate a topology, precomputing all placement routes.
-
-    ``config`` either describes the graph explicitly (``nodes``, ``links``,
-    ``du_servers``, ``cu_servers``, ``capacity_rc``, ``server_rate``) or
-    requests a synthetic one via ``waxman: {n, alpha, beta, seed, n_du,
-    n_cu, n_ru}``.  The MEC host of a BS is always its DU or CU server.
-    """
-    if "waxman" in config:
-        nodes, links, du_servers, cu_servers = _build_waxman(config["waxman"])
+    """Build and validate a topology from the keys of ``TopologyConfig``,
+    precomputing all placement routes.  The MEC host of a BS is always its DU
+    or CU server."""
+    spec = read_section(TopologyConfig, config, "topology")
+    if spec.waxman is not None:
+        nodes, links, du_servers, cu_servers = _build_waxman(spec.waxman)
     else:
-        try:
-            nodes = [Node(int(n["id"]), NodeKind(n["kind"])) for n in config["nodes"]]
-            links = [
-                Link(
-                    int(l["src"]),
-                    int(l["dst"]),
-                    float(l["capacity_gbps"]),
-                    float(l["delay_ms"]),
-                    float(l.get("weight", l["delay_ms"])),
-                )
-                for l in config["links"]
-            ]
-            du_servers = [int(s) for s in config["du_servers"]]
-            cu_servers = [int(s) for s in config["cu_servers"]]
-        except (KeyError, ValueError, TypeError) as exc:
-            raise TopologyError(f"bad topology config: {exc}") from exc
+        nodes, links = spec.nodes, spec.links
+        du_servers, cu_servers = spec.du_servers, spec.cu_servers
 
-    capacity_rc = {int(k): float(v) for k, v in config.get("capacity_rc", {}).items()}
-    for s in du_servers:
-        capacity_rc.setdefault(s, DEFAULT_DU_CAPACITY_RC)
-    for s in cu_servers:
-        capacity_rc.setdefault(s, DEFAULT_CU_CAPACITY_RC)
-    server_rate = {int(k): float(v) for k, v in config.get("server_rate", {}).items()}
-    for s in set(du_servers) | set(cu_servers):
-        server_rate.setdefault(s, DEFAULT_SERVER_RATE)
+    capacity_rc = {     # a host of both a DU and a CU is sized as a DU host
+        **dict.fromkeys(cu_servers, DEFAULT_CU_CAPACITY_RC),
+        **dict.fromkeys(du_servers, DEFAULT_DU_CAPACITY_RC),
+        **spec.capacity_rc,
+    }
+    servers = {*du_servers, *cu_servers}
+    server_rate = {**dict.fromkeys(servers, DEFAULT_SERVER_RATE), **spec.server_rate}
 
     _validate(nodes, links, du_servers, cu_servers, capacity_rc)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -139,7 +139,7 @@ class UtilizationModel:
     active composite split; each MEC class has its own affine parameters.
     Outputs are clamped at zero.  The model owns a private seeded noise
     stream; with ``noise_std`` 0 it is deterministic and the stream is
-    never consumed.
+    never made.
     """
 
     bbu_base: float = 0.5
@@ -149,7 +149,7 @@ class UtilizationModel:
     noise_std: float = 0.0
     n_services: int = 2
     seed: int | None = None
-    _rng: np.random.Generator = field(init=False, repr=False)
+    _rng: np.random.Generator | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.mec_base = _per_class(self.mec_base, self.n_services, "mec_base")
@@ -159,7 +159,6 @@ class UtilizationModel:
                 raise ValueError(f"{name} must be nonnegative")
         if min(self.mec_base) < 0 or min(self.mec_slope) < 0:
             raise ValueError("mec parameters must be nonnegative")
-        self.reseed(self.seed)
 
     def reseed(self, seed: int | None) -> None:
         self._rng = np.random.default_rng(seed)
@@ -167,6 +166,8 @@ class UtilizationModel:
     def _noise(self) -> float:
         if self.noise_std == 0.0:
             return 0.0
+        if self._rng is None:       # drawn from ``seed`` at the first noisy call
+            self.reseed(self.seed)
         return float(self._rng.normal(0.0, self.noise_std))
 
     def bbu_utilization(self, split: CompositeSplit, legacy_gbps: float) -> tuple[float, float]:
@@ -194,13 +195,11 @@ def platform_a(n_services: int = 2, noise_std: float = 0.0, seed: int | None = N
 def platform_b(n_services: int = 2, noise_std: float = 0.0, seed: int | None = None) -> UtilizationModel:
     """Platform A with 25% steeper slopes and 10% higher floors: a genuinely
     different environment for pretraining/transfer studies."""
-    a = platform_a(n_services)
-    return UtilizationModel(
+    a = platform_a(n_services, noise_std, seed)
+    return replace(
+        a,
         bbu_base=a.bbu_base * 1.1,
         bbu_slope=a.bbu_slope * 1.25,
         mec_base=tuple(b * 1.1 for b in a.mec_base),
         mec_slope=tuple(s * 1.25 for s in a.mec_slope),
-        noise_std=noise_std,
-        n_services=n_services,
-        seed=seed,
     )

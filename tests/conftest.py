@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 # One BLAS thread, as the benchmark runs: the small GEMMs of the toy nets only
 # lose from a second thread.  Set before numpy is first imported.
@@ -11,6 +12,8 @@ import pytest
 from oranmec.env import ActionLayout, OranMecEnv, RewardConfig, ServiceMix
 from oranmec.topology import build_topology
 from oranmec.workload import UtilizationModel, constant_demands
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # Five-node cluster: one RU, two far-edge DU hosts, one CU host, the core.
 # Server 3 is reachable only over a slow fronthaul link and server 3's

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oranmec import agents
+from oranmec import agents, neural
 from oranmec.agents import (
     AgentConfig,
     BayesAgent,
@@ -18,7 +18,7 @@ from oranmec.agents import (
     td_target,
 )
 from oranmec.env import ActionLayout
-from tests.conftest import make_toy_env, toy_agent_config, toy_demands
+from tests.conftest import CONFIG_DIR, make_toy_env, toy_agent_config, toy_demands
 
 TOY_LAYOUT = ActionLayout(
     n_bs=1, du_servers=(2, 3), cu_servers=(4,), bbu_flavors=(0, 1, 2, 3),
@@ -712,6 +712,29 @@ class TestCheckpointRoundTrip:
         twin.resample()
         assert np.array_equal(twin.posterior.omega, agent.posterior.omega)
 
+    def test_only_refit_rows_of_the_sampling_factor_are_stored(self, tmp_path):
+        agent = _filled_agent(mode="bayes", n_fill=16)
+        post = agent.posterior
+        path = tmp_path / "agent.npz"
+        cfg = dataclasses.replace(agent.config, pretrained_checkpoint=str(path))
+        agent.save_checkpoint(path)
+        stored = neural.load_checkpoint(path)["extra"]
+        assert stored["post_scale"].shape == (0, post.d, post.d)
+        assert stored["post_scale_rows"].size == 0
+        # no refit yet: the loaded rows share the read-only prior
+        assert not make_agent(agent.layout, 6, cfg).posterior.scale.flags.writeable
+
+        # branch 0 owns rows 0 and 1; with only sub-action 0 seen, row 1 keeps the prior
+        agent.buffer.action[:len(agent.buffer), 0] = 0
+        agent.update_posteriors()
+        agent.save_checkpoint(path)
+        stored = neural.load_checkpoint(path)["extra"]
+        rows = stored["post_scale_rows"]
+        assert 0 in rows and 1 not in rows
+        assert np.array_equal(stored["post_scale"], post.scale[rows])
+        twin = make_agent(agent.layout, 6, cfg)
+        assert np.array_equal(twin.posterior.scale, post.scale)
+
 
 class TestRunTraining:
     def test_single_episode_smoke(self):
@@ -776,8 +799,10 @@ class TestEpsilonSchedule:
         assert agent.epsilon(500) == pytest.approx(0.05)
 
     def test_pretrained_default_lowers_exploration(self, tmp_path, monkeypatch):
+        import yaml
+
         from oranmec import cli
-        from oranmec.harness import _parse_agent
+        from oranmec.config import read_section
 
         def start(agent_cfg):
             return EGreedyAgent(TOY_LAYOUT, 4, agent_cfg).epsilon(0)
@@ -787,16 +812,16 @@ class TestEpsilonSchedule:
             raw = {"mode": "egreedy", "pretrained_checkpoint": "x.npz"}
             if eps_max is not None:
                 raw["eps_max"] = eps_max
-            assert start(_parse_agent(raw)) == expected
-        assert start(_parse_agent({"mode": "egreedy"})) == 1.0
+            assert start(read_section(AgentConfig, raw, "agent")) == expected
+        assert start(read_section(AgentConfig, {"mode": "egreedy"}, "agent")) == 1.0
 
         # oranmec run --pretrained: the same rule on the config it runs
         seen = []
         monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or [])
+        raw = yaml.safe_load((CONFIG_DIR / "toy.yaml").read_text())
+        raw["agent"] = {"mode": "egreedy", "eps_max": 0.5, "eps_min": 0.05}
         config = tmp_path / "toy.yaml"
-        config.write_text(
-            "topology: {}\nagent: {mode: egreedy, eps_max: 0.5, eps_min: 0.05}\n"
-        )
+        config.write_text(yaml.safe_dump(raw))
         assert cli.main(["run", "--config", str(config), "--pretrained", "x.npz"]) == 0
         assert seen[0].agent.pretrained_checkpoint == "x.npz"
         assert start(seen[0].agent) == 0.1

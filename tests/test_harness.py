@@ -2,8 +2,8 @@ import copy
 import csv
 import dataclasses
 import time
-from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -25,8 +25,8 @@ from oranmec.harness import (
     write_episode_csv,
     write_step_csv,
 )
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from oranmec.workload import platform_b, synth_demands
+from tests.conftest import CONFIG_DIR
 
 
 def toy_config(tmp_path, **overrides):
@@ -47,13 +47,13 @@ class TestConfig:
         assert cfg.agent.mode == "bayes"
         assert cfg.agent.T_p == 36
         assert cfg.episodes == 30
-        assert cfg.bbu_flavors == (0, 1, 2, 3)
+        assert cfg.flavors.bbu == (0, 1, 2, 3)
 
     def test_loads_shipped_default(self):
         cfg = load_experiment_config(CONFIG_DIR / "default.yaml")
         assert cfg.agent.T_p == 1440
         assert cfg.agent.feature_dim == 128
-        assert cfg.bbu_flavors == tuple(range(16))
+        assert cfg.flavors.bbu == tuple(range(16))
 
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="libyaml is not installed")
     @pytest.mark.parametrize("name", ["toy.yaml", "default.yaml"])
@@ -99,6 +99,69 @@ class TestConfig:
         path = toy_config(tmp_path, seeds=[])
         with pytest.raises(ConfigError):
             load_experiment_config(path)
+
+    @pytest.mark.parametrize("section, key", [
+        ("", "episdoes"),
+        ("workload", "peak_gbs"),
+        ("utilization", "platfrom"),
+        ("utilization.params", "bbu_slop"),
+        ("flavors", "mce"),
+        ("topology", "capacity_rcs"),
+        ("topology.waxman", "alpah"),
+    ])
+    def test_misspelt_key_in_each_section_rejected(self, tmp_path, section, key):
+        raw = yaml.safe_load(toy_config(tmp_path).read_text())
+        if section == "topology.waxman":
+            raw["topology"] = {"waxman": {"n": 14, "seed": 3, "n_ru": 1}}
+        target = raw
+        for name in filter(None, section.split(".")):
+            target = target[name]
+        target[key] = 1
+        path = tmp_path / "typo.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        where = section or "top-level"
+        with pytest.raises(ConfigError, match=rf"unknown {where} config keys \['{key}'\]"):
+            load_experiment_config(path)
+
+    def test_unknown_platform_rejected(self, tmp_path):
+        path = toy_config(tmp_path, utilization={"platform": "C"})
+        with pytest.raises(ConfigError, match="platform must be A or B, got 'C'"):
+            load_experiment_config(path)
+
+    def test_params_override_the_platform(self, tmp_path):
+        params = {"bbu_base": 0.2, "bbu_slope": 1.2, "mec_base": 0.2, "mec_slope": 1.0}
+        util = load_experiment_config(
+            toy_config(tmp_path, utilization={"platform": "B", "params": params})
+        ).utilization
+        assert (util.bbu_base, util.bbu_slope, util.mec_base, util.mec_slope) == \
+            (0.2, 1.2, (0.2, 0.2), (1.0, 1.0))
+        path = toy_config(tmp_path, utilization={"platform": "B"})
+        util = load_experiment_config(path).utilization
+        stock = platform_b(2)
+        assert (util.bbu_base, util.bbu_slope, util.mec_base, util.mec_slope) == \
+            (stock.bbu_base, stock.bbu_slope, stock.mec_base, stock.mec_slope)
+
+    def test_workload_without_seed_uses_the_experiment_seed(self, tmp_path):
+        for workload in ({"source": "synthetic"}, None):
+            raw = yaml.safe_load(
+                toy_config(tmp_path, workload=workload, episode_slots=144).read_text()
+            )
+            if workload is None:
+                del raw["workload"]
+            path = tmp_path / "seedless.yaml"
+            path.write_text(yaml.safe_dump(raw))
+            cfg = load_experiment_config(path)
+            demands = make_demand_provider(cfg, 5)(1)
+            expected = synth_demands(5, 2 * 144, 1, 2, 4.0)[144:]
+            assert np.array_equal(demands, expected)
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
+    def test_every_shipped_config_loads_and_builds(self, path):
+        cfg = load_experiment_config(path)
+        env = build_env(cfg)
+        assert env.layout.n_bs == len(cfg.topology.ru_ids)
+        assert make_demand_provider(cfg, cfg.seeds[0])(0).shape == \
+            (cfg.episode_slots, env.layout.n_bs, 1 + cfg.services.n_services)
 
 
 class TestRunExperiment:
@@ -349,6 +412,13 @@ class TestCli:
         missing = tmp_path / "none.yaml"
         assert cli_main(["run", "--config", str(missing)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("episodes", ["0", "-2"])
+    def test_rejected_override_writes_nothing(self, tmp_path, capsys, episodes):
+        cfg_path = toy_config(tmp_path)
+        assert cli_main(["run", "--config", str(cfg_path), "--episodes", episodes]) == 1
+        assert "episodes must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_and_episode_overrides(self, tmp_path):
         cfg_path = toy_config(tmp_path, seeds=[3])

@@ -281,7 +281,7 @@ class TestCheckpoint:
         blobs["_meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         path = tmp_path / "v1.npz"
         np.savez(path, **blobs)
-        assert CHECKPOINT_VERSION == 3
+        assert CHECKPOINT_VERSION == 4
         with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
         # the flat layout with one posterior covariance per branch
@@ -291,6 +291,14 @@ class TestCheckpoint:
         path = tmp_path / "v2.npz"
         np.savez(path, **blobs)
         with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+            load_checkpoint(path)
+        # the dense posterior sampling factor, prior rows included
+        meta = {"version": 3, "arch": net.arch(), "adam_t": None, "extra_keys": ["post_scale"]}
+        blobs = {"params": net.params, "extra_post_scale": np.zeros((3, 4, 4))}
+        blobs["_meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        path = tmp_path / "v3.npz"
+        np.savez(path, **blobs)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
             load_checkpoint(path)
 
 
