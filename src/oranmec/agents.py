@@ -1,18 +1,24 @@
 """Learning agents for the orchestration MDP.
 
-Two agents share the same branching double-Q machinery: every branch picks
-its next sub-action with the online network and evaluates it with a target
-network, and the per-branch bootstrapped values are averaged (per BS, then
-across BSs) into one global TD target.
+Both agents are one branching double-Q core, ``_AgentBase``: every branch
+picks its next sub-action with the online network and evaluates it with a
+target network, and the per-branch bootstrapped values are averaged (per BS,
+then across BSs) into one global TD target; each branch's taken sub-action
+then regresses onto that target.  An agent supplies two hooks:
+``_scores(net, states, which)``, a network's per-branch score rows, and
+``_taken(states, actions)``, the taken sub-actions' scores with their
+backward pass.
 
-* ``EGreedyAgent`` keeps linear Q heads on the branch features and explores
-  with an annealed epsilon-greedy rule.
+* ``EGreedyAgent`` keeps linear Q heads on the branch features: its scores
+  are the Q rows, and the taken scores' gradient scatters into them.  It
+  explores with an annealed epsilon-greedy rule.
 * ``BayesAgent`` drops the point-estimate heads: each sub-action's last-layer
   weight vector gets a closed-form Gaussian posterior (Bayesian linear
   regression over the branch features), and exploration is Thompson
-  sampling from those posteriors.  The feature network itself is trained by
-  regressing the posterior-mean Q values onto the TD targets.  One
-  ``Posterior`` holds them all as stacked arrays with one row per
+  sampling from those posteriors.  Its scores are the features times the
+  sampled, mean or target weights (``which``), and the feature network is
+  trained by regressing the posterior-mean Q values onto the TD targets.
+  One ``Posterior`` holds them all as stacked arrays with one row per
   sub-action, in the branch order of the target-score columns: means,
   sampling factors (the covariance is never formed), sampled weights and
   target weights.  A checkpoint restores exactly these arrays; it stores
@@ -41,7 +47,7 @@ import numpy as np
 import scipy.linalg
 
 from . import neural
-from .env import Action, ActionLayout, CostBreakdown, OranMecEnv
+from .env import ActionLayout, OranMecEnv
 from .neural import Adam, BranchingQNet
 
 logger = logging.getLogger("oranmec.agents")
@@ -95,8 +101,8 @@ class ReplayBuffer:
     """Fixed-capacity ring of transitions, oldest evicted first.
 
     Transitions live in ring arrays (``state``, ``action``, ``reward``,
-    ``next_state``, ``terminal``), allocated at the first push and doubled
-    as they fill, never past ``capacity``; row i of each array is storage
+    ``next_state``, ``terminal``) that start with no rows and double as
+    they fill, never past ``capacity``; row i of each array is storage
     slot i.  Beside each slot the ring keeps a row of ``score_width`` target
     scores (``target_scores``) and a bit saying whether that row is valid
     (``score_valid``): a push clears its slot's bit and
@@ -106,29 +112,23 @@ class ReplayBuffer:
     _RING = ("state", "action", "reward", "next_state", "terminal",
              "target_scores", "score_valid")
 
-    def __init__(self, capacity: int, score_width: int = 0):
+    def __init__(self, capacity: int, state_dim: int, n_branches: int, score_width: int = 0):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.score_width = score_width
         self._size = 0
         self._pos = 0
-        self.state = self.action = self.reward = self.next_state = self.terminal = None
-        self.target_scores = self.score_valid = None
+        self.state = np.empty((0, state_dim))
+        self.action = np.empty((0, n_branches), dtype=np.int64)
+        self.reward = np.empty(0)
+        self.next_state = np.empty((0, state_dim))
+        self.terminal = np.empty(0, dtype=bool)
+        self.target_scores = np.empty((0, score_width))
+        self.score_valid = np.empty(0, dtype=bool)
 
-    def _grow(self, state: np.ndarray, action: np.ndarray) -> None:
-        """Allocate the ring at the first push, then double it when full."""
-        if self.state is None:
-            rows = min(self.capacity, RING_START_ROWS)
-            self.state = np.empty((rows, *state.shape))
-            self.action = np.empty((rows, *action.shape), dtype=np.int64)
-            self.reward = np.empty(rows)
-            self.next_state = np.empty((rows, *state.shape))
-            self.terminal = np.empty(rows, dtype=bool)
-            self.target_scores = np.empty((rows, self.score_width))
-            self.score_valid = np.zeros(rows, dtype=bool)
-            return
-        rows = min(self.capacity, 2 * len(self.state))
+    def _grow(self) -> None:
+        """Double the ring (to ``RING_START_ROWS`` at the first push)."""
+        rows = min(self.capacity, max(RING_START_ROWS, 2 * len(self.state)))
         for name in self._RING:
             old = getattr(self, name)
             new = np.zeros((rows, *old.shape[1:]), dtype=old.dtype)
@@ -139,8 +139,6 @@ class ReplayBuffer:
         state = np.asarray(state_vec, dtype=np.float64)
         action = np.asarray(action_idx, dtype=np.int64)
         next_state = np.asarray(next_vec, dtype=np.float64)
-        if self.state is None or (self._pos == len(self.state) < self.capacity):
-            self._grow(state, action)
         if state.shape != self.state.shape[1:] or next_state.shape != state.shape:
             raise ValueError(
                 f"transition states of shape {state.shape} and {next_state.shape}, "
@@ -150,6 +148,8 @@ class ReplayBuffer:
             raise ValueError(
                 f"action of shape {action.shape}, the ring holds {self.action.shape[1:]}"
             )
+        if self._pos == len(self.state) < self.capacity:
+            self._grow()
         i = self._pos
         self.state[i] = state
         self.action[i] = action
@@ -165,8 +165,7 @@ class ReplayBuffer:
 
     def clear_target_scores(self) -> None:
         """Mark every stored target-score row stale."""
-        if self.score_valid is not None:
-            self.score_valid[:] = False
+        self.score_valid[:] = False
 
     def gather(self, index: np.ndarray) -> dict[str, np.ndarray]:
         """The transitions at storage slots ``index``, with ``index`` itself."""
@@ -204,30 +203,30 @@ def td_target(
     gamma: float,
     select_scores: list[np.ndarray],
     eval_scores: list[np.ndarray],
-    m_per_bs: list[int],
+    n_bs: int,
 ) -> np.ndarray:
     """Branched double-Q target: one global value shared by all branches.
 
     Branch j's next sub-action is the argmax of ``select_scores[j]`` (the
     online network's Q row, or the sampled weights on online features) and
     is priced by ``eval_scores[j]`` (the target network's Q row, or the
-    target weights on target features).  Per BS the branch values are
-    averaged, then the per-BS means are averaged; ties in the argmax go to
-    the lowest sub-action index.  A terminal transition keeps its reward.
-    Plain double DQN is the one-branch case, ``m_per_bs == [1]``.
+    target weights on target features).  The branches split evenly over
+    ``n_bs`` BSs, in BS order: per BS the branch values are averaged, then
+    the per-BS means are averaged; ties in the argmax go to the lowest
+    sub-action index.  A terminal transition keeps its reward.  Plain
+    double DQN is the one-branch case.
     """
     batch = len(rewards)
     rows = np.arange(batch)
+    m = len(select_scores) // n_bs
     boot = np.zeros(batch)
-    j = 0
-    for m in m_per_bs:
+    for k in range(n_bs):
         bs_acc = np.zeros(batch)
-        for _ in range(m):
+        for j in range(k * m, (k + 1) * m):
             best = np.argmax(select_scores[j], axis=1)
             bs_acc = bs_acc + eval_scores[j][rows, best]
-            j += 1
         boot = boot + bs_acc / m
-    u = rewards + gamma * (boot / len(m_per_bs))
+    u = rewards + gamma * (boot / n_bs)
     return np.where(terminal, rewards, u)
 
 
@@ -284,18 +283,17 @@ class Posterior:
 
     def __init__(
         self,
-        branch_sizes: list[int],
+        cols: list[slice],
         feature_dim: int,
         prior_sigma: float,
         sigma_eps: float,
         rng: np.random.Generator,
     ):
-        self.cols = branch_slices(branch_sizes)
+        self.cols = cols
         self.d = feature_dim
         self.prior_sigma = prior_sigma
         self.sigma_eps = sigma_eps
-        n_rows = sum(branch_sizes)
-        self.mu = np.zeros((n_rows, feature_dim))
+        self.mu = np.zeros((cols[-1].stop, feature_dim))
         self.prior_scale = np.sqrt(prior_sigma) * np.eye(feature_dim)
         self.set_scale_rows([], None)
         self.omega = np.empty_like(self.mu)
@@ -330,18 +328,19 @@ class Posterior:
     def sync_target(self) -> None:
         self.omega_tilde = self.mu.copy()
 
-    def scores(self, phis: list[np.ndarray], weights: np.ndarray) -> list[np.ndarray]:
-        """Per branch, (batch, sub-actions) products of features with the
-        branch's rows of ``weights``."""
-        return [phi @ weights[cols].T for phi, cols in zip(phis, self.cols)]
 
-    def argmax(self, phis: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
-        """Per-branch best sub-action of one state's (1, d) features under
-        ``weights``; ties go to the lowest index."""
-        idx = np.empty(len(phis), dtype=np.int64)
-        for j, (phi, cols) in enumerate(zip(phis, self.cols)):
-            idx[j] = int(np.argmax(phi[0] @ weights[cols].T))
-        return idx
+def branch_scores(
+    phis: list[np.ndarray], weights: np.ndarray, cols: list[slice]
+) -> list[np.ndarray]:
+    """Per branch, the (rows, sub-actions) products of branch j's features
+    ``phis[j]`` with its rows ``cols[j]`` of the stacked ``weights``."""
+    return [phi @ weights[c].T for phi, c in zip(phis, cols)]
+
+
+def branch_argmax(scores: list[np.ndarray]) -> np.ndarray:
+    """Per-branch best sub-action of one state's (1, sub-actions) score
+    rows; ties go to the lowest index."""
+    return np.array([np.argmax(row[0]) for row in scores], dtype=np.int64)
 
 
 def select_action_egreedy(
@@ -363,35 +362,51 @@ def select_action_egreedy(
 # -- agents -----------------------------------------------------------------
 
 class _AgentBase:
+    """The branched double-Q core; subclasses supply ``_scores``,
+    ``_taken`` and ``select_action``."""
+
     def __init__(self, layout: ActionLayout, state_dim: int, config: AgentConfig):
         self.layout = layout
         self.config = config
-        seeds = np.random.SeedSequence(config.seed).spawn(3)
+        seeds = np.random.SeedSequence(config.seed).spawn(2)
         self.rng = np.random.default_rng(seeds[0])
-        net_seed = int(seeds[1].generate_state(1)[0])
+        sizes = layout.branch_sizes()
         self.net = BranchingQNet(
             state_dim,
-            layout.branch_sizes(),
+            sizes,
             trunk_widths=config.trunk_widths,
             feature_dim=config.feature_dim,
             with_heads=self.WITH_HEADS,
-            seed=net_seed,
+            seed=int(seeds[1].generate_state(1)[0]),
         )
         self.target_net = self.net.clone()
         self.adam = Adam(self.net.params, lr=config.lr)
-        sizes = layout.branch_sizes()
-        self.buffer = ReplayBuffer(config.buffer_capacity, score_width=sum(sizes))
-        self._score_cols = branch_slices(sizes)
-        self.m_per_bs = layout.m_per_bs()
+        self.cols = branch_slices(sizes)
+        self.buffer = ReplayBuffer(
+            config.buffer_capacity, state_dim, len(sizes), score_width=sum(sizes)
+        )
+
+    def _scores(self, net: BranchingQNet, states: np.ndarray, which: str) -> list[np.ndarray]:
+        """Per-branch (rows, sub-actions) scores of ``states`` under ``net``;
+        ``which`` names the last-layer weights: ``omega`` to select, ``mu``
+        to act greedily, ``omega_tilde`` to price on the target network."""
+        raise NotImplementedError
+
+    def _taken(self, states: np.ndarray, actions: np.ndarray):
+        """Per branch, the online (batch,) scores of the taken sub-actions,
+        and ``backward(errs, n)``, which fills ``net.grads`` with the
+        gradient of the sum over branches of ``sum(err**2) / n``, where
+        ``err`` is a branch's ``u - score``."""
+        raise NotImplementedError
+
+    def greedy_action(self, state_vec: np.ndarray) -> np.ndarray:
+        """Per-branch argmax of the online scores (under the posterior
+        means for Bayes); draws nothing from ``rng``."""
+        return branch_argmax(self._scores(self.net, state_vec, "mu"))
 
     def sync_target(self) -> None:
         self.target_net.load_params(self.net.params)
         self.buffer.clear_target_scores()
-
-    def _score_target(self, next_states: np.ndarray) -> np.ndarray:
-        """(rows, sum of branch sizes) target scores of ``next_states``,
-        branch by branch."""
-        raise NotImplementedError
 
     def _target_scores(self, batch: dict[str, np.ndarray]) -> list[np.ndarray]:
         """Per-branch target scores of ``batch["next_state"]``.
@@ -402,22 +417,53 @@ class _AgentBase:
         """
         index = batch.get("index")
         if index is None:
-            scores = self._score_target(batch["next_state"])
-        else:
-            buf = self.buffer
-            missing = ~buf.score_valid[index]
-            n = int(np.count_nonzero(missing))
-            if n:
-                x = batch["next_state"][missing]
-                if n == 1:
-                    # a 1-row forward takes BLAS's matrix-vector path, whose
-                    # last bit differs from the same row in a larger batch
-                    x = np.repeat(x, 2, axis=0)
-                slots = index[missing]
-                buf.target_scores[slots] = self._score_target(x)[:n]
-                buf.score_valid[slots] = True
-            scores = buf.target_scores[index]
-        return [scores[:, cols] for cols in self._score_cols]
+            return self._scores(self.target_net, batch["next_state"], "omega_tilde")
+        buf = self.buffer
+        missing = ~buf.score_valid[index]
+        n = int(np.count_nonzero(missing))
+        if n:
+            x = batch["next_state"][missing]
+            if n == 1:
+                # a 1-row forward takes BLAS's matrix-vector path, whose
+                # last bit differs from the same row in a larger batch
+                x = np.repeat(x, 2, axis=0)
+            slots = index[missing]
+            fresh = self._scores(self.target_net, x, "omega_tilde")
+            buf.target_scores[slots] = np.concatenate(fresh, axis=1)[:n]
+            buf.score_valid[slots] = True
+        scores = buf.target_scores[index]
+        return [scores[:, cols] for cols in self.cols]
+
+    def compute_targets(self, batch: dict[str, np.ndarray]) -> np.ndarray:
+        """TD targets of a batch: online selection, target pricing."""
+        return td_target(
+            batch["reward"], batch["terminal"], self.config.gamma,
+            self._scores(self.net, batch["next_state"], "omega"),
+            self._target_scores(batch), self.layout.n_bs,
+        )
+
+    def train_step(self) -> float | None:
+        """One gradient step of the branched squared TD error: in every
+        branch the taken sub-action's score regresses onto the shared
+        target, the loss averaging over rows and branches."""
+        cfg = self.config
+        if len(self.buffer) < cfg.batch_size:
+            logger.debug(
+                "skipping update: buffer %d below batch size %d",
+                len(self.buffer), cfg.batch_size,
+            )
+            return None
+        batch = self.buffer.sample(cfg.batch_size, self.rng)
+        u = self.compute_targets(batch)
+        taken, backward = self._taken(batch["state"], batch["action"])
+        n_branches = len(taken)
+        errs = [u - score for score in taken]
+        loss = 0.0
+        for err in errs:
+            loss += float(np.mean(err**2)) / n_branches
+        backward(errs, n_branches * len(u))
+        self.adam.step(self.net.grads)
+        return loss
 
     def save_checkpoint(self, path) -> None:
         neural.save_checkpoint(path, self.net, self.adam)
@@ -436,15 +482,6 @@ class _AgentBase:
 
     def store(self, state_vec, action_idx, reward, next_vec, terminal) -> None:
         self.buffer.push(state_vec, action_idx, reward, next_vec, terminal)
-
-    def _underfull(self) -> bool:
-        if len(self.buffer) < self.config.batch_size:
-            logger.debug(
-                "skipping update: buffer %d below batch size %d",
-                len(self.buffer), self.config.batch_size,
-            )
-            return True
-        return False
 
 
 class EGreedyAgent(_AgentBase):
@@ -465,47 +502,24 @@ class EGreedyAgent(_AgentBase):
         q_rows = self.net.q_values(state_vec)
         return select_action_egreedy(q_rows, self.epsilon(episode), self.rng)
 
-    def greedy_action(self, state_vec: np.ndarray) -> np.ndarray:
-        """Per-branch argmax of the Q rows; draws nothing from ``rng``."""
-        q_rows = self.net.q_values(state_vec)
-        return np.array([np.argmax(q[0]) for q in q_rows], dtype=np.int64)
+    def _scores(self, net, states, which):
+        return net.q_values(states)         # one set of heads: ``which`` is moot
 
-    def _score_target(self, next_states: np.ndarray) -> np.ndarray:
-        return np.concatenate(self.target_net.q_values(next_states), axis=1)
+    def _taken(self, states, actions):
+        """Taken Q entries; only they receive error signal in the Q rows."""
+        q_rows = self.net.q_values(states)
+        rows = np.arange(len(states))
+        taken = [q[rows, a] for q, a in zip(q_rows, actions.T)]
 
-    def compute_targets(self, batch: dict[str, np.ndarray]) -> np.ndarray:
-        q_next_online = self.net.q_values(batch["next_state"])
-        return td_target(
-            batch["reward"], batch["terminal"], self.config.gamma,
-            q_next_online, self._target_scores(batch), self.m_per_bs,
-        )
-
-    def train_step(self) -> float | None:
-        """One gradient step of the branched squared TD error; only the
-        chosen sub-action of each branch receives direct error signal."""
-        if self._underfull():
-            return None
-        batch = self.buffer.sample(self.config.batch_size, self.rng)
-        u = self.compute_targets(batch)
-        q_rows = self.net.q_values(batch["state"])
-        B = len(u)
-        rows = np.arange(B)
-        K = len(self.m_per_bs)
-        loss = 0.0
-        d_qs = []
-        j = 0
-        for m in self.m_per_bs:
-            for _ in range(m):
-                chosen = batch["action"][:, j]
-                err = u - q_rows[j][rows, chosen]
-                loss += float(np.mean(err**2)) / (K * m)
-                dq = np.zeros_like(q_rows[j])
-                dq[rows, chosen] = -2.0 * err / (K * m * B)
+        def backward(errs, n):
+            d_qs = []
+            for q, a, err in zip(q_rows, actions.T, errs):
+                dq = np.zeros_like(q)
+                dq[rows, a] = -2.0 * err / n
                 d_qs.append(dq)
-                j += 1
-        self.net.backward_from_q(d_qs)
-        self.adam.step(self.net.grads)
-        return loss
+            self.net.backward_from_q(d_qs)
+
+        return taken, backward
 
 
 class BayesAgent(_AgentBase):
@@ -517,17 +531,12 @@ class BayesAgent(_AgentBase):
     def __init__(self, layout: ActionLayout, state_dim: int, config: AgentConfig):
         super().__init__(layout, state_dim, config)
         self.posterior = Posterior(
-            layout.branch_sizes(), config.feature_dim, config.prior_sigma,
-            config.sigma_eps, self.rng,
+            self.cols, config.feature_dim, config.prior_sigma, config.sigma_eps, self.rng,
         )
 
     def select_action(self, state_vec: np.ndarray, episode: int = 0) -> np.ndarray:
         """Per-branch argmax under the sampled (Thompson) weights."""
-        return self.posterior.argmax(self.net.features(state_vec), self.posterior.omega)
-
-    def greedy_action(self, state_vec: np.ndarray) -> np.ndarray:
-        """Argmax under the posterior means (no sampling)."""
-        return self.posterior.argmax(self.net.features(state_vec), self.posterior.mu)
+        return branch_argmax(self._scores(self.net, state_vec, "omega"))
 
     def resample(self) -> None:
         self.posterior.resample(self.rng)
@@ -536,46 +545,28 @@ class BayesAgent(_AgentBase):
         super().sync_target()
         self.posterior.sync_target()
 
-    def _score_target(self, next_states: np.ndarray) -> np.ndarray:
-        post = self.posterior
-        phis = self.target_net.features(next_states)
-        return np.concatenate(post.scores(phis, post.omega_tilde), axis=1)
+    def _scores(self, net, states, which):
+        return branch_scores(net.features(states), getattr(self.posterior, which), self.cols)
 
-    def compute_targets(self, batch: dict[str, np.ndarray]) -> np.ndarray:
-        post = self.posterior
-        online = post.scores(self.net.features(batch["next_state"]), post.omega)
-        return td_target(
-            batch["reward"], batch["terminal"], self.config.gamma,
-            online, self._target_scores(batch), self.m_per_bs,
-        )
-
-    def train_step(self) -> float | None:
-        """Gradient step on the feature network: the posterior-mean Q of the
-        taken sub-action regresses onto the TD target (the means themselves
-        update only at posterior refreshes)."""
-        if self._underfull():
-            return None
-        batch = self.buffer.sample(self.config.batch_size, self.rng)
-        u = self.compute_targets(batch)
-        phis = self.net.features(batch["state"])
-        B = len(u)
-        K = len(self.m_per_bs)
+    def _taken(self, states, actions):
+        """Posterior-mean Q of the taken sub-actions: the feature network
+        regresses them onto the TD targets (the means themselves update
+        only at posterior refreshes)."""
+        phis = self.net.features(states)
         mu = self.posterior.mu
-        loss = 0.0
-        d_phis = []
-        j = 0
-        for m in self.m_per_bs:
-            for _ in range(m):
-                chosen = batch["action"][:, j]
-                w = mu[self._score_cols[j]][chosen]      # (B, d)
-                pred = np.sum(phis[j] * w, axis=1)
-                err = u - pred
-                loss += float(np.mean(err**2)) / (K * m)
-                d_phis.append(-2.0 * err[:, None] * w / (K * m * B))
-                j += 1
-        self.net.backward_from_features(d_phis)
-        self.adam.step(self.net.grads)
-        return loss
+        ws = [mu[cols][a] for cols, a in zip(self.cols, actions.T)]      # (B, d) each
+        taken = [np.sum(phi * w, axis=1) for phi, w in zip(phis, ws)]
+
+        def backward(errs, n):
+            # dL/dphi = -2 err w / n, written in place over the gathered
+            # means: a second set of per-branch (B, d) arrays measurably
+            # slowed the default-size step
+            for err, w in zip(errs, ws):
+                np.multiply(-2.0 * err[:, None], w, out=w)
+                w /= n
+            self.net.backward_from_features(ws)
+
+        return taken, backward
 
     def update_posteriors(self) -> None:
         """Refresh every sub-action's posterior from its replay slice.
@@ -593,14 +584,13 @@ class BayesAgent(_AgentBase):
         taken = self.buffer.action[order]
         cap = self.config.blr_dataset_cap
         n = len(order)
-        n_branches = self.net.n_branches
 
         member_rows: list[list[np.ndarray]] = []
         needed = np.zeros(n, dtype=bool)
-        for j in range(n_branches):
+        for j, cols in enumerate(self.cols):
             actions = taken[:, j]
             per_action = []
-            for a in range(self.layout.branch_sizes()[j]):
+            for a in range(cols.stop - cols.start):
                 rows = np.nonzero(actions == a)[0][-cap:]
                 per_action.append(rows)
                 needed[rows] = True
@@ -611,7 +601,7 @@ class BayesAgent(_AgentBase):
         remap[keep] = np.arange(len(keep))
 
         phis, u = self._features_and_targets(order[keep])
-        for j, cols in enumerate(self._score_cols):
+        for j, cols in enumerate(self.cols):
             for a, rows in enumerate(member_rows[j]):
                 if len(rows) == 0:
                     continue

@@ -9,7 +9,6 @@ import os
 import sys
 from pathlib import Path
 
-from .env import ActionSpaceTooLarge
 from .harness import (
     ConfigError,
     compare_runs,
@@ -83,7 +82,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             print(format_comparison(compare_runs(args.files)))
             return 0
-    except (ConfigError, ActionSpaceTooLarge, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2

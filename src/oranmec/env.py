@@ -44,8 +44,9 @@ logger = logging.getLogger("oranmec.env")
 DEFAULT_FLAVORS = tuple(range(16))   # reference-core sizes 0..15
 
 
-class ActionSpaceTooLarge(RuntimeError):
-    """Exhaustive enumeration refused: joint space above the limit."""
+class ActionSpaceTooLarge(ValueError):
+    """Exhaustive enumeration refused: more than one BS, or a joint space
+    above the limit."""
 
 
 class EpisodeExhausted(RuntimeError):
@@ -243,9 +244,6 @@ class ActionLayout:
         per_bs = [len(dom) for _, dom in self.per_bs_domains()]
         return per_bs * self.n_bs
 
-    def m_per_bs(self) -> list[int]:
-        return [self.branches_per_bs] * self.n_bs
-
     def joint_cardinality(self) -> int:
         per_bs = math.prod(len(dom) for _, dom in self.per_bs_domains())
         return per_bs ** self.n_bs
@@ -311,16 +309,20 @@ class ActionLayout:
 def enumerate_actions(layout: ActionLayout, limit: int = 1_000_000):
     """Exhaustive, duplicate-free iterator over the joint action space.
 
-    Only supported for single-BS layouts (oracle scale); refuses when the
-    cardinality exceeds ``limit``.
+    Only supported for single-BS layouts (oracle scale) of at most
+    ``limit`` joint actions; anything else is refused here, at the call,
+    not at the first ``next()``.
     """
-    if layout.n_bs != 1:
-        raise ValueError("exhaustive enumeration is only supported for one BS")
     n = layout.joint_cardinality()
-    if n > limit:
+    if layout.n_bs != 1 or n > limit:
         raise ActionSpaceTooLarge(
-            f"joint action space has {n} elements, above the limit {limit}"
+            f"exhaustive enumeration needs one BS and at most {limit} joint "
+            f"actions; got {layout.n_bs} BS and {n} actions"
         )
+    return _each_action(layout)
+
+
+def _each_action(layout: ActionLayout):
     domains = [dom for _, dom in layout.per_bs_domains()]
     per = layout.branches_per_bs
     for combo in itertools.product(*(range(len(d)) for d in domains)):
@@ -546,14 +548,10 @@ class OranMecEnv:
 
     @property
     def state_dim(self) -> int:
-        lay = self.layout
-        per_bs = (
-            (1 + lay.n_services)
-            + len(lay.splits) + len(lay.du_servers) + len(lay.cu_servers)
-            + 2 * lay.n_services          # MEC side one-hots
-            + 2 + lay.n_services          # scaled flavors
-        )
-        return lay.n_bs * per_bs
+        """Length of ``encode_state``'s vector, read off the initial state
+        at zero demand."""
+        zero = np.zeros((self.layout.n_bs, 1 + self.layout.n_services))
+        return len(self.encode_state(State(0, zero, self.initial_action)))
 
     def encode_state(self, state: State) -> np.ndarray:
         """Flat observation: demands scaled by the cell-rate cap, categorical

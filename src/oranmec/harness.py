@@ -39,7 +39,6 @@ from .env import (
     DEFAULT_FLAVORS,
     Action,
     ActionLayout,
-    ActionSpaceTooLarge,
     CostBreakdown,
     OranMecEnv,
     RewardConfig,
@@ -284,19 +283,14 @@ def run_oracle(cfg: ExperimentConfig, limit: int = 1_000_000) -> OracleResult:
     slot costs the same, which the evaluation exploits.
     """
     env = build_env(cfg)
-    n = env.layout.joint_cardinality()
-    if env.layout.n_bs != 1 or n > limit:
-        raise ActionSpaceTooLarge(
-            f"oracle refuses: {n} joint actions over limit {limit} "
-            f"(or more than one BS)"
-        )
+    actions = enumerate_actions(env.layout, limit=limit)    # refuses before any demand is built
     demands = env.ingest(make_demand_provider(cfg, cfg.seeds[0])(0))
     stationary = env.util.noise_std == 0.0 and bool(np.all(demands == demands[0]))
     T = len(demands)
     best_action = None
     best_reward = -math.inf
     count = 0
-    for action in enumerate_actions(env.layout, limit=limit):
+    for action in actions:
         count += 1
         first = State(0, demands[0], env.initial_action)
         r0 = env.compute_costs(first, action).reward

@@ -6,11 +6,13 @@ import pytest
 from oranmec import agents, neural
 from oranmec.agents import (
     AgentConfig,
-    BayesAgent,
     EGreedyAgent,
     Posterior,
     ReplayBuffer,
     blr_posterior,
+    branch_argmax,
+    branch_scores,
+    branch_slices,
     evaluate_greedy,
     make_agent,
     run_training,
@@ -28,7 +30,7 @@ TOY_LAYOUT = ActionLayout(
 
 class TestReplayBuffer:
     def test_capacity_and_eviction_order(self):
-        buf = ReplayBuffer(capacity=3)
+        buf = ReplayBuffer(capacity=3, state_dim=1, n_branches=1)
         for i in range(5):
             buf.push([float(i)], [0], float(i), [0.0], False)
         assert len(buf) == 3
@@ -36,14 +38,14 @@ class TestReplayBuffer:
         assert list(data["reward"]) == [2.0, 3.0, 4.0]   # oldest first
 
     def test_sample_without_replacement(self, rng):
-        buf = ReplayBuffer(capacity=10)
+        buf = ReplayBuffer(capacity=10, state_dim=1, n_branches=1)
         for i in range(10):
             buf.push([float(i)], [0], float(i), [0.0], False)
         batch = buf.sample(10, rng)
         assert sorted(batch["reward"]) == [float(i) for i in range(10)]
 
     def test_sample_larger_than_contents_rejected(self, rng):
-        buf = ReplayBuffer(capacity=4)
+        buf = ReplayBuffer(capacity=4, state_dim=1, n_branches=1)
         buf.push([0.0], [0], 0.0, [0.0], False)
         with pytest.raises(ValueError):
             buf.sample(2, rng)
@@ -91,7 +93,7 @@ class TestReplayRing:
     FIELDS = ("state", "action", "reward", "next_state", "terminal")
 
     def test_chronological_after_a_wrap(self):
-        buf = ReplayBuffer(capacity=5)
+        buf = ReplayBuffer(capacity=5, state_dim=1, n_branches=1)
         for i in range(12):
             buf.push([float(i)], [i], float(i), [float(i + 1)], False)
         assert list(buf.chronological_index()) == [2, 3, 4, 0, 1]
@@ -102,7 +104,7 @@ class TestReplayRing:
 
     def test_growth_across_doublings_keeps_every_row(self, monkeypatch):
         monkeypatch.setattr(agents, "RING_START_ROWS", 4)
-        buf = ReplayBuffer(capacity=1000)
+        buf = ReplayBuffer(capacity=1000, state_dim=3, n_branches=2)
         pushed = _random_transitions(11)
         for t in pushed:
             buf.push(*t)
@@ -114,14 +116,23 @@ class TestReplayRing:
 
     def test_never_more_than_capacity_rows(self, monkeypatch):
         monkeypatch.setattr(agents, "RING_START_ROWS", 4)
-        buf = ReplayBuffer(capacity=6)
+        buf = ReplayBuffer(capacity=6, state_dim=3, n_branches=2)
         for t in _random_transitions(20):
             buf.push(*t)
         assert len(buf) == 6
         assert all(len(getattr(buf, name)) == 6 for name in self.FIELDS)
 
+    def test_an_empty_ring_has_its_shapes(self):
+        buf = ReplayBuffer(capacity=10, state_dim=3, n_branches=2, score_width=5)
+        assert (buf.state.shape, buf.action.shape, buf.target_scores.shape) == (
+            (0, 3), (0, 2), (0, 5))
+        buf.clear_target_scores()
+        with pytest.raises(ValueError):     # the first push is checked too
+            buf.push([0.0], [0, 0], 0.0, [0.0], False)
+        assert len(buf) == 0
+
     def test_large_capacity_is_not_allocated(self):
-        buf = ReplayBuffer(capacity=1_000_000)
+        buf = ReplayBuffer(capacity=1_000_000, state_dim=3, n_branches=2)
         for t in _random_transitions(3):
             buf.push(*t)
         assert len(buf.state) == agents.RING_START_ROWS
@@ -132,7 +143,7 @@ class TestReplayRing:
         ([0.0, 0.0, 0.0], [0], 0.0, [0.0, 0.0, 0.0], False),   # action shape
     ])
     def test_mismatched_push_shape_rejected(self, bad):
-        buf = ReplayBuffer(capacity=10)
+        buf = ReplayBuffer(capacity=10, state_dim=3, n_branches=2)
         buf.push([1.0, 2.0, 3.0], [1, 2], 1.0, [3.0, 2.0, 1.0], False)
         with pytest.raises(ValueError):
             buf.push(*bad)
@@ -140,7 +151,7 @@ class TestReplayRing:
 
     def test_sample_matches_the_list_buffer(self, monkeypatch):
         monkeypatch.setattr(agents, "RING_START_ROWS", 8)
-        ring, ref = ReplayBuffer(capacity=50), _ListReplay(50)
+        ring, ref = ReplayBuffer(capacity=50, state_dim=3, n_branches=2), _ListReplay(50)
         for n_pushed, t in enumerate(_random_transitions(80), start=1):
             ring.push(*t)
             ref.push(*t)
@@ -153,7 +164,7 @@ class TestReplayRing:
                 assert rng_ring.bit_generator.state == rng_ref.bit_generator.state
 
     def test_sample_returns_storage_index(self, rng):
-        buf = ReplayBuffer(capacity=10)
+        buf = ReplayBuffer(capacity=10, state_dim=3, n_branches=2)
         for t in _random_transitions(15):
             buf.push(*t)
         batch = buf.sample(6, rng)
@@ -197,13 +208,13 @@ class TestTdTargets:
             # plain double DQN: online argmax, target price, reward at the end
             best = np.argmax(q_on, axis=1)
             plain = np.where(term, r, r + 0.9 * q_tg[np.arange(B), best])
-            branched = td_target(r, term, 0.9, [q_on], [q_tg], [1])
+            branched = td_target(r, term, 0.9, [q_on], [q_tg], n_bs=1)
             assert np.array_equal(plain, branched)
 
     def test_terminal_uses_reward_only(self):
         u = td_target(
             np.array([-5.0]), np.array([True]), 1.0,
-            [np.array([[1.0, 2.0]])], [np.array([[9.0, 9.0]])], [1],
+            [np.array([[1.0, 2.0]])], [np.array([[9.0, 9.0]])], n_bs=1,
         )
         assert u[0] == -5.0
 
@@ -212,7 +223,7 @@ class TestTdTargets:
         # u = 1 + 1 * (2 + 4) / 2 = 4
         q_on = [np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])]
         q_tg = [np.array([[9.0, 2.0]]), np.array([[4.0, 9.0]])]
-        u = td_target(np.array([1.0]), np.array([False]), 1.0, q_on, q_tg, [2])
+        u = td_target(np.array([1.0]), np.array([False]), 1.0, q_on, q_tg, n_bs=1)
         assert u[0] == 4.0
 
     def test_bayes_target_collapse(self, rng):
@@ -221,14 +232,34 @@ class TestTdTargets:
         scores = [rng.normal(size=(4, 3))]
         r = rng.normal(size=4)
         term = np.zeros(4, dtype=bool)
-        u = td_target(r, term, 0.5, scores, scores, [1])
+        u = td_target(r, term, 0.5, scores, scores, n_bs=1)
         assert np.allclose(u, r + 0.5 * scores[0].max(axis=1))
 
     def test_bayes_two_branch_hand_case(self):
         on = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
         tg = [np.array([[1.0, 9.0]]), np.array([[9.0, 3.0]])]
-        u = td_target(np.array([0.0]), np.array([False]), 1.0, on, tg, [2])
+        u = td_target(np.array([0.0]), np.array([False]), 1.0, on, tg, n_bs=1)
         assert u[0] == 2.0                      # (1 + 3) / 2
+
+    def test_two_bs_hand_case(self):
+        # BS 0 picks values 2 and 4 (mean 3), BS 1 picks 6 and 8 (mean 7):
+        # u = 1 + 0.5 * (3 + 7) / 2 = 3.5
+        on = _rows([0, 1], [1, 0], [0, 1], [1, 0])
+        tg = _rows([9, 2], [4, 9], [9, 6], [8, 9])
+        u = td_target(np.array([1.0]), np.array([False]), 0.5, on, tg, n_bs=2)
+        assert u[0] == 3.5
+
+    def test_two_bs_sums_per_bs_then_across(self):
+        # with as many branches at every BS, a flat mean and a mean of the
+        # per-BS sums agree in exact arithmetic; each rounds differently
+        vals = [0.1, 0.1, 0.1, 0.1, 0.1, 0.2]
+        scores = [np.array([[v]]) for v in vals]
+        u = td_target(np.array([0.0]), np.array([False]), 1.0, scores, scores, n_bs=2)
+        per_bs = ((0.1 + 0.1 + 0.1) / 3 + (0.1 + 0.1 + 0.2) / 3) / 2
+        flat = (0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.2) / 6
+        of_bs_sums = ((0.1 + 0.1 + 0.1) + (0.1 + 0.1 + 0.2)) / 6
+        assert len({per_bs, flat, of_bs_sums}) == 3
+        assert u[0] == per_bs
 
 
 def _cov(scale: np.ndarray) -> np.ndarray:
@@ -270,13 +301,13 @@ class TestBranchPosterior:
     ``cols[j]``."""
 
     def test_prior_state(self, rng):
-        post = Posterior([3], 4, prior_sigma=2.0, sigma_eps=1.0, rng=rng)
+        post = Posterior(branch_slices([3]), 4, prior_sigma=2.0, sigma_eps=1.0, rng=rng)
         assert np.array_equal(post.mu, np.zeros((3, 4)))
         assert np.array_equal(post.scale[1], np.sqrt(2.0) * np.eye(4))
         assert np.allclose(_cov(post.scale[1]), 2.0 * np.eye(4))
 
     def test_prior_is_shared_until_the_first_refit(self, rng):
-        post = Posterior([3, 2], 4, prior_sigma=2.0, sigma_eps=1.0, rng=rng)
+        post = Posterior(branch_slices([3, 2]), 4, prior_sigma=2.0, sigma_eps=1.0, rng=rng)
         assert post.cols == [slice(0, 3), slice(3, 5)]
         assert post.scale.shape == (5, 4, 4)
         assert post.scale.strides[0] == 0 and not post.scale.flags.writeable
@@ -290,7 +321,7 @@ class TestBranchPosterior:
         assert not np.array_equal(post.mu[4], mu_before[4])
 
     def test_near_zero_covariance_samples_the_mean(self, rng):
-        post = Posterior([2, 1], 3, prior_sigma=1.0, sigma_eps=1.0, rng=rng)
+        post = Posterior(branch_slices([2, 1]), 3, prior_sigma=1.0, sigma_eps=1.0, rng=rng)
         post.mu[...] = 5.0
         post.scale = np.zeros((3, 3, 3))
         post.resample(rng)
@@ -298,7 +329,7 @@ class TestBranchPosterior:
 
     def test_sample_mean_approaches_posterior_mean(self):
         rng = np.random.default_rng(3)
-        post = Posterior([1], 2, prior_sigma=1.0, sigma_eps=1.0, rng=rng)
+        post = Posterior(branch_slices([1]), 2, prior_sigma=1.0, sigma_eps=1.0, rng=rng)
         post.mu[...] = np.array([[1.0, -2.0]])
         draws = []
         for _ in range(10_000):
@@ -312,20 +343,20 @@ class TestBranchPosterior:
         draws = []
         for _ in range(2):
             rng = np.random.default_rng(11)
-            post = Posterior([2, 3], 3, 1.0, 1.0, rng)
+            post = Posterior(branch_slices([2, 3]), 3, 1.0, 1.0, rng)
             post.resample(rng)
             draws.append(post.omega.copy())
         assert np.array_equal(draws[0], draws[1])
 
     def test_thompson_sample_covers_all_branches(self, rng):
-        post = Posterior([2, 2, 2], 3, 1.0, 1.0, rng)
+        post = Posterior(branch_slices([2, 2, 2]), 3, 1.0, 1.0, rng)
         before = post.omega.copy()
         post.resample(rng)
         assert all(not np.array_equal(before[c], post.omega[c]) for c in post.cols)
 
     def test_init_draws_branch_by_branch_sampled_then_target(self):
         sizes, d = [2, 3, 1], 4
-        post = Posterior(sizes, d, 9.0, 1.0, np.random.default_rng(21))
+        post = Posterior(branch_slices(sizes), d, 9.0, 1.0, np.random.default_rng(21))
         rng = np.random.default_rng(21)
         for cols, n in zip(post.cols, sizes):
             for weights in (post.omega, post.omega_tilde):
@@ -333,7 +364,7 @@ class TestBranchPosterior:
 
     def test_stacked_resample_equals_per_branch_draws(self, rng):
         sizes, d = [3, 2, 4], 5
-        post = Posterior(sizes, d, 2.0, 1.5, rng)
+        post = Posterior(branch_slices(sizes), d, 2.0, 1.5, rng)
         for r in (0, 4, 5, 8):
             post.refit(r, rng.normal(size=(7, d)), rng.normal(size=7))
         ref_rng = np.random.default_rng(77)
@@ -352,25 +383,30 @@ def _rows(*rows):
     return [np.array([row], dtype=float) for row in rows]
 
 
+def _argmax(post, phis, weights):
+    """Per-branch best sub-action of one state's features under ``weights``."""
+    return branch_argmax(branch_scores(phis, weights, post.cols))
+
+
 class TestThompsonSelection:
     def test_tie_breaks_to_lowest_index(self, rng):
-        post = Posterior([3], 2, 1.0, 1.0, rng)
+        post = Posterior(branch_slices([3]), 2, 1.0, 1.0, rng)
         post.omega[...] = 1.0                    # identical weights per arm
-        assert post.argmax(_rows([0.5, 0.5]), post.omega)[0] == 0
+        assert _argmax(post, _rows([0.5, 0.5]), post.omega)[0] == 0
 
     def test_hand_dot_products(self, rng):
-        post = Posterior([2], 2, 1.0, 1.0, rng)
+        post = Posterior(branch_slices([2]), 2, 1.0, 1.0, rng)
         post.omega[0] = [0.0, 0.0]
         post.omega[1] = [1.0, 1.0]
-        assert post.argmax(_rows([1.0, 1.0]), post.omega)[0] == 1
+        assert _argmax(post, _rows([1.0, 1.0]), post.omega)[0] == 1
 
     def test_each_branch_argmax_reads_its_own_rows(self, rng):
-        post = Posterior([2, 3], 2, 1.0, 1.0, rng)
+        post = Posterior(branch_slices([2, 3]), 2, 1.0, 1.0, rng)
         post.omega[:] = [[1, 0], [0, 1], [0, 0], [5, 0], [0, 9]]
         post.mu[:] = post.omega[::-1]
-        assert list(post.argmax(_rows([1, 0], [1, 0]), post.omega)) == [0, 1]
-        assert list(post.argmax(_rows([1, 0], [0, 1]), post.omega)) == [0, 2]
-        assert list(post.argmax(_rows([1, 0], [0, 1]), post.mu)) == [1, 1]
+        assert list(_argmax(post, _rows([1, 0], [1, 0]), post.omega)) == [0, 1]
+        assert list(_argmax(post, _rows([1, 0], [0, 1]), post.omega)) == [0, 2]
+        assert list(_argmax(post, _rows([1, 0], [0, 1]), post.mu)) == [1, 1]
 
     def test_agent_acts_under_omega_and_evaluates_under_mu(self):
         agent = _filled_agent(mode="bayes", n_fill=32)
@@ -392,26 +428,26 @@ class TestThompsonSelection:
         x = rng.normal(size=4)
         q_rows = net.q_values(x)
         greedy = select_action_egreedy(q_rows, 0.0, rng)
-        post = Posterior([3, 2], 5, 1.0, 1.0, rng)
+        post = Posterior(branch_slices([3, 2]), 5, 1.0, 1.0, rng)
         for head, cols in zip(net.w.heads, post.cols):
             post.omega[cols] = head.T
-        sampled = post.argmax(net.features(x), post.omega)
+        sampled = _argmax(post, net.features(x), post.omega)
         assert np.array_equal(greedy, sampled)
 
     def test_positive_scaling_invariance(self, rng):
         for _ in range(20):
-            post = Posterior([4], 3, 1.0, 1.0, rng)
+            post = Posterior(branch_slices([4]), 3, 1.0, 1.0, rng)
             post.omega = rng.normal(size=(4, 3))
             phi = [rng.normal(size=(1, 3))]
-            base = post.argmax(phi, post.omega)
-            assert post.argmax(phi, post.omega * 7.5) == base
+            base = _argmax(post, phi, post.omega)
+            assert _argmax(post, phi, post.omega * 7.5) == base
 
 
-def _filled_agent(mode="egreedy", batch_size=8, n_fill=32, seed=0):
+def _filled_agent(mode="egreedy", batch_size=8, n_fill=32, seed=0, n_bs=1):
     cfg = toy_agent_config(seed, mode=mode, batch_size=batch_size)
     state_dim = 6
     layout = ActionLayout(
-        n_bs=1, du_servers=(2,), cu_servers=(4,), bbu_flavors=(0, 1),
+        n_bs=n_bs, du_servers=(2,), cu_servers=(4,), bbu_flavors=(0, 1),
         mec_flavors=((0, 1), (0, 1)), n_services=2,
     )
     cfg.trunk_widths = (8, 8)
@@ -498,6 +534,45 @@ class TestTrainSteps:
         agent.update_posteriors()
         losses = [agent.train_step() for _ in range(200)]
         assert np.mean(losses[-20:]) < np.mean(losses[:20])
+
+
+    @pytest.mark.parametrize("mode", ["egreedy", "bayes"])
+    def test_train_step_gradient_matches_a_per_branch_reference(self, mode):
+        agent = _filled_agent(mode=mode, n_fill=32, batch_size=16, n_bs=2)
+        net = agent.net
+        if mode == "bayes":
+            agent.update_posteriors()       # moves the posterior means off zero
+        drawn = agent.rng.bit_generator.state
+        batch = agent.buffer.sample(16, agent.rng)
+        agent.rng.bit_generator.state = drawn      # train_step draws this batch again
+        u = agent.compute_targets(batch)
+        K, m, B = agent.layout.n_bs, agent.layout.branches_per_bs, len(u)
+        rows = np.arange(B)
+        if mode == "egreedy":
+            q_rows = net.q_values(batch["state"])
+        else:
+            phis = net.features(batch["state"])
+        loss, grads = 0.0, []
+        for j in range(K * m):
+            a = batch["action"][:, j]
+            if mode == "egreedy":       # dL/dQ: only the taken entry of the row
+                err = u - q_rows[j][rows, a]
+                grad = np.zeros_like(q_rows[j])
+                grad[rows, a] = -2.0 * err / (K * m * B)
+            else:                       # dL/dphi of the posterior-mean Q
+                w = agent.posterior.mu[agent.cols[j]][a]
+                err = u - np.sum(phis[j] * w, axis=1)
+                grad = -2.0 * err[:, None] * w / (K * m * B)
+            loss += float(np.mean(err**2)) / (K * m)
+            grads.append(grad)
+        if mode == "egreedy":
+            net.backward_from_q(grads)
+        else:
+            net.backward_from_features(grads)
+        want = net.grads.copy()
+        net.grads[...] = np.nan
+        assert agent.train_step() == loss
+        assert np.array_equal(net.grads, want)
 
 
 class TestPosteriorUpdate:
@@ -601,7 +676,10 @@ class TestTargetScoreCache:
 
     def test_overwriting_push_clears_its_slot_only(self, mode):
         agent = _filled_agent(mode=mode, n_fill=0, batch_size=4)
-        agent.buffer = ReplayBuffer(capacity=8, score_width=agent.buffer.score_width)
+        agent.buffer = ReplayBuffer(
+            capacity=8, state_dim=6, n_branches=agent.net.n_branches,
+            score_width=agent.buffer.target_scores.shape[1],
+        )
         for t in _random_transitions(8, state_dim=6, n_branches=agent.net.n_branches):
             agent.store(*t)
         batch = agent.buffer.chronological()

@@ -8,13 +8,11 @@ from oranmec.env import (
     ActionSpaceTooLarge,
     EpisodeExhausted,
     OranMecEnv,
-    RewardConfig,
-    ServiceMix,
     enumerate_actions,
 )
 from oranmec.topology import build_topology
 from oranmec.workload import constant_demands, platform_a
-from tests.conftest import COST_TOPOLOGY, make_cost_env
+from tests.conftest import make_cost_env
 
 
 @pytest.fixture
@@ -223,3 +221,10 @@ class TestEnumerateActions:
         )
         with pytest.raises(ValueError):
             next(enumerate_actions(layout))
+
+    def test_refused_at_the_call_not_at_the_first_next(self):
+        two_bs = ActionLayout(n_bs=2, du_servers=(2,), cu_servers=(4,), n_services=1)
+        oversized = ActionLayout(n_bs=1, du_servers=(1, 2, 3, 4), cu_servers=(5, 6))
+        for layout in (two_bs, oversized):
+            with pytest.raises(ActionSpaceTooLarge):
+                enumerate_actions(layout)

@@ -19,7 +19,6 @@ from oranmec.env import (
     Action,
     ActionLayout,
     OranMecEnv,
-    RewardConfig,
     ServiceMix,
     State,
     enumerate_actions,

@@ -1,4 +1,3 @@
-import copy
 import csv
 import dataclasses
 import time
