@@ -6,8 +6,11 @@ target network, and the per-branch bootstrapped values are averaged (per BS,
 then across BSs) into one global TD target; each branch's taken sub-action
 then regresses onto that target.  An agent supplies two hooks:
 ``_scores(net, states, which)``, a network's per-branch score rows, and
-``_taken(states, actions)``, the taken sub-actions' scores with their
-backward pass.
+``_taken(states, actions)``, the taken sub-actions' scores as one
+C-contiguous (branches, batch) array, with their backward pass: a strided
+error row would sum its squares in another order than a per-branch loop.
+Sub-action a of branch j is stacked row ``offsets[j] + a``, so a batch's
+taken entries are one index, ``actions + offsets``.
 
 * ``EGreedyAgent`` keeps linear Q heads on the branch features: its scores
   are the Q rows, and the taken scores' gradient scatters into them.  It
@@ -346,12 +349,12 @@ def branch_argmax(scores: list[np.ndarray]) -> np.ndarray:
 def select_action_egreedy(
     q_rows: list[np.ndarray], epsilon: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-branch argmax with probability 1-eps, else uniform per branch."""
+    """Per-branch argmax of (1, A) Q rows with probability 1-eps, else uniform."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     idx = np.empty(len(q_rows), dtype=np.int64)
     for j, q in enumerate(q_rows):
-        row = q[0] if q.ndim == 2 else q
+        row = q[0]
         if rng.uniform() < epsilon:
             idx[j] = rng.integers(len(row))
         else:
@@ -382,6 +385,8 @@ class _AgentBase:
         self.target_net = self.net.clone()
         self.adam = Adam(self.net.params, lr=config.lr)
         self.cols = branch_slices(sizes)
+        # offsets[j]: the stacked row (or column) of branch j's sub-action 0
+        self.offsets = np.array([c.start for c in self.cols], dtype=np.int64)
         self.buffer = ReplayBuffer(
             config.buffer_capacity, state_dim, len(sizes), score_width=sum(sizes)
         )
@@ -393,10 +398,12 @@ class _AgentBase:
         raise NotImplementedError
 
     def _taken(self, states: np.ndarray, actions: np.ndarray):
-        """Per branch, the online (batch,) scores of the taken sub-actions,
-        and ``backward(errs, n)``, which fills ``net.grads`` with the
-        gradient of the sum over branches of ``sum(err**2) / n``, where
-        ``err`` is a branch's ``u - score``."""
+        """The online scores of the taken sub-actions as one C-contiguous
+        (branches, batch) array, and ``backward(errs, n)``, which fills
+        ``net.grads`` with the gradient of ``sum(errs**2) / n`` for the
+        errors ``errs = u - taken``.  Each branch's mean squared error
+        reduces a row of ``errs``: a C-ordered row sums as the branch's own
+        1-D vector would, a strided one in another order (other last bits)."""
         raise NotImplementedError
 
     def greedy_action(self, state_vec: np.ndarray) -> np.ndarray:
@@ -456,12 +463,11 @@ class _AgentBase:
         batch = self.buffer.sample(cfg.batch_size, self.rng)
         u = self.compute_targets(batch)
         taken, backward = self._taken(batch["state"], batch["action"])
-        n_branches = len(taken)
-        errs = [u - score for score in taken]
+        errs = u - taken
         loss = 0.0
-        for err in errs:
-            loss += float(np.mean(err**2)) / n_branches
-        backward(errs, n_branches * len(u))
+        for mse in np.mean(errs**2, axis=1):     # branch order, as a sum of floats
+            loss += float(mse) / len(errs)
+        backward(errs, errs.size)
         self.adam.step(self.net.grads)
         return loss
 
@@ -509,15 +515,12 @@ class EGreedyAgent(_AgentBase):
         """Taken Q entries; only they receive error signal in the Q rows."""
         q_rows = self.net.q_values(states)
         rows = np.arange(len(states))
-        taken = [q[rows, a] for q, a in zip(q_rows, actions.T)]
+        taken = np.array([q[rows, a] for q, a in zip(q_rows, actions.T)])
 
         def backward(errs, n):
-            d_qs = []
-            for q, a, err in zip(q_rows, actions.T, errs):
-                dq = np.zeros_like(q)
-                dq[rows, a] = -2.0 * err / n
-                d_qs.append(dq)
-            self.net.backward_from_q(d_qs)
+            dq = np.zeros((len(rows), self.cols[-1].stop))     # all Q rows side by side
+            dq[rows[:, None], actions + self.offsets] = -2.0 * errs.T / n
+            self.net.backward_from_q([dq[:, cols] for cols in self.cols])
 
         return taken, backward
 
@@ -553,18 +556,16 @@ class BayesAgent(_AgentBase):
         regresses them onto the TD targets (the means themselves update
         only at posterior refreshes)."""
         phis = self.net.features(states)
-        mu = self.posterior.mu
-        ws = [mu[cols][a] for cols, a in zip(self.cols, actions.T)]      # (B, d) each
-        taken = [np.sum(phi * w, axis=1) for phi, w in zip(phis, ws)]
+        w = self.posterior.mu[actions + self.offsets].swapaxes(0, 1)     # (J, B, d)
+        # one (B, d) product per branch: a (B, J, d) product temporary
+        # raises peak memory on the full-size net
+        taken = np.array([np.sum(phi * w_j, axis=1) for phi, w_j in zip(phis, w)])
 
         def backward(errs, n):
-            # dL/dphi = -2 err w / n, written in place over the gathered
-            # means: a second set of per-branch (B, d) arrays measurably
-            # slowed the default-size step
-            for err, w in zip(errs, ws):
-                np.multiply(-2.0 * err[:, None], w, out=w)
-                w /= n
-            self.net.backward_from_features(ws)
+            # dL/dphi = -2 err w / n, written in place over the gathered means
+            np.multiply(w, -2.0 * errs[:, :, None], out=w)
+            np.divide(w, n, out=w)
+            self.net.backward_from_features(w)
 
         return taken, backward
 
@@ -722,7 +723,6 @@ def run_training(
         seed = None if episode_seed_base is None else episode_seed_base + e
         state = env.reset(demand_provider(e), noise_seed=seed)
         state_vec = env.encode_state(state)
-        ep_reward = 0.0
         losses: list[float] = []
         cost_sums: dict[str, float] = {}
         pen = rec = 0.0
@@ -745,7 +745,6 @@ def run_training(
                 agent.resample()
             count += 1
 
-            ep_reward += reward
             for key, val in costs.as_dict().items():
                 cost_sums[key] = cost_sums.get(key, 0.0) + val
             pen += costs.penalty_total
@@ -761,8 +760,8 @@ def run_training(
             t += 1
         result.episodes.append(EpisodeRecord(
             episode=e,
-            total_reward=ep_reward,
-            mean_reward=ep_reward / t,
+            total_reward=cost_sums["reward"],
+            mean_reward=cost_sums["reward"] / t,
             cost_sums=cost_sums,
             penalty_total=pen,
             reconfig_total=rec,
@@ -771,7 +770,7 @@ def run_training(
             mean_loss=float(np.mean(losses)) if losses else None,
         ))
         logger.info(
-            "episode %d: mean reward %.3f penalty %.2f", e, ep_reward / t, pen
+            "episode %d: mean reward %.3f penalty %.2f", e, cost_sums["reward"] / t, pen
         )
     return result
 

@@ -207,10 +207,6 @@ class BranchingQNet:
         """Per-layer views into ``params``, in storage order."""
         return self.w.tensors()
 
-    def gradients(self) -> list[np.ndarray]:
-        """Per-layer views into ``grads``, matching ``parameters()``."""
-        return self.dw.tensors()
-
     def clone(self) -> "BranchingQNet":
         """Independent inference copy (a target network): same parameters,
         no gradient vector, keeps no activations, cannot run backward."""

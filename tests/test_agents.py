@@ -538,12 +538,20 @@ class TestTrainSteps:
 
     @pytest.mark.parametrize("mode", ["egreedy", "bayes"])
     def test_train_step_gradient_matches_a_per_branch_reference(self, mode):
-        agent = _filled_agent(mode=mode, n_fill=32, batch_size=16, n_bs=2)
+        # (4, 128) is the default config's 36 branches and batch: there a
+        # per-branch mean over a strided (not C-ordered) error row sums in
+        # another order and moves the loss's last bits
+        for n_bs, batch_size in ((2, 16), (4, 128)):
+            self._check_per_branch_reference(mode, n_bs, batch_size)
+
+    @staticmethod
+    def _check_per_branch_reference(mode, n_bs, batch_size):
+        agent = _filled_agent(mode=mode, n_fill=batch_size + 32, batch_size=batch_size, n_bs=n_bs)
         net = agent.net
         if mode == "bayes":
             agent.update_posteriors()       # moves the posterior means off zero
         drawn = agent.rng.bit_generator.state
-        batch = agent.buffer.sample(16, agent.rng)
+        batch = agent.buffer.sample(batch_size, agent.rng)
         agent.rng.bit_generator.state = drawn      # train_step draws this batch again
         u = agent.compute_targets(batch)
         K, m, B = agent.layout.n_bs, agent.layout.branches_per_bs, len(u)

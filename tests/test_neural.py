@@ -37,7 +37,7 @@ def finite_difference_check(net, x, rng, h=1e-5):
 
     net.q_values(x)
     net.backward_from_q(cs)
-    grads = [g.copy() for g in net.gradients()]
+    grads = [g.copy() for g in net.dw.tensors()]
     worst = 0.0
     for p, g in zip(net.parameters(), grads):
         flat, gflat = p.reshape(-1), g.reshape(-1)
@@ -117,7 +117,7 @@ class TestBackward:
         net = small_net(seed=5)
         qs = net.q_values(np.ones((2, 5)))
         net.backward_from_q([np.zeros_like(q) for q in qs])
-        assert all(np.all(g == 0.0) for g in net.gradients())
+        assert all(np.all(g == 0.0) for g in net.dw.tensors())
 
     def test_backward_before_forward_raises(self):
         net = small_net()
@@ -357,7 +357,7 @@ class TestFusedBranches:
         net = small_net(seed=17)
         assert sum(p.size for p in net.parameters()) == net.params.size
         assert all(np.shares_memory(p, net.params) for p in net.parameters())
-        assert all(np.shares_memory(g, net.grads) for g in net.gradients())
+        assert all(np.shares_memory(g, net.grads) for g in net.dw.tensors())
         net.params[:] = 0.0
         assert all(np.all(p == 0.0) for p in net.parameters())
 

@@ -6,10 +6,18 @@ Run from the repository root on two trees and compare the output:
     PYTHONPATH=src python3 tools/identity.py toy-egreedy
 
 Each training run prints the sha256 of its slot rewards written as
-``float.hex`` (one per line) and the ``mean_loss`` of its last three
-episodes; ``toy-oracle`` prints the exhaustive oracle's best mean reward.
-Runs are seeded as ``harness.run_experiment`` seeds them, with BLAS on one
-thread as the benchmark runs it.
+``float.hex`` (one per line), the sha256 of the final ``net.params`` bytes
+and the ``mean_loss`` of its last three episodes; ``toy-oracle`` prints the
+exhaustive oracle's best mean reward.  Runs are seeded as
+``harness.run_experiment`` seeds them, with BLAS on one thread as the
+benchmark runs it.
+
+``default-bayes`` never refits a posterior (the first refresh on
+``default.yaml`` is at slot 1,440), so its posterior means stay zero and
+every gradient it takes is zero.  ``default-bayes-refit`` and
+``default-egreedy`` set ``T_p`` and ``T_g`` to 144, so their three episodes
+refresh and sync at slots 144 and 288 at full network size: their params
+hash checks the backward pass and Adam at default shapes.
 """
 from __future__ import annotations
 
@@ -29,28 +37,35 @@ from oranmec import agents, harness  # noqa: E402
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# name: (config, agent mode, experiment seed, episodes)
+# name: (config, agent mode, experiment seed, episodes, agent overrides)
+PERIOD_144 = {"T_p": 144, "T_g": 144}
 RUNS = {
-    "toy-bayes": ("toy.yaml", "bayes", 7, 30),
-    "toy-egreedy": ("toy.yaml", "egreedy", 7, 10),
-    "default-bayes": ("default.yaml", "bayes", 0, 2),
+    "toy-bayes": ("toy.yaml", "bayes", 7, 30, {}),
+    "toy-egreedy": ("toy.yaml", "egreedy", 7, 10, {}),
+    "default-bayes": ("default.yaml", "bayes", 0, 2, {}),
+    "default-bayes-refit": ("default.yaml", "bayes", 0, 3, PERIOD_144),
+    "default-egreedy": ("default.yaml", "egreedy", 0, 3, PERIOD_144),
 }
 
 
-def fingerprint(config: str, mode: str, seed: int, episodes: int) -> tuple[str, list]:
-    """sha256 of the float-hex slot rewards and the last three episodes'
-    ``mean_loss`` of one seeded training run."""
+def fingerprint(
+    config: str, mode: str, seed: int, episodes: int, overrides: dict
+) -> tuple[str, str, list]:
+    """sha256 of the float-hex slot rewards, sha256 of the final network
+    parameters and the last three episodes' ``mean_loss`` of one seeded
+    training run."""
     cfg = harness.load_experiment_config(CONFIGS / config)
     ss = np.random.SeedSequence(seed)
     util_seed, agent_seed, ep_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(3))
     env = harness.build_env(cfg, util_seed=util_seed)
-    agent_cfg = dataclasses.replace(cfg.agent, mode=mode, seed=agent_seed)
+    agent_cfg = dataclasses.replace(cfg.agent, mode=mode, seed=agent_seed, **overrides)
     agent = agents.make_agent(env.layout, env.state_dim, agent_cfg)
     provider = harness.make_demand_provider(cfg, seed)
     result = agents.run_training(env, agent, provider, episodes, episode_seed_base=ep_seed)
     text = "\n".join(float.hex(s.reward) for s in result.steps)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    return digest, [r.mean_loss for r in result.episodes[-3:]]
+    params = hashlib.sha256(agent.net.params.tobytes()).hexdigest()
+    return digest, params, [r.mean_loss for r in result.episodes[-3:]]
 
 
 def main(argv: list[str]) -> int:
@@ -60,8 +75,8 @@ def main(argv: list[str]) -> int:
             best = harness.run_oracle(harness.load_experiment_config(CONFIGS / "toy.yaml"))
             print(f"toy-oracle best {best.mean_reward!r}")
         elif name in RUNS:
-            digest, losses = fingerprint(*RUNS[name])
-            print(f"{name} rewards {digest} mean_loss {losses!r}")
+            digest, params, losses = fingerprint(*RUNS[name])
+            print(f"{name} rewards {digest} params {params} mean_loss {losses!r}")
         else:
             print(f"unknown run {name!r}; expected one of {[*RUNS, 'toy-oracle']}", file=sys.stderr)
             return 2
