@@ -236,21 +236,23 @@ def td_target(
 # -- Bayesian linear regression --------------------------------------------
 
 def blr_posterior(
-    phi: np.ndarray, u: np.ndarray, sigma_eps: float, prior_sigma: float
+    phis: list[np.ndarray], us: list[np.ndarray], sigma_eps: float, prior_sigma: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form Gaussian posterior of last-layer weights given features.
+    """Closed-form Gaussian posteriors of one branch's last-layer weights.
 
-    ``phi`` is (n, d) with one feature row per regression sample and ``u``
-    the targets.  Returns (mean, scale): the covariance is scale @ scale.T,
-    and mean + scale @ z with z standard normal is a posterior draw.  A
-    zero-sample input yields the prior.  Ill-conditioned systems get a small
-    jitter added, with a warning.
+    Regression set a is ``phis[a]``, (n_a, d) with one feature row per
+    sample and n_a >= 1, and its targets ``us[a]``; the sets may differ in
+    n_a.  Returns stacked (A, d) means and (A, d, d) scales: set a's
+    covariance is scale[a] @ scale[a].T, and mean[a] + scale[a] @ z with z
+    standard normal is a posterior draw.  scipy's factor and solves work
+    through a stack matrix by matrix, so each set's result is bit-equal to
+    a fit of that set alone (``np.linalg.cholesky`` on a stack is not).  If
+    any precision in the stack fails to factor, the whole stack gets a
+    small jitter added, with a warning.
     """
-    d = phi.shape[1] if phi.ndim == 2 else len(phi)
-    if phi.size == 0:
-        return np.zeros(d), np.sqrt(prior_sigma) * np.eye(d)
-    precision = (phi.T @ phi) / sigma_eps**2 + np.eye(d) / prior_sigma
-    rhs = (phi.T @ u) / sigma_eps**2
+    d = phis[0].shape[1]
+    precision = np.stack([phi.T @ phi for phi in phis]) / sigma_eps**2 + np.eye(d) / prior_sigma
+    rhs = np.stack([phi.T @ u for phi, u in zip(phis, us)]) / sigma_eps**2
     for attempt in range(2):
         try:
             chol = scipy.linalg.cho_factor(precision, lower=True)
@@ -260,9 +262,9 @@ def blr_posterior(
                 raise
             logger.warning("ill-conditioned posterior precision, adding jitter")
             precision = precision + JITTER * np.eye(d)
-    mu = scipy.linalg.cho_solve(chol, rhs)
+    mu = scipy.linalg.cho_solve(chol, rhs[..., None])[..., 0]     # takes no (A, d) rhs
     # inv(L).T has the right product with its transpose: a valid sampling scale
-    scale = scipy.linalg.solve_triangular(chol[0], np.eye(d), lower=True).T
+    scale = scipy.linalg.solve_triangular(chol[0], np.eye(d), lower=True).swapaxes(-1, -2)
     return mu, scale
 
 
@@ -310,12 +312,14 @@ class Posterior:
         z = rng.standard_normal(mu.shape)
         return mu + np.einsum("aij,aj->ai", self.scale[rows], z)
 
-    def refit(self, row: int, phi: np.ndarray, u: np.ndarray) -> None:
-        mu, scale = blr_posterior(phi, u, self.sigma_eps, self.prior_sigma)
+    def refit(self, rows, phis: list[np.ndarray], us: list[np.ndarray]) -> None:
+        """Refit ``rows`` of one branch in one ``blr_posterior`` call: row
+        ``rows[i]`` on features ``phis[i]`` and targets ``us[i]``."""
+        mu, scale = blr_posterior(phis, us, self.sigma_eps, self.prior_sigma)
         if not self.scale.flags.writeable:
             self.scale = self.scale.copy()
-        self.mu[row] = mu
-        self.scale[row] = scale
+        self.mu[rows] = mu
+        self.scale[rows] = scale
 
     def set_scale_rows(self, rows, scale) -> None:
         """``scale`` in ``rows``, the prior's shared read-only factor elsewhere."""
@@ -572,42 +576,26 @@ class BayesAgent(_AgentBase):
     def update_posteriors(self) -> None:
         """Refresh every sub-action's posterior from its replay slice.
 
-        Transitions are grouped by the sub-action each branch actually took
-        (capped at the most recent ``blr_dataset_cap`` per sub-action); TD
-        targets are recomputed with the current networks and target weights.
-        A sub-action with no matching transitions keeps its posterior as is
-        (for a never-updated one that is the prior), so freshly loaded
-        pretrained posteriors survive early refreshes.
+        One pass over the ring, oldest first, computes every transition's
+        features and TD target (with the current networks and target
+        weights).  Per branch, transitions are grouped by the sub-action the
+        branch actually took, capped at the most recent ``blr_dataset_cap``
+        per sub-action, and the branch's sub-actions with data are refit in
+        one ``blr_posterior`` call.  A sub-action with no matching
+        transitions keeps its posterior as is (for a never-updated one that
+        is the prior), so freshly loaded pretrained posteriors survive early
+        refreshes.
         """
         if len(self.buffer) == 0:
             return
         order = self.buffer.chronological_index()
         taken = self.buffer.action[order]
         cap = self.config.blr_dataset_cap
-        n = len(order)
-
-        member_rows: list[list[np.ndarray]] = []
-        needed = np.zeros(n, dtype=bool)
-        for j, cols in enumerate(self.cols):
-            actions = taken[:, j]
-            per_action = []
-            for a in range(cols.stop - cols.start):
-                rows = np.nonzero(actions == a)[0][-cap:]
-                per_action.append(rows)
-                needed[rows] = True
-            member_rows.append(per_action)
-
-        keep = np.nonzero(needed)[0]
-        remap = np.full(n, -1, dtype=np.int64)
-        remap[keep] = np.arange(len(keep))
-
-        phis, u = self._features_and_targets(order[keep])
-        for j, cols in enumerate(self.cols):
-            for a, rows in enumerate(member_rows[j]):
-                if len(rows) == 0:
-                    continue
-                local = remap[rows]
-                self.posterior.refit(cols.start + a, phis[j][local], u[local])
+        phis, u = self._features_and_targets(order)
+        for phi, actions, cols in zip(phis, taken.T, self.cols):
+            seen = np.flatnonzero(np.bincount(actions))     # sub-actions with data, ascending
+            sets = [np.flatnonzero(actions == a)[-cap:] for a in seen]
+            self.posterior.refit(cols.start + seen, [phi[s] for s in sets], [u[s] for s in sets])
 
     def _features_and_targets(
         self, index: np.ndarray

@@ -130,7 +130,3 @@ def delay_requirements(split: CompositeSplit) -> tuple[float, float]:
     hls_ms = split.hls.delay_req_ms if split.hls is not None else math.inf
     return hls_ms, split.lls.delay_req_ms
 
-
-def derived_du_share(hls_name: str) -> float:
-    """DU share recomputed from the per-function table (for cross-checks)."""
-    return sum(BBU_FUNCTION_SHARES[f] for f in DU_FUNCTIONS_BY_HLS[hls_name])

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oranmec import agents, neural
 from oranmec.agents import (
@@ -268,32 +269,59 @@ def _cov(scale: np.ndarray) -> np.ndarray:
 
 
 class TestBlrPosterior:
-    def test_zero_data_returns_prior(self):
-        mu, scale = blr_posterior(np.empty((0, 3)), np.empty(0), 1.0, 2.0)
-        assert np.array_equal(mu, np.zeros(3))
-        assert np.array_equal(scale, np.sqrt(2.0) * np.eye(3))
-        assert np.allclose(_cov(scale), 2.0 * np.eye(3))
-
     def test_single_sample_hand_case(self):
         # phi=[1], u=[1], noise 1, prior 1: precision 2, cov 0.5, mean 0.5
-        mu, scale = blr_posterior(np.array([[1.0]]), np.array([1.0]), 1.0, 1.0)
-        assert mu[0] == pytest.approx(0.5, abs=1e-15)
-        assert _cov(scale)[0, 0] == pytest.approx(0.5, abs=1e-15)
+        mu, scale = blr_posterior([np.array([[1.0]])], [np.array([1.0])], 1.0, 1.0)
+        assert mu.shape == (1, 1) and scale.shape == (1, 1, 1)
+        assert mu[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert _cov(scale)[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_dense_normal_equation_solve(self, rng):
         for _ in range(25):
             d = int(rng.integers(1, 9))
-            n = int(rng.integers(1, 65))
-            phi = rng.normal(size=(n, d))
-            u = rng.normal(size=n)
+            phis = [rng.normal(size=(int(rng.integers(1, 65)), d)) for _ in range(3)]
+            us = [rng.normal(size=len(phi)) for phi in phis]
             sigma_eps = float(rng.uniform(0.5, 2.0))
             prior = float(rng.uniform(0.5, 2.0))
-            mu, scale = blr_posterior(phi, u, sigma_eps, prior)
-            precision = phi.T @ phi / sigma_eps**2 + np.eye(d) / prior
-            cov_ref = np.linalg.inv(precision)
-            mu_ref = cov_ref @ (phi.T @ u) / sigma_eps**2
-            assert np.abs(_cov(scale) - cov_ref).max() < 1e-8
-            assert np.abs(mu - mu_ref).max() < 1e-8
+            mu, scale = blr_posterior(phis, us, sigma_eps, prior)
+            for a, (phi, u) in enumerate(zip(phis, us)):
+                precision = phi.T @ phi / sigma_eps**2 + np.eye(d) / prior
+                cov_ref = np.linalg.inv(precision)
+                mu_ref = cov_ref @ (phi.T @ u) / sigma_eps**2
+                assert np.abs(_cov(scale[a]) - cov_ref).max() < 1e-8
+                assert np.abs(mu[a] - mu_ref).max() < 1e-8
+
+    def test_stack_is_bit_equal_to_one_fit_per_set(self, rng):
+        # scipy factors and solves a stack matrix by matrix; a batched
+        # np.linalg.cholesky would move the last bits of some sets
+        d, sigma_eps, prior = 48, 3.0, 9.0
+        phis = [rng.normal(size=(n, d)) for n in (1, 7, 60, 300, 1500)]
+        us = [rng.normal(size=len(phi)) for phi in phis]
+        mu, scale = blr_posterior(phis, us, sigma_eps, prior)
+        for a, (phi, u) in enumerate(zip(phis, us)):
+            precision = (phi.T @ phi) / sigma_eps**2 + np.eye(d) / prior
+            chol = scipy.linalg.cho_factor(precision, lower=True)
+            assert np.array_equal(mu[a], scipy.linalg.cho_solve(chol, (phi.T @ u) / sigma_eps**2))
+            inv_l = scipy.linalg.solve_triangular(chol[0], np.eye(d), lower=True)
+            assert np.array_equal(scale[a], inv_l.T)
+
+    def test_a_failed_factor_jitters_the_whole_stack(self, monkeypatch, caplog):
+        calls = []
+        factor = scipy.linalg.cho_factor
+
+        def fail_once(precision, lower):
+            calls.append(precision.copy())
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return factor(precision, lower=lower)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail_once)
+        phis = [np.eye(2), np.ones((3, 2))]
+        blr_posterior(phis, [np.ones(2), np.ones(3)], 1.0, 1.0)
+        assert "jitter" in caplog.text
+        assert len(calls) == 2 and calls[1].shape == (2, 2, 2)
+        for before, after in zip(*calls):       # every set in the stack
+            assert np.array_equal(after, before + agents.JITTER * np.eye(2))
 
 
 class TestBranchPosterior:
@@ -312,7 +340,7 @@ class TestBranchPosterior:
         assert post.scale.shape == (5, 4, 4)
         assert post.scale.strides[0] == 0 and not post.scale.flags.writeable
         mu_before = post.mu.copy()
-        post.refit(4, rng.normal(size=(5, 4)), rng.normal(size=5))
+        post.refit([4], [rng.normal(size=(5, 4))], [rng.normal(size=5)])
         assert post.scale.flags.c_contiguous and post.scale.flags.writeable
         for r in range(4):      # a refit writes only its own row
             assert np.array_equal(post.scale[r], np.sqrt(2.0) * np.eye(4))
@@ -366,7 +394,7 @@ class TestBranchPosterior:
         sizes, d = [3, 2, 4], 5
         post = Posterior(branch_slices(sizes), d, 2.0, 1.5, rng)
         for r in (0, 4, 5, 8):
-            post.refit(r, rng.normal(size=(7, d)), rng.normal(size=7))
+            post.refit([r], [rng.normal(size=(7, d))], [rng.normal(size=7)])
         ref_rng = np.random.default_rng(77)
         post.resample(np.random.default_rng(77))
         for cols, n in zip(post.cols, sizes):
@@ -443,8 +471,8 @@ class TestThompsonSelection:
             assert _argmax(post, phi, post.omega * 7.5) == base
 
 
-def _filled_agent(mode="egreedy", batch_size=8, n_fill=32, seed=0, n_bs=1):
-    cfg = toy_agent_config(seed, mode=mode, batch_size=batch_size)
+def _filled_agent(mode="egreedy", batch_size=8, n_fill=32, seed=0, n_bs=1, **overrides):
+    cfg = toy_agent_config(seed, mode=mode, batch_size=batch_size, **overrides)
     state_dim = 6
     layout = ActionLayout(
         n_bs=n_bs, du_servers=(2,), cu_servers=(4,), bbu_flavors=(0, 1),
@@ -622,6 +650,26 @@ class TestPosteriorUpdate:
         assert np.array_equal(post.scale[1], prior_scale)
         assert np.allclose(_cov(post.scale[1]), agent.config.prior_sigma * np.eye(post.d))
         assert np.any(post.mu[0] != 0.0)
+
+    def test_dataset_cap_keeps_the_newest_transitions_oldest_first(self):
+        # 40 pushes into a 24-slot ring, which wraps; sub-action 0 of branch 0
+        # holds more than the cap of 5 of the 24 stored transitions
+        capacity, pushes, cap = 24, 40, 5
+        agent = _filled_agent(
+            mode="bayes", n_fill=pushes, buffer_capacity=capacity, blr_dataset_cap=cap,
+        )
+        buf, post, cfg = agent.buffer, agent.posterior, agent.config
+        assert len(buf) == capacity and buf.chronological_index()[0] != 0
+        phis, u = agent._features_and_targets(buf.chronological_index())
+        agent.update_posteriors()
+        # stored push p (of the newest 24) sits at ring slot p % capacity
+        stored = range(pushes - capacity, pushes)
+        took_0 = [p for p in stored if buf.action[p % capacity, 0] == 0]
+        assert len(took_0) > cap
+        newest = np.array(took_0[-cap:]) - (pushes - capacity)     # chronological positions
+        mu, scale = blr_posterior([phis[0][newest]], [u[newest]], cfg.sigma_eps, cfg.prior_sigma)
+        assert np.array_equal(post.mu[0], mu[0])
+        assert np.array_equal(post.scale[0], scale[0])
 
     def test_chunked_refresh_matches_one_chunk(self, monkeypatch):
         fits = []

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 
 from oranmec.splits import (
+    BBU_FUNCTION_SHARES,
+    DU_FUNCTIONS_BY_HLS,
     OPTIONS,
     SPLIT_IDS,
     SPLITS,
     delay_requirements,
-    derived_du_share,
     get_split,
     segment_loads,
 )
@@ -92,7 +93,8 @@ class TestComputeShares:
         # DU share = sum of per-function shares below the HLS point
         for split_id, hls in (("S1", "O2"), ("S2", "O4"), ("S3", "O6")):
             du = get_split(split_id).du_compute_share
-            assert du == pytest.approx(derived_du_share(hls), abs=1e-12)
+            derived = sum(BBU_FUNCTION_SHARES[f] for f in DU_FUNCTIONS_BY_HLS[hls])
+            assert du == pytest.approx(derived, abs=1e-12)
 
     def test_centralization_ordering(self):
         cu = [get_split(s).cu_compute_share for s in ("S1", "S2", "S3")]

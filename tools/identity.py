@@ -7,10 +7,12 @@ Run from the repository root on two trees and compare the output:
 
 Each training run prints the sha256 of its slot rewards written as
 ``float.hex`` (one per line), the sha256 of the final ``net.params`` bytes
-and the ``mean_loss`` of its last three episodes; ``toy-oracle`` prints the
-exhaustive oracle's best mean reward.  Runs are seeded as
-``harness.run_experiment`` seeds them, with BLAS on one thread as the
-benchmark runs it.
+and the ``mean_loss`` of its last three episodes; a Bayes run also prints
+the sha256 of its final posterior means (``posterior.mu``) and sampling
+factors (``posterior.scale``) bytes, which fingerprint the posterior refits
+directly.  ``toy-oracle`` prints the exhaustive oracle's best mean reward.
+Runs are seeded as ``harness.run_experiment`` seeds them, with BLAS on one
+thread as the benchmark runs it.
 
 ``default-bayes`` never refits a posterior (the first refresh on
 ``default.yaml`` is at slot 1,440), so its posterior means stay zero and
@@ -48,12 +50,17 @@ RUNS = {
 }
 
 
+def sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
 def fingerprint(
     config: str, mode: str, seed: int, episodes: int, overrides: dict
-) -> tuple[str, str, list]:
-    """sha256 of the float-hex slot rewards, sha256 of the final network
-    parameters and the last three episodes' ``mean_loss`` of one seeded
-    training run."""
+) -> str:
+    """One seeded training run's fingerprint line: sha256 of the float-hex
+    slot rewards and of the final network parameters, the last three
+    episodes' ``mean_loss`` and, for Bayes, sha256 of the final posterior
+    means and sampling factors."""
     cfg = harness.load_experiment_config(CONFIGS / config)
     ss = np.random.SeedSequence(seed)
     util_seed, agent_seed, ep_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(3))
@@ -63,9 +70,15 @@ def fingerprint(
     provider = harness.make_demand_provider(cfg, seed)
     result = agents.run_training(env, agent, provider, episodes, episode_seed_base=ep_seed)
     text = "\n".join(float.hex(s.reward) for s in result.steps)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    params = hashlib.sha256(agent.net.params.tobytes()).hexdigest()
-    return digest, params, [r.mean_loss for r in result.episodes[-3:]]
+    line = (
+        f"rewards {hashlib.sha256(text.encode()).hexdigest()} "
+        f"params {sha256(agent.net.params)} "
+        f"mean_loss {[r.mean_loss for r in result.episodes[-3:]]!r}"
+    )
+    if mode == "bayes":
+        post = agent.posterior
+        line += f" posterior_mu {sha256(post.mu)} posterior_scale {sha256(post.scale)}"
+    return line
 
 
 def main(argv: list[str]) -> int:
@@ -75,8 +88,7 @@ def main(argv: list[str]) -> int:
             best = harness.run_oracle(harness.load_experiment_config(CONFIGS / "toy.yaml"))
             print(f"toy-oracle best {best.mean_reward!r}")
         elif name in RUNS:
-            digest, params, losses = fingerprint(*RUNS[name])
-            print(f"{name} rewards {digest} params {params} mean_loss {losses!r}")
+            print(f"{name} {fingerprint(*RUNS[name])}")
         else:
             print(f"unknown run {name!r}; expected one of {[*RUNS, 'toy-oracle']}", file=sys.stderr)
             return 2
