@@ -10,7 +10,9 @@ then regresses onto that target.  An agent supplies two hooks:
 C-contiguous (branches, batch) array, with their backward pass: a strided
 error row would sum its squares in another order than a per-branch loop.
 Sub-action a of branch j is stacked row ``offsets[j] + a``, so a batch's
-taken entries are one index, ``actions + offsets``.
+taken entries are one index, ``actions + offsets``.  A TD target prices
+all branches in one gather from the stacked target scores, and the Bayes
+backward pass overwrites its (batch, branches, features) taken means.
 
 * ``EGreedyAgent`` keeps linear Q heads on the branch features: its scores
   are the Q rows, and the taken scores' gradient scatters into them.  It
@@ -98,6 +100,13 @@ class AgentConfig:
             raise ValueError("schedule periods must be positive")
         if not (0.0 <= self.eps_min <= self.eps_max <= 1.0):
             raise ValueError("need 0 <= eps_min <= eps_max <= 1")
+        if min(self.batch_size, self.blr_dataset_cap) < 1:
+            raise ValueError("batch_size and blr_dataset_cap must be positive")
+        if self.buffer_capacity < self.batch_size:
+            # the ring would never hold a batch, so no step would ever train
+            raise ValueError(
+                f"buffer_capacity {self.buffer_capacity} is below batch_size {self.batch_size}"
+            )
 
 
 class ReplayBuffer:
@@ -205,32 +214,28 @@ def td_target(
     terminal: np.ndarray,
     gamma: float,
     select_scores: list[np.ndarray],
-    eval_scores: list[np.ndarray],
+    eval_scores: np.ndarray,
+    offsets: np.ndarray,
     n_bs: int,
 ) -> np.ndarray:
     """Branched double-Q target: one global value shared by all branches.
 
     Branch j's next sub-action is the argmax of ``select_scores[j]`` (the
     online network's Q row, or the sampled weights on online features) and
-    is priced by ``eval_scores[j]`` (the target network's Q row, or the
-    target weights on target features).  The branches split evenly over
-    ``n_bs`` BSs, in BS order: per BS the branch values are averaged, then
-    the per-BS means are averaged; ties in the argmax go to the lowest
-    sub-action index.  A terminal transition keeps its reward.  Plain
-    double DQN is the one-branch case.
+    is priced by column ``offsets[j] + a`` of ``eval_scores``, the stacked
+    (batch, sub-actions) target scores (target Q rows, or the target
+    weights on target features).  The branches split evenly over ``n_bs``
+    BSs, in BS order: per BS the branch values are summed in order (pairwise
+    in a one-row batch with 8 or more) and averaged, then the per-BS means
+    likewise; argmax ties go to the lowest sub-action index.  A terminal
+    transition keeps its reward.  Plain double DQN is the one-branch case.
     """
     batch = len(rewards)
-    rows = np.arange(batch)
+    best = np.array([np.argmax(s, axis=1) for s in select_scores]) + offsets[:, None]
+    values = eval_scores[np.arange(batch), best]        # (branches, batch)
     m = len(select_scores) // n_bs
-    boot = np.zeros(batch)
-    for k in range(n_bs):
-        bs_acc = np.zeros(batch)
-        for j in range(k * m, (k + 1) * m):
-            best = np.argmax(select_scores[j], axis=1)
-            bs_acc = bs_acc + eval_scores[j][rows, best]
-        boot = boot + bs_acc / m
-    u = rewards + gamma * (boot / n_bs)
-    return np.where(terminal, rewards, u)
+    boot = np.sum(np.sum(values.reshape(n_bs, m, batch), axis=1) / m, axis=0) / n_bs
+    return np.where(terminal, rewards, rewards + gamma * boot)
 
 
 # -- Bayesian linear regression --------------------------------------------
@@ -336,14 +341,6 @@ class Posterior:
         self.omega_tilde = self.mu.copy()
 
 
-def branch_scores(
-    phis: list[np.ndarray], weights: np.ndarray, cols: list[slice]
-) -> list[np.ndarray]:
-    """Per branch, the (rows, sub-actions) products of branch j's features
-    ``phis[j]`` with its rows ``cols[j]`` of the stacked ``weights``."""
-    return [phi @ weights[c].T for phi, c in zip(phis, cols)]
-
-
 def branch_argmax(scores: list[np.ndarray]) -> np.ndarray:
     """Per-branch best sub-action of one state's (1, sub-actions) score
     rows; ties go to the lowest index."""
@@ -419,8 +416,8 @@ class _AgentBase:
         self.target_net.load_params(self.net.params)
         self.buffer.clear_target_scores()
 
-    def _target_scores(self, batch: dict[str, np.ndarray]) -> list[np.ndarray]:
-        """Per-branch target scores of ``batch["next_state"]``.
+    def _target_scores(self, batch: dict[str, np.ndarray]) -> np.ndarray:
+        """Stacked (batch, sub-actions) target scores of ``batch["next_state"]``.
 
         A batch drawn from the replay ring (one with an ``index``) reads them
         from the ring's cache: the rows missing there are scored in one
@@ -428,7 +425,8 @@ class _AgentBase:
         """
         index = batch.get("index")
         if index is None:
-            return self._scores(self.target_net, batch["next_state"], "omega_tilde")
+            fresh = self._scores(self.target_net, batch["next_state"], "omega_tilde")
+            return np.concatenate(fresh, axis=1)
         buf = self.buffer
         missing = ~buf.score_valid[index]
         n = int(np.count_nonzero(missing))
@@ -442,15 +440,14 @@ class _AgentBase:
             fresh = self._scores(self.target_net, x, "omega_tilde")
             buf.target_scores[slots] = np.concatenate(fresh, axis=1)[:n]
             buf.score_valid[slots] = True
-        scores = buf.target_scores[index]
-        return [scores[:, cols] for cols in self.cols]
+        return buf.target_scores[index]
 
     def compute_targets(self, batch: dict[str, np.ndarray]) -> np.ndarray:
         """TD targets of a batch: online selection, target pricing."""
         return td_target(
             batch["reward"], batch["terminal"], self.config.gamma,
             self._scores(self.net, batch["next_state"], "omega"),
-            self._target_scores(batch), self.layout.n_bs,
+            self._target_scores(batch), self.offsets, self.layout.n_bs,
         )
 
     def train_step(self) -> float | None:
@@ -553,7 +550,8 @@ class BayesAgent(_AgentBase):
         self.posterior.sync_target()
 
     def _scores(self, net, states, which):
-        return branch_scores(net.features(states), getattr(self.posterior, which), self.cols)
+        weights = getattr(self.posterior, which)
+        return [phi @ weights[c].T for phi, c in zip(net.features(states), self.cols)]
 
     def _taken(self, states, actions):
         """Posterior-mean Q of the taken sub-actions: the feature network

@@ -237,13 +237,18 @@ def write_step_csv(path, steps) -> None:
             ])
 
 
+def derived_seeds(seed: int) -> tuple[int, int, int]:
+    """The utilization-noise, agent and episode-noise seeds that experiment
+    seed ``seed`` derives; episode e's noise seed is the last plus e."""
+    return tuple(int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(3))
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     """Execute the experiment per seed; returns the written file paths."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for seed in cfg.seeds:
-        ss = np.random.SeedSequence(seed)
-        util_seed, agent_seed, ep_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(3))
+        util_seed, agent_seed, ep_seed = derived_seeds(seed)
         env = build_env(cfg, util_seed=util_seed)
         agent_cfg = dataclasses.replace(cfg.agent, seed=agent_seed)
         agent = make_agent(env.layout, env.state_dim, agent_cfg)
@@ -280,12 +285,16 @@ def run_oracle(cfg: ExperimentConfig, limit: int = 1_000_000) -> OracleResult:
     the cell-rate cap are scored clipped.  Reconfiguration charges appear
     only in the first slot (the change away from the initial configuration);
     with stationary demands and a noise-free utilization model each later
-    slot costs the same, which the evaluation exploits.
+    slot costs the same, which the evaluation exploits.  Under utilization
+    noise every action's episode draws the same noise, the stream that
+    ``run_experiment`` seeds episode 0 of the first seed with, so actions
+    are compared on equal terms and the result is reproducible.
     """
     env = build_env(cfg)
     actions = enumerate_actions(env.layout, limit=limit)    # refuses before any demand is built
     demands = env.ingest(make_demand_provider(cfg, cfg.seeds[0])(0))
     stationary = env.util.noise_std == 0.0 and bool(np.all(demands == demands[0]))
+    noise_seed = None if stationary else derived_seeds(cfg.seeds[0])[2]    # ~50 us: only if used
     T = len(demands)
     best_action = None
     best_reward = -math.inf
@@ -293,12 +302,13 @@ def run_oracle(cfg: ExperimentConfig, limit: int = 1_000_000) -> OracleResult:
     for action in actions:
         count += 1
         first = State(0, demands[0], env.initial_action)
-        r0 = env.compute_costs(first, action).reward
         if stationary:
+            r0 = env.compute_costs(first, action).reward
             steady = env.compute_costs(State(1, demands[1 % T], action), action).reward
             avg = (r0 + (T - 1) * steady) / T
         else:
-            total = r0
+            env.util.reseed(noise_seed)
+            total = env.compute_costs(first, action).reward
             for t in range(1, T):
                 total += env.compute_costs(State(t, demands[t], action), action).reward
             avg = total / T
@@ -342,7 +352,8 @@ def _read_mean_rewards(path: Path) -> list[float]:
 
 def compare_runs(paths) -> list[RunSummary]:
     """Summarize runs: mean episodic reward over the last 20% of episodes,
-    episodes-to-convergence, and percent difference versus the first run."""
+    episodes-to-convergence, and signed percent difference versus the first
+    run, positive when a run's mean reward is higher."""
     paths = [Path(p) for p in paths]
     if len(paths) < 2:
         raise ValueError("need at least two metric files to compare")
@@ -352,7 +363,7 @@ def compare_runs(paths) -> list[RunSummary]:
         raise ValueError(f"episode counts differ across files: {sorted(lengths)}")
     means = [_tail_mean(s) for s in series]
     base = means[0]
-    pcts = [0.0] + [100.0 * abs(m - base) / abs(base) if base else math.inf for m in means[1:]]
+    pcts = [0.0] + [100.0 * (m - base) / abs(base) if base else math.inf for m in means[1:]]
     return [RunSummary(*row) for row in zip(paths, means, map(_convergence_episode, series), pcts)]
 
 
@@ -361,6 +372,6 @@ def format_comparison(summaries: list[RunSummary]) -> str:
     for s in summaries:
         lines.append(
             f"{s.path.name:<40} {s.mean_reward_last20:>16.4f} "
-            f"{s.convergence_episode:>11d} {s.pct_vs_first:>8.2f}%"
+            f"{s.convergence_episode:>11d} {s.pct_vs_first:>+8.2f}%"
         )
     return "\n".join(lines)

@@ -170,13 +170,15 @@ class BranchingQNet:
 
     # -- backward ---------------------------------------------------------
 
-    def backward_from_features(self, d_phis: list[np.ndarray]) -> None:
+    def backward_from_features(self, d_phis) -> None:
         """Backpropagate given the loss gradient at every branch's features,
-        filling ``grads``; releases the forward pass's activations."""
+        a (J, batch, F) stack, filling ``grads``; releases the forward
+        pass's activations.  The stack is overwritten if it is the
+        ``swapaxes(0, 1)`` view of a C-ordered array, else copied."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         (inputs, mask, _), self._cache = self._cache, None
-        dz = np.concatenate(d_phis, axis=1)
+        dz = np.asarray(d_phis).swapaxes(0, 1).reshape(mask.shape)
         dz *= mask
         np.matmul(inputs[-1].T, dz, out=self.dw.branch)
         np.sum(dz, axis=0, out=self.dw.branch_bias)
@@ -195,11 +197,11 @@ class BranchingQNet:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         z = self._cache[2]
-        d_phis = []
-        for cols, w, dw, d_q in zip(self._cols, self.w.heads, self.dw.heads, d_qs):
-            np.matmul(z[:, cols].T, d_q, out=dw)
-            d_phis.append(d_q @ w.T)
-        self.backward_from_features(d_phis)
+        d_phi = np.empty((len(z), self.n_branches, self.feature_dim))
+        for j, (w, dw, d_q) in enumerate(zip(self.w.heads, self.dw.heads, d_qs)):
+            np.matmul(z[:, self._cols[j]].T, d_q, out=dw)
+            np.matmul(d_q, w.T, out=d_phi[:, j])
+        self.backward_from_features(d_phi.swapaxes(0, 1))
 
     # -- parameter plumbing -------------------------------------------------
 

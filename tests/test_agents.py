@@ -12,7 +12,6 @@ from oranmec.agents import (
     ReplayBuffer,
     blr_posterior,
     branch_argmax,
-    branch_scores,
     branch_slices,
     evaluate_greedy,
     make_agent,
@@ -27,6 +26,21 @@ TOY_LAYOUT = ActionLayout(
     n_bs=1, du_servers=(2, 3), cu_servers=(4,), bbu_flavors=(0, 1, 2, 3),
     n_services=2,
 )
+
+
+class TestAgentConfig:
+    @pytest.mark.parametrize("fields", [
+        {"blr_dataset_cap": 0},             # [-0:] would keep every row
+        {"blr_dataset_cap": -2},            # [2:] would drop the oldest two
+        {"batch_size": 0},
+        {"buffer_capacity": 64, "batch_size": 128},     # never a full batch
+    ], ids=["cap-zero", "cap-negative", "batch-zero", "ring-below-batch"])
+    def test_sizes_are_validated(self, fields):
+        with pytest.raises(ValueError):
+            AgentConfig(**fields)
+
+    def test_ring_of_exactly_one_batch_is_accepted(self):
+        assert AgentConfig(buffer_capacity=128, batch_size=128).batch_size == 128
 
 
 class TestReplayBuffer:
@@ -198,6 +212,30 @@ class TestEGreedySelection:
             select_action_egreedy([np.array([[1.0]])], 1.5, rng)
 
 
+def _td(rewards, terminal, gamma, select_scores, eval_scores, n_bs):
+    """``td_target`` with per-branch target scores stacked as the ring
+    caches them."""
+    offsets = np.cumsum([0] + [s.shape[1] for s in eval_scores[:-1]])
+    return td_target(
+        rewards, terminal, gamma, select_scores,
+        np.concatenate(eval_scores, axis=1), offsets, n_bs,
+    )
+
+
+def _nested_td(rewards, terminal, gamma, select_scores, eval_scores, n_bs):
+    """The branched double-Q target as a loop over BSs and their branches:
+    the reference that the stacked ``td_target`` must match bit for bit."""
+    rows = np.arange(len(rewards))
+    m = len(select_scores) // n_bs
+    boot = np.zeros(len(rewards))
+    for k in range(n_bs):
+        bs_acc = np.zeros(len(rewards))
+        for j in range(k * m, (k + 1) * m):
+            bs_acc = bs_acc + eval_scores[j][rows, np.argmax(select_scores[j], axis=1)]
+        boot = boot + bs_acc / m
+    return np.where(terminal, rewards, rewards + gamma * (boot / n_bs))
+
+
 class TestTdTargets:
     def test_collapses_to_plain_ddqn(self, rng):
         for _ in range(50):
@@ -209,11 +247,11 @@ class TestTdTargets:
             # plain double DQN: online argmax, target price, reward at the end
             best = np.argmax(q_on, axis=1)
             plain = np.where(term, r, r + 0.9 * q_tg[np.arange(B), best])
-            branched = td_target(r, term, 0.9, [q_on], [q_tg], n_bs=1)
+            branched = td_target(r, term, 0.9, [q_on], q_tg, np.array([0]), n_bs=1)
             assert np.array_equal(plain, branched)
 
     def test_terminal_uses_reward_only(self):
-        u = td_target(
+        u = _td(
             np.array([-5.0]), np.array([True]), 1.0,
             [np.array([[1.0, 2.0]])], [np.array([[9.0, 9.0]])], n_bs=1,
         )
@@ -224,7 +262,7 @@ class TestTdTargets:
         # u = 1 + 1 * (2 + 4) / 2 = 4
         q_on = [np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])]
         q_tg = [np.array([[9.0, 2.0]]), np.array([[4.0, 9.0]])]
-        u = td_target(np.array([1.0]), np.array([False]), 1.0, q_on, q_tg, n_bs=1)
+        u = _td(np.array([1.0]), np.array([False]), 1.0, q_on, q_tg, n_bs=1)
         assert u[0] == 4.0
 
     def test_bayes_target_collapse(self, rng):
@@ -233,13 +271,13 @@ class TestTdTargets:
         scores = [rng.normal(size=(4, 3))]
         r = rng.normal(size=4)
         term = np.zeros(4, dtype=bool)
-        u = td_target(r, term, 0.5, scores, scores, n_bs=1)
+        u = _td(r, term, 0.5, scores, scores, n_bs=1)
         assert np.allclose(u, r + 0.5 * scores[0].max(axis=1))
 
     def test_bayes_two_branch_hand_case(self):
         on = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
         tg = [np.array([[1.0, 9.0]]), np.array([[9.0, 3.0]])]
-        u = td_target(np.array([0.0]), np.array([False]), 1.0, on, tg, n_bs=1)
+        u = _td(np.array([0.0]), np.array([False]), 1.0, on, tg, n_bs=1)
         assert u[0] == 2.0                      # (1 + 3) / 2
 
     def test_two_bs_hand_case(self):
@@ -247,7 +285,7 @@ class TestTdTargets:
         # u = 1 + 0.5 * (3 + 7) / 2 = 3.5
         on = _rows([0, 1], [1, 0], [0, 1], [1, 0])
         tg = _rows([9, 2], [4, 9], [9, 6], [8, 9])
-        u = td_target(np.array([1.0]), np.array([False]), 0.5, on, tg, n_bs=2)
+        u = _td(np.array([1.0]), np.array([False]), 0.5, on, tg, n_bs=2)
         assert u[0] == 3.5
 
     def test_two_bs_sums_per_bs_then_across(self):
@@ -255,12 +293,26 @@ class TestTdTargets:
         # per-BS sums agree in exact arithmetic; each rounds differently
         vals = [0.1, 0.1, 0.1, 0.1, 0.1, 0.2]
         scores = [np.array([[v]]) for v in vals]
-        u = td_target(np.array([0.0]), np.array([False]), 1.0, scores, scores, n_bs=2)
+        u = _td(np.array([0.0]), np.array([False]), 1.0, scores, scores, n_bs=2)
         per_bs = ((0.1 + 0.1 + 0.1) / 3 + (0.1 + 0.1 + 0.2) / 3) / 2
         flat = (0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.2) / 6
         of_bs_sums = ((0.1 + 0.1 + 0.1) + (0.1 + 0.1 + 0.2)) / 6
         assert len({per_bs, flat, of_bs_sums}) == 3
         assert u[0] == per_bs
+
+    def test_default_shape_matches_a_nested_loop(self, rng):
+        # 4 BSs x 9 branches of 2-12 sub-actions, batch 128; the selection
+        # scores hold ties and the priced values span 1 to 1e5
+        n_bs, m, B = 4, 9, 128
+        sizes = rng.integers(2, 13, size=n_bs * m)
+        for _ in range(20):
+            on = [rng.integers(0, 3, size=(B, n)).astype(float) for n in sizes]
+            tg = [rng.normal(size=(B, n)) * 10.0 ** rng.uniform(0, 5) for n in sizes]
+            r = rng.normal(size=B) * 100.0
+            term = rng.uniform(size=B) < 0.1
+            assert np.array_equal(
+                _td(r, term, 0.9, on, tg, n_bs), _nested_td(r, term, 0.9, on, tg, n_bs)
+            )
 
 
 def _cov(scale: np.ndarray) -> np.ndarray:
@@ -413,7 +465,7 @@ def _rows(*rows):
 
 def _argmax(post, phis, weights):
     """Per-branch best sub-action of one state's features under ``weights``."""
-    return branch_argmax(branch_scores(phis, weights, post.cols))
+    return branch_argmax([phi @ weights[c].T for phi, c in zip(phis, post.cols)])
 
 
 class TestThompsonSelection:

@@ -73,6 +73,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="learning_rate"):
             load_experiment_config(path)
 
+    def test_agent_sizes_rejected(self, tmp_path):
+        path = toy_config(tmp_path)
+        raw = yaml.safe_load(path.read_text())
+        raw["agent"]["blr_dataset_cap"] = 0
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match="blr_dataset_cap"):
+            load_experiment_config(path)
+
     def test_reward_gamma_rejected(self, tmp_path):
         # the discount is agent.gamma; a reward-level gamma would do nothing
         path = toy_config(tmp_path)
@@ -238,6 +246,17 @@ class TestOracle:
         assert a.action == b.action
         assert a.mean_reward == b.mean_reward
 
+    def test_noisy_utilization_scores_reproducibly(self, tmp_path):
+        # every action's episode draws the same noise, so repeat calls agree
+        path = toy_config(
+            tmp_path, episode_slots=3,
+            utilization={"platform": "A", "noise_std": 0.3, "params": {
+                "bbu_base": 0.2, "bbu_slope": 1.2, "mec_base": 0.2, "mec_slope": 1.0}},
+        )
+        cfg = load_experiment_config(path)
+        a, b = run_oracle(cfg), run_oracle(cfg)
+        assert (a.action, a.mean_reward) == (b.action, b.mean_reward)
+
     def test_oversized_space_refused(self, tmp_path):
         cfg = load_experiment_config(toy_config(tmp_path))
         with pytest.raises(ActionSpaceTooLarge, match="8192"):
@@ -308,6 +327,15 @@ class TestCompareRuns:
         b = self._write(tmp_path / "b.csv", [-30.0] * 10)
         out = compare_runs([a, b])
         assert out[1].pct_vs_first == pytest.approx(25.0)
+
+    def test_worse_run_reads_negative(self, tmp_path):
+        a = self._write(tmp_path / "a.csv", [-40.0] * 10)
+        better = self._write(tmp_path / "better.csv", [-30.0] * 10)
+        worse = self._write(tmp_path / "worse.csv", [-50.0] * 10)
+        out = compare_runs([a, better, worse])
+        assert out[2].pct_vs_first == pytest.approx(-25.0)
+        table = harness.format_comparison(out).splitlines()
+        assert table[2].endswith("+25.00%") and table[3].endswith("-25.00%")
 
     def test_mismatched_lengths_rejected(self, tmp_path):
         a = self._write(tmp_path / "a.csv", [-1.0] * 5)

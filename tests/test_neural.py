@@ -361,6 +361,25 @@ class TestFusedBranches:
         net.params[:] = 0.0
         assert all(np.all(p == 0.0) for p in net.parameters())
 
+    def test_feature_gradient_stack_is_used_in_place(self):
+        # a list of J gradients and the (J, B, F) transposed view of a
+        # C-ordered (B, J, F) array give the same grads; the view is the
+        # branch layer's gradient and comes back masked
+        rng = np.random.default_rng(23)
+        net = small_net(seed=19, with_heads=False)
+        x = rng.normal(size=(7, 5))
+        d_phi = rng.normal(size=(7, net.n_branches, net.feature_dim))
+        net.features(x)
+        net.backward_from_features([d_phi[:, j] for j in range(net.n_branches)])
+        want = net.grads.copy()
+        net.grads[...] = np.nan
+        stack = d_phi.copy()
+        active = np.stack(net.features(x), axis=1) > 0
+        net.backward_from_features(stack.swapaxes(0, 1))
+        assert np.array_equal(net.grads, want)
+        assert not active.all()
+        assert np.array_equal(stack, d_phi * active)
+
     def test_seeded_init_draws_branch_by_branch(self):
         # the draw order of a network with one dense layer per branch
         net = small_net(seed=18)

@@ -6,13 +6,16 @@ Run from the repository root on two trees and compare the output:
     PYTHONPATH=src python3 tools/identity.py toy-egreedy
 
 Each training run prints the sha256 of its slot rewards written as
-``float.hex`` (one per line), the sha256 of the final ``net.params`` bytes
-and the ``mean_loss`` of its last three episodes; a Bayes run also prints
-the sha256 of its final posterior means (``posterior.mu``) and sampling
-factors (``posterior.scale``) bytes, which fingerprint the posterior refits
-directly.  ``toy-oracle`` prints the exhaustive oracle's best mean reward.
-Runs are seeded as ``harness.run_experiment`` seeds them, with BLAS on one
-thread as the benchmark runs it.
+``float.hex`` (one per line), the sha256 of the final ``net.params`` bytes,
+the ``mean_loss`` of its last three episodes and the sha256 of every
+training step's loss written as ``float.hex`` (``step_losses``: a change
+that moves one step's loss in its last bit can leave the episode means
+equal).  A Bayes run also prints the sha256 of its final posterior means
+(``posterior.mu``) and sampling factors (``posterior.scale``) bytes, which
+fingerprint the posterior refits directly.  ``toy-oracle`` prints the
+exhaustive oracle's best mean reward.  Runs are seeded as
+``harness.run_experiment`` seeds them, with BLAS on one thread as the
+benchmark runs it.
 
 ``default-bayes`` never refits a posterior (the first refresh on
 ``default.yaml`` is at slot 1,440), so its posterior means stay zero and
@@ -54,26 +57,41 @@ def sha256(array: np.ndarray) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()
 
 
+def hex_sha256(values) -> str:
+    """sha256 of the floats written as ``float.hex``, one per line."""
+    return hashlib.sha256("\n".join(map(float.hex, values)).encode()).hexdigest()
+
+
 def fingerprint(
     config: str, mode: str, seed: int, episodes: int, overrides: dict
 ) -> str:
     """One seeded training run's fingerprint line: sha256 of the float-hex
     slot rewards and of the final network parameters, the last three
-    episodes' ``mean_loss`` and, for Bayes, sha256 of the final posterior
-    means and sampling factors."""
+    episodes' ``mean_loss``, sha256 of the float-hex per-step losses and,
+    for Bayes, sha256 of the final posterior means and sampling factors."""
     cfg = harness.load_experiment_config(CONFIGS / config)
     ss = np.random.SeedSequence(seed)
     util_seed, agent_seed, ep_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(3))
     env = harness.build_env(cfg, util_seed=util_seed)
     agent_cfg = dataclasses.replace(cfg.agent, mode=mode, seed=agent_seed, **overrides)
     agent = agents.make_agent(env.layout, env.state_dim, agent_cfg)
+    losses = []
+    train_step = agent.train_step
+
+    def recorded_train_step():
+        loss = train_step()
+        if loss is not None:
+            losses.append(loss)
+        return loss
+
+    agent.train_step = recorded_train_step
     provider = harness.make_demand_provider(cfg, seed)
     result = agents.run_training(env, agent, provider, episodes, episode_seed_base=ep_seed)
-    text = "\n".join(float.hex(s.reward) for s in result.steps)
     line = (
-        f"rewards {hashlib.sha256(text.encode()).hexdigest()} "
+        f"rewards {hex_sha256(s.reward for s in result.steps)} "
         f"params {sha256(agent.net.params)} "
-        f"mean_loss {[r.mean_loss for r in result.episodes[-3:]]!r}"
+        f"mean_loss {[r.mean_loss for r in result.episodes[-3:]]!r} "
+        f"step_losses {hex_sha256(losses)}"
     )
     if mode == "bayes":
         post = agent.posterior
