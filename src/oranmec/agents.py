@@ -49,7 +49,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import neural
 from .env import ActionLayout, OranMecEnv
@@ -240,6 +239,14 @@ def td_target(
 
 # -- Bayesian linear regression --------------------------------------------
 
+def _lapack():
+    """scipy's LAPACK wrappers, imported at the first call: only a Bayes
+    agent fits a posterior, and loading ``scipy.linalg`` costs ~27 MB
+    resident and ~250 ms."""
+    from scipy.linalg import lapack
+    return lapack
+
+
 def blr_posterior(
     phis: list[np.ndarray], us: list[np.ndarray], sigma_eps: float, prior_sigma: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -249,27 +256,33 @@ def blr_posterior(
     sample and n_a >= 1, and its targets ``us[a]``; the sets may differ in
     n_a.  Returns stacked (A, d) means and (A, d, d) scales: set a's
     covariance is scale[a] @ scale[a].T, and mean[a] + scale[a] @ z with z
-    standard normal is a posterior draw.  scipy's factor and solves work
-    through a stack matrix by matrix, so each set's result is bit-equal to
-    a fit of that set alone (``np.linalg.cholesky`` on a stack is not).  If
-    any precision in the stack fails to factor, the whole stack gets a
-    small jitter added, with a warning.
+    standard normal is a posterior draw.  Each set is one LAPACK factor
+    (``dpotrf``), one solve for the mean (``dpotrs``) and one triangular
+    solve for the scale (``dtrtrs``), the routines ``scipy.linalg``'s
+    ``cho_factor``, ``cho_solve`` and ``solve_triangular`` call, so each
+    set's result is bit-equal to theirs on that set alone
+    (``np.linalg.cholesky`` on a stack is not).  If any precision in the
+    stack fails to factor, the whole stack gets a small jitter added, with
+    a warning.
     """
+    lapack = _lapack()
     d = phis[0].shape[1]
     precision = np.stack([phi.T @ phi for phi in phis]) / sigma_eps**2 + np.eye(d) / prior_sigma
     rhs = np.stack([phi.T @ u for phi, u in zip(phis, us)]) / sigma_eps**2
     for attempt in range(2):
-        try:
-            chol = scipy.linalg.cho_factor(precision, lower=True)
+        factors = [lapack.dpotrf(p, lower=1, clean=0) for p in precision]
+        if all(info == 0 for _, info in factors):
             break
-        except np.linalg.LinAlgError:
-            if attempt:
-                raise
-            logger.warning("ill-conditioned posterior precision, adding jitter")
-            precision = precision + JITTER * np.eye(d)
-    mu = scipy.linalg.cho_solve(chol, rhs[..., None])[..., 0]     # takes no (A, d) rhs
+        if attempt:
+            raise np.linalg.LinAlgError("posterior precision is not positive definite")
+        logger.warning("ill-conditioned posterior precision, adding jitter")
+        precision = precision + JITTER * np.eye(d)
+    eye = np.eye(d)
+    mu = np.stack([
+        lapack.dpotrs(c, b[:, None], lower=1)[0][:, 0] for (c, _), b in zip(factors, rhs)
+    ])
     # inv(L).T has the right product with its transpose: a valid sampling scale
-    scale = scipy.linalg.solve_triangular(chol[0], np.eye(d), lower=True).swapaxes(-1, -2)
+    scale = np.stack([lapack.dtrtrs(c, eye, lower=1)[0].T for c, _ in factors])
     return mu, scale
 
 
@@ -534,6 +547,7 @@ class BayesAgent(_AgentBase):
 
     def __init__(self, layout: ActionLayout, state_dim: int, config: AgentConfig):
         super().__init__(layout, state_dim, config)
+        _lapack()       # load scipy at set-up, not in the first refresh
         self.posterior = Posterior(
             self.cols, config.feature_dim, config.prior_sigma, config.sigma_eps, self.rng,
         )

@@ -24,6 +24,13 @@ The monetary model itemizes, per slot:
 The reward is the negated total cost minus a weighted delay cost of the
 elastic MEC services.  Constraint violations never abort an episode; they
 only convert into penalties.
+
+Pricing a slot reads constants built once per env: per split id its
+``CompositeSplit`` and (HLS, LLS) deadlines, per BS and (DU, CU) placement
+the (FH, MH) route delays, the class ids and the inelastic set.  Each
+layout builds its branch domains once.  ``compute_costs`` adds every term
+in one fixed order, so a change to it either keeps each cost bit for bit
+or moves the pinned digests in ``tests/test_env_costs.py``.
 """
 from __future__ import annotations
 
@@ -203,6 +210,9 @@ class ActionLayout:
     bbu_flavors: tuple[int, ...] = DEFAULT_FLAVORS
     mec_flavors: tuple[tuple[int, ...], ...] = ()   # one tuple per class
     n_services: int = 2
+    _domains: tuple[tuple[str, tuple], ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
 
     def __post_init__(self):
         if not self.mec_flavors:
@@ -213,6 +223,16 @@ class ActionLayout:
             raise ValueError("need one MEC flavor set per service class")
         if not self.du_servers or not self.cu_servers:
             raise ValueError("layout needs at least one DU and one CU server")
+        classes = range(1, self.n_services + 1)
+        object.__setattr__(self, "_domains", (
+            ("split", self.splits),
+            ("du_server", self.du_servers),
+            ("cu_server", self.cu_servers),
+            ("du_flavor", self.bbu_flavors),
+            ("cu_flavor", self.bbu_flavors),
+            *((f"mec_flavor_{c}", self.mec_flavors[c - 1]) for c in classes),
+            *((f"mec_at_cu_{c}", (0, 1)) for c in classes),
+        ))
 
     @classmethod
     def from_topology(cls, topo: Topology, **fields) -> "ActionLayout":
@@ -222,37 +242,27 @@ class ActionLayout:
             **fields,
         )
 
-    def per_bs_domains(self) -> list[tuple[str, tuple]]:
-        doms: list[tuple[str, tuple]] = [
-            ("split", self.splits),
-            ("du_server", self.du_servers),
-            ("cu_server", self.cu_servers),
-            ("du_flavor", self.bbu_flavors),
-            ("cu_flavor", self.bbu_flavors),
-        ]
-        for c in range(1, self.n_services + 1):
-            doms.append((f"mec_flavor_{c}", self.mec_flavors[c - 1]))
-        for c in range(1, self.n_services + 1):
-            doms.append((f"mec_at_cu_{c}", (0, 1)))
-        return doms
+    def per_bs_domains(self) -> tuple[tuple[str, tuple], ...]:
+        """One BS's ``(branch name, value domain)`` pairs in branch order,
+        built once with the layout."""
+        return self._domains
 
     @property
     def branches_per_bs(self) -> int:
         return 5 + 2 * self.n_services
 
     def branch_sizes(self) -> list[int]:
-        per_bs = [len(dom) for _, dom in self.per_bs_domains()]
-        return per_bs * self.n_bs
+        return [len(dom) for _, dom in self._domains] * self.n_bs
 
     def joint_cardinality(self) -> int:
-        per_bs = math.prod(len(dom) for _, dom in self.per_bs_domains())
+        per_bs = math.prod(len(dom) for _, dom in self._domains)
         return per_bs ** self.n_bs
 
     def action_to_indices(self, action: Action) -> np.ndarray:
         idx: list[int] = []
         for k in range(self.n_bs):
             values = self._bs_values(action, k)
-            for (name, dom), val in zip(self.per_bs_domains(), values):
+            for (name, dom), val in zip(self._domains, values):
                 try:
                     idx.append(dom.index(val))
                 except ValueError:
@@ -265,7 +275,7 @@ class ActionLayout:
         if len(idx) != per * self.n_bs:
             raise ValueError(f"expected {per * self.n_bs} indices, got {len(idx)}")
         split, du_s, cu_s, du_f, cu_f, mec_f, mec_side = [], [], [], [], [], [], []
-        doms = self.per_bs_domains()
+        doms = self._domains
         for k in range(self.n_bs):
             vals = [doms[j][1][idx[k * per + j]] for j in range(per)]
             split.append(vals[0])
@@ -323,10 +333,15 @@ def enumerate_actions(layout: ActionLayout, limit: int = 1_000_000):
 
 
 def _each_action(layout: ActionLayout):
-    domains = [dom for _, dom in layout.per_bs_domains()]
-    per = layout.branches_per_bs
-    for combo in itertools.product(*(range(len(d)) for d in domains)):
-        yield layout.indices_to_action(list(combo[:per]))
+    """Each action of a one-BS layout, built straight from its values in the
+    order of ``itertools.product`` over the branch domains."""
+    n = layout.n_services
+    values = itertools.product(*(dom for _, dom in layout.per_bs_domains()))
+    for split, du, cu, x, y, *mec in values:
+        yield Action(
+            split=(split,), du_server=(du,), cu_server=(cu,), du_flavor=(x,), cu_flavor=(y,),
+            mec_flavor=(tuple(mec[:n]),), mec_at_cu=(tuple(mec[n:]),),
+        )
 
 
 class OranMecEnv:
@@ -365,6 +380,16 @@ class OranMecEnv:
         self.layout.action_to_indices(self.initial_action)     # raises if out of domain
         self._demands: np.ndarray | None = None
         self._state: State | None = None
+        # constants of the cost model, built once
+        self._split_rows = {sid: (s, *splits_mod.delay_requirements(s))
+                            for sid, s in splits_mod.SPLITS.items()}
+        self._route_delays = [
+            {(du, cu): (float(e.fh_delay_ms), float(e.mh_delay_ms))
+             for (r, du, cu), e in topo.paths.items() if r == ru}
+            for ru in topo.ru_ids
+        ]
+        self._classes = tuple(range(1, layout.n_services + 1))
+        self._inelastic = frozenset(self.services.inelastic)
 
     # -- episode control -------------------------------------------------
 
@@ -433,15 +458,28 @@ class OranMecEnv:
     # -- cost model -------------------------------------------------------
 
     def compute_costs(self, state: State, action: Action) -> CostBreakdown:
+        """Price one slot: ``action`` taken in ``state``, itemized.
+
+        Constants come from tables built with the env: per split id its
+        ``CompositeSplit`` and (HLS, LLS) deadlines, per BS and (DU, CU)
+        placement the (FH, MH) route delays, the class ids and the inelastic
+        set; a split or placement outside them raises as ``get_split`` and
+        ``Topology.path_entry`` do.  The items accumulate in local floats,
+        each term added in one fixed order: BS by BS, classes left to right,
+        each per-class ``sum`` from int 0, the total in ``_ITEMS`` order.
+        The digests in ``tests/test_env_costs.py`` pin the resulting bits.
+        """
         cfg = self.reward_cfg
-        lay = self.layout
+        util = self.util
+        classes = self._classes
         prev = state.prev
-        out = CostBreakdown()
-        elastic_delay = 0.0
+        compute_du = compute_cu = underprovision = server_capacity = 0.0
+        split_delay = inelastic_delay = instantiation = reconfig_flavor = 0.0
+        mec_migration = server_migration = routing = elastic_delay = 0.0
         server_load: dict[int, float] = {}
 
-        for k in range(lay.n_bs):
-            split = get_split(action.split[k])
+        for k in range(self.layout.n_bs):
+            split, hls_req, lls_req = self._split_row(action.split[k])
             x, y = action.du_flavor[k], action.cu_flavor[k]
             z = action.mec_flavor[k]
             zeta = action.mec_at_cu[k]
@@ -454,72 +492,77 @@ class OranMecEnv:
                 demand = [min(d, DEMAND_CAP_GBPS) for d in demand]
             lam0 = demand[0]
 
-            x_hat, y_hat = self.util.bbu_utilization(split, lam0)
-            z_hat = [
-                self.util.mec_utilization(c, demand[c])
-                for c in range(1, lay.n_services + 1)
-            ]
+            x_hat, y_hat = util.bbu_utilization(split, lam0)
+            z_hat = [util.mec_utilization(c, demand[c]) for c in classes]
 
-            du_side = x + sum((1 - zeta[c]) * z[c] for c in range(lay.n_services))
-            cu_side = y + sum(zeta[c] * z[c] for c in range(lay.n_services))
-            out.compute_du_mec += cfg.kappa_dm * du_side
-            out.compute_cu_mec += cfg.kappa_cm * cu_side
+            du_side = x + sum([(1 - zeta[c - 1]) * z[c - 1] for c in classes])
+            cu_side = y + sum([zeta[c - 1] * z[c - 1] for c in classes])
+            compute_du += cfg.kappa_dm * du_side
+            compute_cu += cfg.kappa_cm * cu_side
 
             shortfall = max(0.0, x_hat - x, y_hat - y)
-            shortfall += sum(
-                max(0.0, z_hat[c] - z[c]) for c in range(lay.n_services)
-            )
-            out.sla_underprovision += cfg.kappa_d * shortfall
+            shortfall += sum([max(0.0, z_hat[c - 1] - z[c - 1]) for c in classes])
+            underprovision += cfg.kappa_d * shortfall
 
             alpha, beta = action.du_server[k], action.cu_server[k]
             server_load[alpha] = server_load.get(alpha, 0.0) + du_side
             server_load[beta] = server_load.get(beta, 0.0) + cu_side
 
-            entry = self.topo.path_entry(self.topo.ru_ids[k], alpha, beta)
-            hls_req, lls_req = splits_mod.delay_requirements(split)
-            out.sla_split_delay += cfg.kappa_d * max(
-                0.0, entry.fh_delay_ms - lls_req, entry.mh_delay_ms - hls_req
-            )
+            fh_delay, mh_delay = self._route_delay(k, alpha, beta)
+            split_delay += cfg.kappa_d * max(0.0, fh_delay - lls_req, mh_delay - hls_req)
 
-            for c in range(1, lay.n_services + 1):
+            for c in classes:
                 d_kc = self._service_delay(
                     demand[c], z[c - 1], z_hat[c - 1], zeta[c - 1],
-                    entry.fh_delay_ms, entry.mh_delay_ms, alpha, beta,
+                    fh_delay, mh_delay, alpha, beta,
                 )
-                if c in self.services.inelastic:
-                    out.sla_inelastic_delay += cfg.kappa_d * max(
-                        0.0, d_kc - cfg.delay_threshold[c]
-                    )
+                if c in self._inelastic:
+                    inelastic_delay += cfg.kappa_d * max(0.0, d_kc - cfg.delay_threshold[c])
                 else:
                     elastic_delay += d_kc
 
-            dz = [z[c] - zp[c] for c in range(lay.n_services)]
-            out.instantiation += cfg.kappa_i * (
-                max(0.0, x - xp) + max(0.0, y - yp) + sum(max(0.0, d) for d in dz)
+            dz = [z[c - 1] - zp[c - 1] for c in classes]
+            instantiation += cfg.kappa_i * (
+                max(0.0, x - xp) + max(0.0, y - yp) + sum([max(0.0, d) for d in dz])
             )
-            out.reconfig_flavor += cfg.kappa_r * (
-                abs(x - xp) + abs(y - yp) + sum(abs(d) for d in dz)
+            reconfig_flavor += cfg.kappa_r * (
+                abs(x - xp) + abs(y - yp) + sum([abs(d) for d in dz])
             )
-            out.reconfig_mec_migration += cfg.kappa_r * sum(
-                z[c] * abs(zeta[c] - zetap[c]) for c in range(lay.n_services)
+            mec_migration += cfg.kappa_r * sum(
+                [z[c - 1] * abs(zeta[c - 1] - zetap[c - 1]) for c in classes]
             )
             moved = du_side * (alpha != prev.du_server[k]) + cu_side * (
                 beta != prev.cu_server[k]
             )
-            out.reconfig_server_migration += cfg.kappa_r * moved
+            server_migration += cfg.kappa_r * moved
 
             fh, mh, bh = splits_mod.segment_loads(split, lam0)
-            out.routing += cfg.kappa_h * (fh + mh + bh)
+            routing += cfg.kappa_h * (fh + mh + bh)
 
         for server, load in server_load.items():
-            out.sla_server_capacity += cfg.kappa_d * max(
-                0.0, load - self.topo.capacity_rc[server]
-            )
+            server_capacity += cfg.kappa_d * max(0.0, load - self.topo.capacity_rc[server])
 
-        out.elastic_delay = elastic_delay
-        out.total = sum(getattr(out, name) for name in CostBreakdown._ITEMS)
-        out.reward = -out.total - cfg.delay_weight * cfg.delay_slope * elastic_delay
-        return out
+        items = (       # in ``CostBreakdown._ITEMS`` order, its first fields
+            compute_du, compute_cu, underprovision, server_capacity, split_delay,
+            inelastic_delay, instantiation, reconfig_flavor, mec_migration,
+            server_migration, routing,
+        )
+        total = sum(items)
+        reward = -total - cfg.delay_weight * cfg.delay_slope * elastic_delay
+        return CostBreakdown(*items, elastic_delay, total, reward)
+
+    def _split_row(self, split_id: str) -> tuple:
+        """``(CompositeSplit, HLS deadline, LLS deadline)`` of a split id."""
+        if split_id not in self._split_rows:
+            get_split(split_id)     # outside the catalogue: raises its KeyError
+        return self._split_rows[split_id]
+
+    def _route_delay(self, k: int, du: int, cu: int) -> tuple[float, float]:
+        """BS k's (FH, MH) delay via ``du`` and ``cu``."""
+        delays = self._route_delays[k]
+        if (du, cu) not in delays:      # no stored route: raises its TopologyError
+            self.topo.path_entry(self.topo.ru_ids[k], du, cu)
+        return delays[du, cu]
 
     def _service_delay(
         self, lam, z, z_hat, at_cu, fh_delay, mh_delay, alpha, beta

@@ -296,15 +296,16 @@ def run_oracle(cfg: ExperimentConfig, limit: int = 1_000_000) -> OracleResult:
     stationary = env.util.noise_std == 0.0 and bool(np.all(demands == demands[0]))
     noise_seed = None if stationary else derived_seeds(cfg.seeds[0])[2]    # ~50 us: only if used
     T = len(demands)
+    first = State(0, demands[0], env.initial_action)     # every action's slot 0
+    steady_demand = demands[1 % T]
     best_action = None
     best_reward = -math.inf
     count = 0
     for action in actions:
         count += 1
-        first = State(0, demands[0], env.initial_action)
         if stationary:
             r0 = env.compute_costs(first, action).reward
-            steady = env.compute_costs(State(1, demands[1 % T], action), action).reward
+            steady = env.compute_costs(State(1, steady_demand, action), action).reward
             avg = (r0 + (T - 1) * steady) / T
         else:
             env.util.reseed(noise_seed)

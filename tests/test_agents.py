@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -344,8 +348,9 @@ class TestBlrPosterior:
                 assert np.abs(mu[a] - mu_ref).max() < 1e-8
 
     def test_stack_is_bit_equal_to_one_fit_per_set(self, rng):
-        # scipy factors and solves a stack matrix by matrix; a batched
-        # np.linalg.cholesky would move the last bits of some sets
+        # one LAPACK call per matrix, as scipy's cho_factor, cho_solve and
+        # solve_triangular make; a batched np.linalg.cholesky would move the
+        # last bits of some sets
         d, sigma_eps, prior = 48, 3.0, 9.0
         phis = [rng.normal(size=(n, d)) for n in (1, 7, 60, 300, 1500)]
         us = [rng.normal(size=len(phi)) for phi in phis]
@@ -359,21 +364,51 @@ class TestBlrPosterior:
 
     def test_a_failed_factor_jitters_the_whole_stack(self, monkeypatch, caplog):
         calls = []
-        factor = scipy.linalg.cho_factor
+        factor = scipy.linalg.lapack.dpotrf
 
-        def fail_once(precision, lower):
+        def fail_once(precision, lower, clean):
             calls.append(precision.copy())
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("not positive definite")
-            return factor(precision, lower=lower)
+            c, info = factor(precision, lower=lower, clean=clean)
+            return c, 1 if len(calls) == 1 else info
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", fail_once)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", fail_once)
         phis = [np.eye(2), np.ones((3, 2))]
         blr_posterior(phis, [np.ones(2), np.ones(3)], 1.0, 1.0)
         assert "jitter" in caplog.text
-        assert len(calls) == 2 and calls[1].shape == (2, 2, 2)
-        for before, after in zip(*calls):       # every set in the stack
+        assert len(calls) == 4      # both sets factored, then both again
+        for before, after in zip(calls[:2], calls[2:]):     # every set in the stack
             assert np.array_equal(after, before + agents.JITTER * np.eye(2))
+
+    def test_a_factor_failing_after_the_jitter_raises(self, monkeypatch):
+        factor = scipy.linalg.lapack.dpotrf
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "dpotrf",
+            lambda precision, lower, clean: (factor(precision, lower=lower, clean=clean)[0], 1),
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            blr_posterior([np.eye(2)], [np.ones(2)], 1.0, 1.0)
+
+
+def test_scipy_loads_only_for_the_bayes_agent():
+    # an oracle pass and an epsilon-greedy agent fit no posterior, so they
+    # leave scipy.linalg (~27 MB resident) unloaded; a Bayes agent loads it
+    # at set-up
+    code = textwrap.dedent("""
+        import dataclasses, sys
+        from oranmec import agents, harness
+        cfg = harness.load_experiment_config(sys.argv[1])
+        harness.run_oracle(cfg)
+        env = harness.build_env(cfg)
+        for mode in ("egreedy", "bayes"):
+            agents.make_agent(env.layout, env.state_dim, dataclasses.replace(cfg.agent, mode=mode))
+            print("scipy.linalg" in sys.modules)
+    """)
+    src = str(CONFIG_DIR.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(CONFIG_DIR / "toy.yaml")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["False", "True"]
 
 
 class TestBranchPosterior:

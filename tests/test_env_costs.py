@@ -12,9 +12,12 @@ Host compute capacities are {2: 20, 3: 4, 4: 100} RC and host 3 processes
 kappa_dm 0.25, kappa_cm 0.125, kappa_d 5, kappa_i = kappa_r = 0.05,
 kappa_h 1, delay weight and slope 1, delta1 = delta2 = 1.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
+from oranmec import harness
 from oranmec.env import (
     Action,
     ActionLayout,
@@ -23,9 +26,15 @@ from oranmec.env import (
     State,
     enumerate_actions,
 )
-from oranmec.topology import build_topology
+from oranmec.topology import TopologyError, build_topology
 from oranmec.workload import UtilizationModel
-from tests.conftest import COST_TOPOLOGY, chain_config, make_cost_env, make_toy_env
+from tests.conftest import (
+    CONFIG_DIR,
+    COST_TOPOLOGY,
+    chain_config,
+    make_cost_env,
+    make_toy_env,
+)
 
 APPROX = dict(abs=1e-12)
 
@@ -363,6 +372,21 @@ class TestCostProperties:
         assert all(a <= b for a, b in zip(delays, delays[1:]))
 
 
+class TestUnknownChoices:
+    """A split or a server outside the env's tables raises as ``get_split``
+    and ``Topology.path_entry`` do."""
+
+    @pytest.mark.parametrize("action, error, text", [
+        (act(split="S9"), KeyError, "unknown split 'S9'"),
+        (act(du=7), TopologyError, "node 7 is not a DU server"),
+        (act(cu=2), TopologyError, "node 2 is not a CU server"),
+    ], ids=["split", "du", "cu"])
+    def test_raises_the_catalogue_error(self, action, error, text):
+        env = build_env()
+        with pytest.raises(error, match=text):
+            env.compute_costs(state_for(env, (1, 1, 1), env.initial_action), action)
+
+
 class TestGreedyOneStepOracle:
     """Exhaustive one-step argmax versus hand-computed optima."""
 
@@ -442,3 +466,47 @@ class TestCostTypes:
             costs = env.compute_costs(State(0, demand, random_action()), random_action())
             for name, value in costs.as_dict().items():
                 assert type(value) is float, (name, type(value))
+
+
+class TestCostDigest:
+    """The cost model pinned bit for bit: the sha256 of every ``CostBreakdown``
+    field written as ``float.hex``, one per line, over a fixed set of
+    pricings.  The ``approx`` checks above would pass a reordered sum; this
+    fails on one moved last bit.  The digests were taken from the cost model
+    before it priced from per-env tables."""
+
+    TOY_DIGEST = "ab3ef2664cd9795430046daa09d43311d07eeb1b8594d0ee953443c653388037"
+    DEFAULT_DIGEST = "5a18de827ab49d51059850500e1914df58ef082b0061d13dd44abfa7732e3aee"
+
+    @staticmethod
+    def _digest(breakdowns) -> str:
+        lines = (float.hex(v) for c in breakdowns for v in c.as_dict().values())
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    @staticmethod
+    def _env_and_demands(name):
+        cfg = harness.load_experiment_config(CONFIG_DIR / name)
+        env = harness.build_env(cfg)
+        return env, env.ingest(harness.make_demand_provider(cfg, cfg.seeds[0])(0))
+
+    def test_every_toy_action_at_slot_zero_and_the_steady_slot(self):
+        env, demands = self._env_and_demands("toy.yaml")
+        first = State(0, demands[0], env.initial_action)
+        costs = []
+        for a in enumerate_actions(env.layout):
+            costs.append(env.compute_costs(first, a))
+            costs.append(env.compute_costs(State(1, demands[1], a), a))
+        assert len(costs) == 2 * 8192
+        assert self._digest(costs) == self.TOY_DIGEST
+
+    def test_random_default_slots_and_actions(self):
+        env, demands = self._env_and_demands("default.yaml")
+        sizes = env.layout.branch_sizes()
+        rng = np.random.default_rng(2312)
+        costs = []
+        for _ in range(300):
+            t = int(rng.integers(len(demands)))
+            prev = env.layout.indices_to_action(rng.integers(sizes))
+            action = env.layout.indices_to_action(rng.integers(sizes))
+            costs.append(env.compute_costs(State(t, demands[t], prev), action))
+        assert self._digest(costs) == self.DEFAULT_DIGEST

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.util
 import time
 
 import numpy as np
@@ -217,6 +218,17 @@ class TestRunExperiment:
         start = time.monotonic()
         run_experiment(cfg)
         assert time.monotonic() - start < 10.0
+
+
+def test_identity_tool_splits_seeds_as_the_harness():
+    # tools/identity.py writes the split out so that it runs on older trees;
+    # seeded unlike run_experiment, its fingerprints would compare nothing
+    path = CONFIG_DIR.parent / "tools" / "identity.py"
+    spec = importlib.util.spec_from_file_location("identity", path)
+    identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity)
+    for seed in range(21):
+        assert identity.derived_seeds(seed) == harness.derived_seeds(seed)
 
 
 class TestOracle:

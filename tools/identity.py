@@ -62,6 +62,13 @@ def hex_sha256(values) -> str:
     return hashlib.sha256("\n".join(map(float.hex, values)).encode()).hexdigest()
 
 
+def derived_seeds(seed: int) -> tuple[int, int, int]:
+    """The utilization-noise, agent and episode-noise seeds of experiment
+    seed ``seed``: ``harness.derived_seeds``, written out here so that the
+    tool also runs on trees that predate that helper."""
+    return tuple(int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(3))
+
+
 def fingerprint(
     config: str, mode: str, seed: int, episodes: int, overrides: dict
 ) -> str:
@@ -70,8 +77,7 @@ def fingerprint(
     episodes' ``mean_loss``, sha256 of the float-hex per-step losses and,
     for Bayes, sha256 of the final posterior means and sampling factors."""
     cfg = harness.load_experiment_config(CONFIGS / config)
-    ss = np.random.SeedSequence(seed)
-    util_seed, agent_seed, ep_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(3))
+    util_seed, agent_seed, ep_seed = derived_seeds(seed)
     env = harness.build_env(cfg, util_seed=util_seed)
     agent_cfg = dataclasses.replace(cfg.agent, mode=mode, seed=agent_seed, **overrides)
     agent = agents.make_agent(env.layout, env.state_dim, agent_cfg)
