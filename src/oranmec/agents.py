@@ -732,8 +732,7 @@ def run_training(
             if bayes and count % cfg.T_p == 0:
                 agent.update_posteriors()
             idx = agent.select_action(state_vec, episode=e)
-            action = env.layout.indices_to_action(idx)
-            next_state, reward, costs, terminal = env.step(action)
+            next_state, reward, costs, terminal = env.step(idx)
             next_vec = env.encode_state(next_state)
             agent.store(state_vec, idx, reward, next_vec, terminal)
             loss = agent.train_step()
@@ -784,7 +783,7 @@ def evaluate_greedy(env: OranMecEnv, agent, demands, noise_seed: int | None = No
     t = 0
     while not terminal:
         idx = agent.greedy_action(env.encode_state(state))
-        state, reward, _, terminal = env.step(env.layout.indices_to_action(idx))
+        state, reward, _, terminal = env.step(idx)
         total += reward
         t += 1
     return total / t

@@ -9,6 +9,13 @@ hosting side (DU- or CU-colocated).  Routing follows from the placement via
 the topology's stored shortest paths, so it is part of the environment, not
 of the action.
 
+An action is a row of branch indices, as the agents choose and store it: a
+tuple of Python ints, one per branch, BS by BS in ``ActionLayout``'s branch
+order, each an index into its branch's value domain.  ``step``,
+``compute_costs``, ``State.prev``, ``initial_action`` and
+``enumerate_actions`` all take or give rows.  ``Action`` holds the same
+choice as values, for people to write and read.
+
 The monetary model itemizes, per slot:
 
   * compute reservation for DU-side and CU-side instances (CU-side capacity
@@ -25,12 +32,14 @@ The reward is the negated total cost minus a weighted delay cost of the
 elastic MEC services.  Constraint violations never abort an episode; they
 only convert into penalties.
 
-Pricing a slot reads constants built once per env: per split id its
-``CompositeSplit`` and (HLS, LLS) deadlines, per BS and (DU, CU) placement
-the (FH, MH) route delays, the class ids and the inelastic set.  Each
-layout builds its branch domains once.  ``compute_costs`` adds every term
-in one fixed order, so a change to it either keeps each cost bit for bit
-or moves the pinned digests in ``tests/test_env_costs.py``.
+Pricing a slot reads constants built once per env and keyed by index: per
+split index its ``CompositeSplit`` and (HLS, LLS) deadlines, per BS and
+(DU, CU) index pair the (FH, MH) route delays, and every other branch's
+values.  Building them resolves every split and route of the layout, so an
+unknown split or an unrouted server raises when the env is built.
+``compute_costs`` adds every term in one fixed order, so a change to it
+either keeps each cost bit for bit or moves the pinned digests in
+``tests/test_env_costs.py``; ``encode_state`` is pinned there too.
 """
 from __future__ import annotations
 
@@ -38,6 +47,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field, fields
+from operator import getitem
 
 import numpy as np
 
@@ -62,7 +72,9 @@ class EpisodeExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class Action:
-    """Per-BS control tuple; every field is indexed by BS.
+    """Per-BS control tuple in domain values; every field is indexed by BS.
+    The env takes the same choice as a row of branch indices
+    (``ActionLayout.action_to_indices``).
 
     ``mec_flavor[k][c-1]`` and ``mec_at_cu[k][c-1]`` refer to MEC class c.
     ``mec_at_cu`` is 1 when the class is hosted with the CU, 0 with the DU.
@@ -84,7 +96,7 @@ class State:
 
     t: int
     demand: np.ndarray          # (K, 1 + C), read-only
-    prev: Action
+    prev: tuple[int, ...]       # the previous slot's action row
 
     def __post_init__(self):
         self.demand.setflags(write=False)
@@ -258,66 +270,41 @@ class ActionLayout:
         per_bs = math.prod(len(dom) for _, dom in self._domains)
         return per_bs ** self.n_bs
 
-    def action_to_indices(self, action: Action) -> np.ndarray:
+    def action_to_indices(self, action: Action) -> tuple[int, ...]:
+        """``action``'s row of branch indices; a value outside its domain
+        raises ValueError."""
         idx: list[int] = []
         for k in range(self.n_bs):
-            values = self._bs_values(action, k)
-            for (name, dom), val in zip(self._domains, values):
+            *values, mec_flavor, mec_at_cu = (getattr(action, f.name)[k] for f in fields(Action))
+            for (name, dom), val in zip(self._domains, [*values, *mec_flavor, *mec_at_cu]):
                 try:
                     idx.append(dom.index(val))
                 except ValueError:
                     raise ValueError(f"BS {k}: {name}={val!r} not in domain {dom}") from None
-        return np.asarray(idx, dtype=np.int64)
+        return tuple(idx)
 
     def indices_to_action(self, idx) -> Action:
-        idx = list(idx)
-        per = self.branches_per_bs
+        """The ``Action`` of a row of branch indices."""
+        idx, per, n = list(idx), self.branches_per_bs, self.n_services
         if len(idx) != per * self.n_bs:
             raise ValueError(f"expected {per * self.n_bs} indices, got {len(idx)}")
-        split, du_s, cu_s, du_f, cu_f, mec_f, mec_side = [], [], [], [], [], [], []
-        doms = self._domains
-        for k in range(self.n_bs):
-            vals = [doms[j][1][idx[k * per + j]] for j in range(per)]
-            split.append(vals[0])
-            du_s.append(vals[1])
-            cu_s.append(vals[2])
-            du_f.append(vals[3])
-            cu_f.append(vals[4])
-            mec_f.append(tuple(vals[5:5 + self.n_services]))
-            mec_side.append(tuple(vals[5 + self.n_services:]))
+        rows = [[dom[i] for (_, dom), i in zip(self._domains, idx[k * per:(k + 1) * per])]
+                for k in range(self.n_bs)]
         return Action(
-            split=tuple(split), du_server=tuple(du_s), cu_server=tuple(cu_s),
-            du_flavor=tuple(du_f), cu_flavor=tuple(cu_f),
-            mec_flavor=tuple(mec_f), mec_at_cu=tuple(mec_side),
+            *zip(*(row[:5] for row in rows)),
+            tuple(tuple(row[5:5 + n]) for row in rows), tuple(tuple(row[5 + n:]) for row in rows),
         )
 
-    def _bs_values(self, action: Action, k: int) -> list:
-        return [
-            action.split[k], action.du_server[k], action.cu_server[k],
-            action.du_flavor[k], action.cu_flavor[k],
-            *action.mec_flavor[k], *action.mec_at_cu[k],
-        ]
-
-    def default_initial_action(self) -> Action:
-        """Start-of-episode configuration: first split, 1-RC flavors (or the
-        smallest available), first servers, MEC with the DUs."""
-        def pick(dom: tuple[int, ...]) -> int:
-            return 1 if 1 in dom else dom[0]
-
-        K = self.n_bs
-        return Action(
-            split=(self.splits[0],) * K,
-            du_server=(self.du_servers[0],) * K,
-            cu_server=(self.cu_servers[0],) * K,
-            du_flavor=(pick(self.bbu_flavors),) * K,
-            cu_flavor=(pick(self.bbu_flavors),) * K,
-            mec_flavor=(tuple(pick(f) for f in self.mec_flavors),) * K,
-            mec_at_cu=((0,) * self.n_services,) * K,
-        )
+    def default_initial_indices(self) -> tuple[int, ...]:
+        """Start-of-episode configuration as a row: first split, 1-RC flavors
+        (or the first available), first servers, MEC with the DUs."""
+        row = [dom.index(1) if "flavor" in name and 1 in dom else 0 for name, dom in self._domains]
+        return tuple(row * self.n_bs)
 
 
 def enumerate_actions(layout: ActionLayout, limit: int = 1_000_000):
-    """Exhaustive, duplicate-free iterator over the joint action space.
+    """Exhaustive, duplicate-free iterator over the joint action space: every
+    index row, in the order of ``itertools.product`` over the branches.
 
     Only supported for single-BS layouts (oracle scale) of at most
     ``limit`` joint actions; anything else is refused here, at the call,
@@ -329,19 +316,7 @@ def enumerate_actions(layout: ActionLayout, limit: int = 1_000_000):
             f"exhaustive enumeration needs one BS and at most {limit} joint "
             f"actions; got {layout.n_bs} BS and {n} actions"
         )
-    return _each_action(layout)
-
-
-def _each_action(layout: ActionLayout):
-    """Each action of a one-BS layout, built straight from its values in the
-    order of ``itertools.product`` over the branch domains."""
-    n = layout.n_services
-    values = itertools.product(*(dom for _, dom in layout.per_bs_domains()))
-    for split, du, cu, x, y, *mec in values:
-        yield Action(
-            split=(split,), du_server=(du,), cu_server=(cu,), du_flavor=(x,), cu_flavor=(y,),
-            mec_flavor=(tuple(mec[:n]),), mec_at_cu=(tuple(mec[n:]),),
-        )
+    return itertools.product(*(range(len(dom)) for _, dom in layout.per_bs_domains()))
 
 
 class OranMecEnv:
@@ -350,7 +325,8 @@ class OranMecEnv:
     Instances are independent; run any number in parallel with disjoint
     seeds.  Demands above the achievable cell rate are clipped at ingestion,
     and ``compute_costs`` prices a hand-built state's demands clipped the
-    same way.
+    same way.  ``initial_action``, the configuration before slot 0, is
+    given as an ``Action`` and kept as its index row.
     """
 
     def __init__(
@@ -376,20 +352,28 @@ class OranMecEnv:
         for c in self.services.inelastic:
             if c not in self.reward_cfg.delay_threshold:
                 raise ValueError(f"inelastic class {c} needs a delay threshold")
-        self.initial_action = initial_action or layout.default_initial_action()
-        self.layout.action_to_indices(self.initial_action)     # raises if out of domain
+        self.initial_action = (
+            layout.default_initial_indices() if initial_action is None
+            else layout.action_to_indices(initial_action)
+        )
         self._demands: np.ndarray | None = None
         self._state: State | None = None
-        # constants of the cost model, built once
-        self._split_rows = {sid: (s, *splits_mod.delay_requirements(s))
-                            for sid, s in splits_mod.SPLITS.items()}
+        self._sizes = tuple(layout.branch_sizes())
+        # constants of the cost model, built once and keyed by branch index;
+        # an unknown split or server raises its KeyError or TopologyError here
+        doms = [dom for _, dom in layout.per_bs_domains()]
+        split_rows = [(s, *splits_mod.delay_requirements(s)) for s in map(get_split, doms[0])]
+        self._values = (split_rows, *doms[1:5 + layout.n_services])    # all but the MEC sides
         self._route_delays = [
-            {(du, cu): (float(e.fh_delay_ms), float(e.mh_delay_ms))
-             for (r, du, cu), e in topo.paths.items() if r == ru}
+            [[(float(e.fh_delay_ms), float(e.mh_delay_ms))
+              for e in (topo.path_entry(ru, du, cu) for cu in layout.cu_servers)]
+             for du in layout.du_servers]
             for ru in topo.ru_ids
         ]
         self._classes = tuple(range(1, layout.n_services + 1))
         self._inelastic = frozenset(self.services.inelastic)
+        self._enc_offsets, self._enc_cols, self._enc_vals, width = _encoding(layout)
+        self.state_dim = layout.n_bs * width
 
     # -- episode control -------------------------------------------------
 
@@ -443,35 +427,56 @@ class OranMecEnv:
             raise RuntimeError("reset() the environment first")
         return self._state
 
-    def step(self, action: Action) -> tuple[State, float, CostBreakdown, bool]:
+    def step(self, action) -> tuple[State, float, CostBreakdown, bool]:
+        """Take ``action``, one index per branch (a sequence of ints or an
+        integer array), and move to the next slot.  A row of the wrong
+        length or with an index outside its branch raises ValueError, a
+        non-integer entry TypeError."""
         state = self.state
         if state.t >= self.horizon:
             raise EpisodeExhausted(f"episode of {self.horizon} slots is exhausted")
-        self.layout.action_to_indices(action)      # raises on a value outside its domain
-        costs = self.compute_costs(state, action)
+        row = self._checked(action)
+        costs = self.compute_costs(state, row)
         terminal = state.t == self.horizon - 1
         next_demand = self._demands[min(state.t + 1, self.horizon - 1)]
-        next_state = State(state.t + 1, next_demand, action)
+        next_state = State(state.t + 1, next_demand, row)
         self._state = next_state
         return next_state, costs.reward, costs, terminal
 
+    def _checked(self, action) -> tuple[int, ...]:
+        """``action`` as a row of Python ints, each inside its branch."""
+        row = tuple(action.tolist() if isinstance(action, np.ndarray) else action)
+        sizes = self._sizes
+        if len(row) != len(sizes):
+            raise ValueError(f"expected {len(sizes)} branch indices, got {len(row)}")
+        for j, (i, n) in enumerate(zip(row, sizes)):
+            if type(i) is not int:
+                raise TypeError(f"branch {j}: index {i!r} is not an int")
+            if not 0 <= i < n:
+                raise ValueError(f"branch {j}: index {i} is outside 0..{n - 1}")
+        return row
+
     # -- cost model -------------------------------------------------------
 
-    def compute_costs(self, state: State, action: Action) -> CostBreakdown:
+    def compute_costs(self, state: State, action: tuple[int, ...]) -> CostBreakdown:
         """Price one slot: ``action`` taken in ``state``, itemized.
 
-        Constants come from tables built with the env: per split id its
-        ``CompositeSplit`` and (HLS, LLS) deadlines, per BS and (DU, CU)
-        placement the (FH, MH) route delays, the class ids and the inelastic
-        set; a split or placement outside them raises as ``get_split`` and
-        ``Topology.path_entry`` do.  The items accumulate in local floats,
-        each term added in one fixed order: BS by BS, classes left to right,
-        each per-class ``sum`` from int 0, the total in ``_ITEMS`` order.
-        The digests in ``tests/test_env_costs.py`` pin the resulting bits.
+        ``action`` and ``state.prev`` are index rows in the form ``step``
+        and ``enumerate_actions`` produce; they are not checked here.  Each
+        BS's indices are decoded through tables built with the env: per
+        split index its ``CompositeSplit`` and (HLS, LLS) deadlines, per
+        (DU, CU) index pair the (FH, MH) route delays, every other branch's
+        values.  The items accumulate in local floats, each term added in
+        one fixed order: BS by BS, classes left to right, each per-class
+        ``sum`` from int 0, the total in ``_ITEMS`` order.  The digests in
+        ``tests/test_env_costs.py`` pin the resulting bits.
         """
         cfg = self.reward_cfg
         util = self.util
         classes = self._classes
+        n = len(classes)
+        per = self.layout.branches_per_bs
+        values = self._values
         prev = state.prev
         compute_du = compute_cu = underprovision = server_capacity = 0.0
         split_delay = inelastic_delay = instantiation = reconfig_flavor = 0.0
@@ -479,12 +484,10 @@ class OranMecEnv:
         server_load: dict[int, float] = {}
 
         for k in range(self.layout.n_bs):
-            split, hls_req, lls_req = self._split_row(action.split[k])
-            x, y = action.du_flavor[k], action.cu_flavor[k]
-            z = action.mec_flavor[k]
-            zeta = action.mec_at_cu[k]
-            xp, yp = prev.du_flavor[k], prev.cu_flavor[k]
-            zp, zetap = prev.mec_flavor[k], prev.mec_at_cu[k]
+            row, prow = action[k * per:(k + 1) * per], prev[k * per:(k + 1) * per]
+            (split, hls_req, lls_req), alpha, beta, x, y, *z = map(getitem, values, row)
+            _, alpha_p, beta_p, xp, yp, *zp = map(getitem, values, prow)
+            zeta, zetap = row[5 + n:], prow[5 + n:]     # a MEC side's index is its value
             # Python floats, not numpy scalars, so every cost item is a float;
             # clipped to the achievable rate as ``ingest`` clips an episode
             demand = state.demand[k].tolist()
@@ -504,11 +507,10 @@ class OranMecEnv:
             shortfall += sum([max(0.0, z_hat[c - 1] - z[c - 1]) for c in classes])
             underprovision += cfg.kappa_d * shortfall
 
-            alpha, beta = action.du_server[k], action.cu_server[k]
             server_load[alpha] = server_load.get(alpha, 0.0) + du_side
             server_load[beta] = server_load.get(beta, 0.0) + cu_side
 
-            fh_delay, mh_delay = self._route_delay(k, alpha, beta)
+            fh_delay, mh_delay = self._route_delays[k][row[1]][row[2]]
             split_delay += cfg.kappa_d * max(0.0, fh_delay - lls_req, mh_delay - hls_req)
 
             for c in classes:
@@ -531,9 +533,7 @@ class OranMecEnv:
             mec_migration += cfg.kappa_r * sum(
                 [z[c - 1] * abs(zeta[c - 1] - zetap[c - 1]) for c in classes]
             )
-            moved = du_side * (alpha != prev.du_server[k]) + cu_side * (
-                beta != prev.cu_server[k]
-            )
+            moved = du_side * (alpha != alpha_p) + cu_side * (beta != beta_p)
             server_migration += cfg.kappa_r * moved
 
             fh, mh, bh = splits_mod.segment_loads(split, lam0)
@@ -550,19 +550,6 @@ class OranMecEnv:
         total = sum(items)
         reward = -total - cfg.delay_weight * cfg.delay_slope * elastic_delay
         return CostBreakdown(*items, elastic_delay, total, reward)
-
-    def _split_row(self, split_id: str) -> tuple:
-        """``(CompositeSplit, HLS deadline, LLS deadline)`` of a split id."""
-        if split_id not in self._split_rows:
-            get_split(split_id)     # outside the catalogue: raises its KeyError
-        return self._split_rows[split_id]
-
-    def _route_delay(self, k: int, du: int, cu: int) -> tuple[float, float]:
-        """BS k's (FH, MH) delay via ``du`` and ``cu``."""
-        delays = self._route_delays[k]
-        if (du, cu) not in delays:      # no stored route: raises its TopologyError
-            self.topo.path_entry(self.topo.ru_ids[k], du, cu)
-        return delays[du, cu]
 
     def _service_delay(
         self, lam, z, z_hat, at_cu, fh_delay, mh_delay, alpha, beta
@@ -589,36 +576,36 @@ class OranMecEnv:
 
     # -- observation encoding ---------------------------------------------
 
-    @property
-    def state_dim(self) -> int:
-        """Length of ``encode_state``'s vector, read off the initial state
-        at zero demand."""
-        zero = np.zeros((self.layout.n_bs, 1 + self.layout.n_services))
-        return len(self.encode_state(State(0, zero, self.initial_action)))
-
     def encode_state(self, state: State) -> np.ndarray:
-        """Flat observation: demands scaled by the cell-rate cap, categorical
-        fields one-hot, flavors scaled by their largest value."""
-        lay = self.layout
-        prev = state.prev
-        bbu_scale = max(max(lay.bbu_flavors), 1)
-        mec_scale = [max(max(f), 1) for f in lay.mec_flavors]
-        vec: list[float] = []
-        for k in range(lay.n_bs):
-            vec.extend(state.demand[k] / DEMAND_CAP_GBPS)
-            vec.extend(_one_hot(lay.splits.index(prev.split[k]), len(lay.splits)))
-            vec.extend(_one_hot(lay.du_servers.index(prev.du_server[k]), len(lay.du_servers)))
-            vec.extend(_one_hot(lay.cu_servers.index(prev.cu_server[k]), len(lay.cu_servers)))
-            for c in range(lay.n_services):
-                vec.extend(_one_hot(prev.mec_at_cu[k][c], 2))
-            vec.append(prev.du_flavor[k] / bbu_scale)
-            vec.append(prev.cu_flavor[k] / bbu_scale)
-            for c in range(lay.n_services):
-                vec.append(prev.mec_flavor[k][c] / mec_scale[c])
-        return np.asarray(vec, dtype=np.float64)
+        """Flat observation, BS by BS: the demands scaled by the cell-rate
+        cap; the previous split, DU server, CU server and each MEC side
+        one-hot; then the DU, CU and MEC flavors each divided by its
+        ladder's largest value (at least 1)."""
+        n_bs = self.layout.n_bs
+        vec = np.zeros(self.state_dim)
+        vec.reshape(n_bs, -1)[:, :1 + self.layout.n_services] = state.demand / DEMAND_CAP_GBPS
+        rows = self._enc_offsets + state.prev
+        vec[self._enc_cols[rows]] = self._enc_vals[rows]
+        return vec
 
 
-def _one_hot(index: int, size: int) -> np.ndarray:
-    v = np.zeros(size)
-    v[index] = 1.0
-    return v
+def _encoding(layout: ActionLayout):
+    """``encode_state``'s tables: each branch's first row among the stacked
+    sub-actions; per sub-action the column of its one-hot 1 or scaled flavor
+    and that value; and the width of one BS's block."""
+    n = layout.n_services
+    doms = [dom for _, dom in layout.per_bs_domains()]
+    cols: list = [None] * len(doms)
+    vals: list = [None] * len(doms)
+    width = 1 + n                                       # the demands come first
+    for j in [0, 1, 2, *range(5 + n, 5 + 2 * n)]:       # one-hot
+        cols[j], vals[j] = range(width, width + len(doms[j])), [1.0] * len(doms[j])
+        width += len(doms[j])
+    for j in range(3, 5 + n):                           # flavors, scaled
+        scale = max(max(doms[j]), 1)
+        cols[j], vals[j] = [width] * len(doms[j]), [v / scale for v in doms[j]]
+        width += 1
+    offsets = list(itertools.accumulate(layout.branch_sizes()[:-1], initial=0))
+    bs_cols = [c + k * width for k in range(layout.n_bs) for branch in cols for c in branch]
+    bs_vals = [v for branch in vals for v in branch] * layout.n_bs
+    return np.array(offsets), np.array(bs_cols), np.array(bs_vals), width

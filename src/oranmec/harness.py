@@ -16,10 +16,11 @@ fields and override ``platform``), and ``reward``, ``services`` and
   * ``checkpoint_seed<S>_<mode>.npz``: final network/posterior state.
 
 ``run_oracle`` exhaustively scores every action of a (single-BS) space as a
-stationary policy and reports the best, and ``compare_runs`` summarizes
-metric files against each other (mean of the last 20% of episodes plus an
-episodes-to-convergence estimate: the first episode whose trailing
-10-episode moving average lands within 5% of the final mean).
+stationary policy and reports the best as an ``Action``, and
+``compare_runs`` summarizes metric files against each other (mean of the
+last 20% of episodes plus an episodes-to-convergence estimate: the first
+episode whose trailing 10-episode moving average lands within 5% of the
+final mean).
 """
 from __future__ import annotations
 
@@ -278,8 +279,9 @@ class OracleResult:
 
 
 def run_oracle(cfg: ExperimentConfig, limit: int = 1_000_000) -> OracleResult:
-    """Score every action as a stationary policy over one episode and return
-    the best by average reward.
+    """Score every action, each an index row of ``enumerate_actions``, as a
+    stationary policy over one episode and return the best by average
+    reward, decoded into an ``Action``.
 
     The demands pass ``OranMecEnv.ingest`` as in training, so demands above
     the cell-rate cap are scored clipped.  Reconfiguration charges appear
@@ -317,7 +319,7 @@ def run_oracle(cfg: ExperimentConfig, limit: int = 1_000_000) -> OracleResult:
             best_reward = avg
             best_action = action
     logger.info("oracle evaluated %d actions, best mean reward %.4f", count, best_reward)
-    return OracleResult(best_action, best_reward, count)
+    return OracleResult(env.layout.indices_to_action(best_action), best_reward, count)
 
 
 # -- run comparison -----------------------------------------------------------
@@ -354,7 +356,9 @@ def _read_mean_rewards(path: Path) -> list[float]:
 def compare_runs(paths) -> list[RunSummary]:
     """Summarize runs: mean episodic reward over the last 20% of episodes,
     episodes-to-convergence, and signed percent difference versus the first
-    run, positive when a run's mean reward is higher."""
+    run, positive when a run's mean reward is higher.  Against a first run
+    whose mean is 0 that difference is an infinity of the same sign, or 0
+    for an equal mean."""
     paths = [Path(p) for p in paths]
     if len(paths) < 2:
         raise ValueError("need at least two metric files to compare")
@@ -364,7 +368,8 @@ def compare_runs(paths) -> list[RunSummary]:
         raise ValueError(f"episode counts differ across files: {sorted(lengths)}")
     means = [_tail_mean(s) for s in series]
     base = means[0]
-    pcts = [0.0] + [100.0 * (m - base) / abs(base) if base else math.inf for m in means[1:]]
+    pcts = [100.0 * (m - base) / abs(base) if base else math.copysign(math.inf, m) if m else 0.0
+            for m in means]
     return [RunSummary(*row) for row in zip(paths, means, map(_convergence_episode, series), pcts)]
 
 

@@ -158,7 +158,10 @@ def _validate(
     du_servers: list[int],
     cu_servers: list[int],
     capacity_rc: dict[int, float],
+    server_rate: dict[int, float],
 ) -> None:
+    """Raise ``TopologyError`` on a topology the cost model cannot use,
+    naming the node, link or server; every number must be finite."""
     ids = [n.id for n in nodes]
     if len(set(ids)) != len(ids):
         raise TopologyError("duplicate node ids")
@@ -169,17 +172,22 @@ def _validate(
     for link in links:
         if link.src not in id_set or link.dst not in id_set:
             raise TopologyError(f"link {link.src}-{link.dst} references unknown node")
-        if link.capacity_gbps <= 0:
+        if not 0 < link.capacity_gbps < math.inf:
             raise TopologyError(
-                f"link {link.src}-{link.dst} capacity must be > 0, got {link.capacity_gbps}"
+                f"link {link.src}-{link.dst} capacity must be > 0 and finite, got {link.capacity_gbps}"
             )
-        if link.delay_ms < 0 or link.weight < 0:
-            raise TopologyError(f"link {link.src}-{link.dst} has negative delay or weight")
+        if not (0 <= link.delay_ms < math.inf and 0 <= link.weight < math.inf):
+            raise TopologyError(
+                f"link {link.src}-{link.dst} needs a finite nonnegative delay and weight, "
+                f"got {link.delay_ms} and {link.weight}"
+            )
     for s in set(du_servers) | set(cu_servers):
         if s not in id_set:
             raise TopologyError(f"server {s} is not a node")
-        if capacity_rc[s] <= 0:
-            raise TopologyError(f"server {s} needs a positive capacity, got {capacity_rc[s]}")
+        if not 0 < capacity_rc[s] < math.inf:
+            raise TopologyError(f"server {s} needs a positive finite capacity, got {capacity_rc[s]}")
+        if not 0 <= server_rate[s] < math.inf:
+            raise TopologyError(f"server {s} needs a nonnegative finite rate, got {server_rate[s]}")
 
 
 def _waxman_links(
@@ -297,7 +305,7 @@ def build_topology(config: dict) -> Topology:
     servers = {*du_servers, *cu_servers}
     server_rate = {**dict.fromkeys(servers, DEFAULT_SERVER_RATE), **spec.server_rate}
 
-    _validate(nodes, links, du_servers, cu_servers, capacity_rc)
+    _validate(nodes, links, du_servers, cu_servers, capacity_rc, server_rate)
 
     ru_ids = tuple(sorted(n.id for n in nodes if n.kind is NodeKind.RU))
     if not ru_ids:

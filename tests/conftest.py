@@ -81,6 +81,7 @@ def make_cost_env(
     services=None,
     reward=None,
     topology=None,
+    initial_action=None,
 ):
     topo = build_topology(topology or COST_TOPOLOGY)
     layout = ActionLayout.from_topology(topo, n_services=n_services)
@@ -93,7 +94,7 @@ def make_cost_env(
     )
     if services is None:
         services = ServiceMix(n_services=n_services) if n_services == 2 else None
-    return OranMecEnv(topo, layout, util, reward, services)
+    return OranMecEnv(topo, layout, util, reward, services, initial_action)
 
 
 def make_toy_env():

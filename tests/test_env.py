@@ -1,9 +1,12 @@
+import dataclasses
+import itertools
 import logging
 
 import numpy as np
 import pytest
 
 from oranmec.env import (
+    Action,
     ActionLayout,
     ActionSpaceTooLarge,
     EpisodeExhausted,
@@ -32,9 +35,10 @@ class TestReset:
     def test_previous_fields_hold_initial_action(self, env, demands):
         state = env.reset(demands)
         assert state.prev == env.initial_action
-        assert state.prev.split == ("S1",)
-        assert state.prev.du_flavor == (1,)
-        assert state.prev.mec_at_cu == ((0, 0),)
+        prev = env.layout.indices_to_action(state.prev)
+        assert prev.split == ("S1",)
+        assert prev.du_flavor == (1,)
+        assert prev.mec_at_cu == ((0, 0),)
 
     def test_demand_block_shape(self, env, demands):
         state = env.reset(demands)
@@ -114,22 +118,46 @@ class TestStep:
 
     def test_next_state_carries_action_as_previous(self, env, demands):
         env.reset(demands)
-        layout = env.layout
-        action = layout.indices_to_action([1, 1, 0, 3, 2, 1, 1, 1, 0])
+        action = (1, 1, 0, 3, 2, 1, 1, 1, 0)
         next_state, _, _, _ = env.step(action)
         assert next_state.prev == action
         assert next_state.t == 1
 
+    def test_initial_action_outside_its_domain_is_refused_at_construction(self):
+        layout = ActionLayout(du_servers=(2, 3), cu_servers=(4,))
+        bad = layout.indices_to_action(layout.default_initial_indices())
+        bad = dataclasses.replace(bad, du_flavor=(99,))
+        with pytest.raises(ValueError, match="du_flavor=99 not in domain"):
+            make_cost_env(initial_action=bad)
+
+    def test_an_agent_row_is_kept_as_python_ints(self, env, demands):
+        env.reset(demands)
+        row = np.array([1, 1, 0, 3, 2, 1, 1, 1, 0], dtype=np.int64)
+        next_state, reward, _, _ = env.step(row)
+        assert next_state.prev == (1, 1, 0, 3, 2, 1, 1, 1, 0)
+        assert all(type(i) is int for i in next_state.prev)
+        env.reset(demands)
+        assert env.step(tuple(row.tolist()))[1] == reward
+
     def test_invalid_action_rejected(self, env, demands):
         env.reset(demands)
-        bad = env.initial_action
-        bad = type(bad)(
-            split=("S9",), du_server=bad.du_server, cu_server=bad.cu_server,
-            du_flavor=bad.du_flavor, cu_flavor=bad.cu_flavor,
-            mec_flavor=bad.mec_flavor, mec_at_cu=bad.mec_at_cu,
-        )
-        with pytest.raises(ValueError):
-            env.step(bad)
+        with pytest.raises(ValueError, match="branch 0: index 4 is outside 0..3"):
+            env.step((4, 0, 0, 1, 1, 1, 1, 0, 0))      # a fifth split of four
+
+    @pytest.mark.parametrize("row, error, text", [
+        ((0, 0, 0, 1, 1, 1, 1, 0), ValueError, "expected 9 branch indices, got 8"),
+        ((0, 0, 0, 1, 1, 1, 1, 0, 0, 0), ValueError, "expected 9 branch indices, got 10"),
+        ((-1, 0, 0, 1, 1, 1, 1, 0, 0), ValueError, "branch 0: index -1 is outside 0..3"),
+        ((0, 2, 0, 1, 1, 1, 1, 0, 0), ValueError, "branch 1: index 2 is outside 0..1"),
+        ((0, 0, 0, 1, 1, 1, 1, 0, 2), ValueError, "branch 8: index 2 is outside 0..1"),
+        ((0, 0, 0, 1.0, 1, 1, 1, 0, 0), TypeError, "branch 3: index 1.0 is not an int"),
+        (np.zeros(9), TypeError, "branch 0: index 0.0 is not an int"),
+    ], ids=["short", "long", "negative", "too-large", "last-branch", "float", "float-array"])
+    def test_invalid_row_rejected(self, env, demands, row, error, text):
+        env.reset(demands)
+        with pytest.raises(error, match=text):
+            env.step(row)
+        assert env.state.t == 0                     # nothing was taken
 
 
 class TestEncodeState:
@@ -185,6 +213,21 @@ class TestActionLayout:
 
 
 class TestEnumerateActions:
+    def test_rows_follow_the_product_of_the_domains(self):
+        layout = ActionLayout(
+            n_bs=1, splits=("S1", "S3"), du_servers=(2, 3), cu_servers=(4,),
+            bbu_flavors=(0, 2), mec_flavors=((1, 3),), n_services=1,
+        )
+        decoded = [layout.indices_to_action(row) for row in enumerate_actions(layout)]
+        expected = [
+            Action((s,), (du,), (cu,), (x,), (y,), ((z,),), ((side,),))
+            for s, du, cu, x, y, z, side in itertools.product(
+                *(dom for _, dom in layout.per_bs_domains())
+            )
+        ]
+        assert decoded == expected
+        assert all(type(i) is int for row in enumerate_actions(layout) for i in row)
+
     def test_counted_example(self):
         layout = ActionLayout(
             n_bs=1, du_servers=(2, 3), cu_servers=(4,),

@@ -85,8 +85,11 @@ def build_env(
     return OranMecEnv(topo, layout, util, reward, services)
 
 
-def state_for(env, demand, prev):
-    return State(0, np.asarray([demand], dtype=float), prev)
+def price(env, demand, prev, action):
+    """``compute_costs`` at slot 0 of hand-written ``Action``s, passed as the
+    index rows the env takes."""
+    rows = env.layout.action_to_indices
+    return env.compute_costs(State(0, np.asarray([demand], dtype=float), rows(prev)), rows(action))
 
 
 def assert_breakdown(costs, expected):
@@ -105,7 +108,7 @@ class TestHandScenarios:
         # S1 with no demand: FH carries the constant 10.1, MH/BH nothing.
         env = build_env(bbu=(0.0, 0.0), mec=(0.0, 0.0))
         a = act()
-        costs = env.compute_costs(state_for(env, (0, 0, 0), a), a)
+        costs = price(env, (0, 0, 0), a, a)
         assert_breakdown(costs, {
             "compute_du_mec": 0.0, "compute_cu_mec": 0.0,
             "sla_underprovision": 0.0, "sla_server_capacity": 0.0,
@@ -122,7 +125,7 @@ class TestHandScenarios:
         # item = 5 * 2 = 10
         env = build_env(bbu=(0.75, 1.5), mec=(0.0, 1.0))
         a = act(x=2, y=2, z=(1, 0))
-        costs = env.compute_costs(state_for(env, (2, 2, 0), a), a)
+        costs = price(env, (2, 2, 0), a, a)
         assert costs.sla_underprovision == pytest.approx(10.0, **APPROX)
         # inelastic: D = 2*0.125 + 2*1/1 + (2/20)^2 = 2.26 -> 5*(2.26-1)
         assert costs.sla_inelastic_delay == pytest.approx(6.3, **APPROX)
@@ -151,7 +154,7 @@ class TestHandScenarios:
             services=ServiceMix(n_services=1, inelastic=(), elastic=(1,)),
         )
         a = Action(("S1",), (2,), (4,), (0,), (0,), ((2,),), ((0,),))
-        costs = env.compute_costs(State(0, np.array([[0.0, 1.0]]), a), a)
+        costs = price(env, (0.0, 1.0), a, a)
         assert costs.elastic_delay == pytest.approx(0.5035, **APPROX)
         assert costs.compute_du_mec == pytest.approx(0.5, **APPROX)
         assert costs.routing == pytest.approx(10.1, **APPROX)
@@ -167,7 +170,7 @@ class TestHandScenarios:
         )
         for at_cu in (0, 1):
             a = Action(("S1",), (2,), (2,), (0,), (0,), ((2,),), ((at_cu,),))
-            costs = env.compute_costs(State(0, np.array([[0.0, 1.0]]), a), a)
+            costs = price(env, (0.0, 1.0), a, a)
             assert costs.elastic_delay == pytest.approx(0.6025, **APPROX)
 
     def test_sc4_low_layer_deadline_violation(self):
@@ -175,7 +178,7 @@ class TestHandScenarios:
         # 0.25 ms -> 5 * 0.25 = 1.25
         env = build_env()
         a = act(du=3, x=2, y=1, z=(1, 1))
-        costs = env.compute_costs(state_for(env, (1, 0, 0), a), a)
+        costs = price(env, (1, 0, 0), a, a)
         assert costs.sla_split_delay == pytest.approx(1.25, **APPROX)
         assert costs.sla_underprovision == 0.0      # 1.6 <= 2, 0.4 <= 1
         assert costs.sla_server_capacity == 0.0     # load 4 == capacity 4
@@ -190,7 +193,7 @@ class TestHandScenarios:
         # low-layer violation is unchanged; fronthaul now carries 157.3
         env = build_env()
         a = act(split="S4", du=3, x=2, y=1, z=(1, 1))
-        costs = env.compute_costs(state_for(env, (1, 0, 0), a), a)
+        costs = price(env, (1, 0, 0), a, a)
         assert costs.sla_split_delay == pytest.approx(1.25, **APPROX)
         assert costs.routing == pytest.approx(159.3, **APPROX)
         assert costs.sla_underprovision == 0.0      # du draw 2.0 <= 2
@@ -201,7 +204,7 @@ class TestHandScenarios:
         #                           = 1.187644; 5*(D-1) = 0.93822
         env = build_env()
         a = act(x=1, y=1, z=(1, 1), zeta=(1, 0))
-        costs = env.compute_costs(state_for(env, (0, 1, 0), a), a)
+        costs = price(env, (0, 1, 0), a, a)
         assert costs.sla_inelastic_delay == pytest.approx(0.93822, **APPROX)
         assert_breakdown(costs, {
             "compute_du_mec": 0.5,        # 0.25*(1 + z2 at DU)
@@ -220,7 +223,7 @@ class TestHandScenarios:
         # host 3 carries 3 + 2 + 2 = 7 RC against capacity 4 -> 5*3 = 15
         env = build_env()
         a = act(du=3, x=3, y=0, z=(2, 2))
-        costs = env.compute_costs(state_for(env, (0, 0, 0), a), a)
+        costs = price(env, (0, 0, 0), a, a)
         assert costs.sla_server_capacity == pytest.approx(15.0, **APPROX)
         assert costs.sla_split_delay == pytest.approx(1.25, **APPROX)
         assert costs.sla_underprovision == pytest.approx(0.5, **APPROX)  # cu draw 0.1 vs y=0
@@ -234,7 +237,7 @@ class TestHandScenarios:
         env = build_env(bbu=(0.0, 0.0), mec=(0.0, 0.0))
         prev = act(x=1, y=1, z=(1, 1))
         a = act(x=3, y=0, z=(2, 0))
-        costs = env.compute_costs(state_for(env, (0, 0, 0), prev), a)
+        costs = price(env, (0, 0, 0), prev, a)
         assert costs.instantiation == pytest.approx(0.15, **APPROX)
         assert costs.reconfig_flavor == pytest.approx(0.25, **APPROX)
         assert costs.compute_du_mec == pytest.approx(1.25, **APPROX)
@@ -246,7 +249,7 @@ class TestHandScenarios:
         env = build_env(bbu=(0.0, 0.0), mec=(0.0, 0.0))
         prev = act(z=(2, 3), zeta=(0, 1))
         a = act(z=(2, 3), zeta=(1, 1))
-        costs = env.compute_costs(state_for(env, (0, 0, 0), prev), a)
+        costs = price(env, (0, 0, 0), prev, a)
         assert costs.reconfig_mec_migration == pytest.approx(0.1, **APPROX)
         assert costs.compute_cu_mec == pytest.approx(0.625, **APPROX)  # 0.125*(0+2+3)
         assert costs.compute_du_mec == 0.0
@@ -257,7 +260,7 @@ class TestHandScenarios:
         env = build_env(bbu=(0.0, 0.0), mec=(0.0, 0.0))
         prev = act(du=2, x=2, y=1, z=(1, 1), zeta=(0, 1))
         a = act(du=3, x=2, y=1, z=(1, 1), zeta=(0, 1))
-        costs = env.compute_costs(state_for(env, (0, 0, 0), prev), a)
+        costs = price(env, (0, 0, 0), prev, a)
         assert costs.reconfig_server_migration == pytest.approx(0.15, **APPROX)
         assert costs.sla_split_delay == pytest.approx(1.25, **APPROX)
         assert costs.total == pytest.approx(12.5, **APPROX)
@@ -266,7 +269,7 @@ class TestHandScenarios:
         # elastic demand with zero flavor: delay pinned at the 1000 sentinel
         env = build_env()
         a = act(x=1, y=1, z=(1, 0))
-        costs = env.compute_costs(state_for(env, (0, 0, 1), a), a)
+        costs = price(env, (0, 0, 1), a, a)
         assert costs.elastic_delay == pytest.approx(1000.0, **APPROX)
         assert costs.sla_underprovision == pytest.approx(6.0, **APPROX)  # 5*1.2
         assert costs.total == pytest.approx(16.725, **APPROX)
@@ -276,7 +279,7 @@ class TestHandScenarios:
         # S3 at 2 Gbps: FH 10.1, MH 1.02*2 + 0.5 = 2.54, BH 2
         env = build_env(bbu=(0.0, 0.0), mec=(0.0, 0.0))
         a = act(split="S3", x=3, y=2)
-        costs = env.compute_costs(state_for(env, (2, 0, 0), a), a)
+        costs = price(env, (2, 0, 0), a, a)
         assert costs.routing == pytest.approx(14.64, **APPROX)
         assert costs.total == pytest.approx(15.64, **APPROX)
 
@@ -284,7 +287,7 @@ class TestHandScenarios:
         env = build_env()
         prev = act(x=1, y=1, z=(1, 1))
         a = act(split="S2", du=3, x=2, y=1, z=(2, 1), zeta=(1, 0))
-        costs = env.compute_costs(state_for(env, (1.5, 0.5, 0.5), prev), a)
+        costs = price(env, (1.5, 0.5, 0.5), prev, a)
         assert costs.instantiation == pytest.approx(0.1, **APPROX)       # dx=1, dz1=1
         assert costs.reconfig_flavor == pytest.approx(0.1, **APPROX)
         assert costs.reconfig_mec_migration == pytest.approx(0.1, **APPROX)   # 2 RC flips
@@ -308,14 +311,14 @@ class TestDemandCap:
     @pytest.mark.parametrize("above", [(5.0, 0.0, 0.0), (5.0, 6.0, 4.5)])
     def test_demand_above_cap_is_priced_as_the_cap(self, above):
         env = make_cost_env()
-        a = env.layout.default_initial_action()
+        a = env.initial_action
         at_cap = env.compute_costs(State(0, np.minimum([above], 4.0), a), a)
         clipped = env.compute_costs(State(0, np.array([above]), a), a)
         assert clipped.as_dict() == at_cap.as_dict()
 
     def test_legacy_five_gbps_prices_routing_and_underprovision_at_four(self):
         env = make_cost_env()
-        a = env.layout.default_initial_action()
+        a = env.initial_action
         costs = env.compute_costs(State(0, np.array([[5.0, 0.0, 0.0]]), a), a)
         assert costs.routing == pytest.approx(18.1, **APPROX)
         assert costs.sla_underprovision == pytest.approx(21.0, **APPROX)
@@ -323,8 +326,7 @@ class TestDemandCap:
 
 class TestCostProperties:
     def _random_action(self, layout, rng):
-        idx = [rng.integers(n) for n in layout.branch_sizes()]
-        return layout.indices_to_action(idx)
+        return tuple(int(rng.integers(n)) for n in layout.branch_sizes())
 
     def test_items_nonnegative_and_reward_nonpositive(self, rng):
         env = build_env()
@@ -350,7 +352,7 @@ class TestCostProperties:
     def test_penalties_zero_when_well_provisioned(self):
         env = build_env()
         a = act(x=4, y=2, z=(2, 2))       # draws: 1.6/0.4 BBU, 1.2 MEC
-        costs = env.compute_costs(state_for(env, (1, 1, 1), a), a)
+        costs = price(env, (1, 1, 1), a, a)
         assert costs.penalty_total == 0.0
 
     def test_service_delay_monotone_in_flavor(self):
@@ -358,7 +360,7 @@ class TestCostProperties:
         delays = []
         for z in range(1, 6):
             a = act(x=2, y=1, z=(1, z))
-            costs = env.compute_costs(state_for(env, (0, 0, 2), a), a)
+            costs = price(env, (0, 0, 2), a, a)
             delays.append(costs.elastic_delay)
         assert all(a >= b for a, b in zip(delays, delays[1:]))
 
@@ -366,25 +368,25 @@ class TestCostProperties:
         env = build_env()
         a = act(x=2, y=1, z=(1, 2))
         delays = [
-            env.compute_costs(state_for(env, (0, 0, lam), a), a).elastic_delay
+            price(env, (0, 0, lam), a, a).elastic_delay
             for lam in np.linspace(0.1, 4.0, 8)
         ]
         assert all(a <= b for a, b in zip(delays, delays[1:]))
 
 
 class TestUnknownChoices:
-    """A split or a server outside the env's tables raises as ``get_split``
-    and ``Topology.path_entry`` do."""
+    """A layout split or server outside the catalogue or the topology raises
+    as ``get_split`` and ``Topology.path_entry`` do, when the env is built."""
 
-    @pytest.mark.parametrize("action, error, text", [
-        (act(split="S9"), KeyError, "unknown split 'S9'"),
-        (act(du=7), TopologyError, "node 7 is not a DU server"),
-        (act(cu=2), TopologyError, "node 2 is not a CU server"),
+    @pytest.mark.parametrize("fields, error, text", [
+        (dict(splits=("S1", "S9")), KeyError, "unknown split 'S9'"),
+        (dict(du_servers=(2, 7)), TopologyError, "node 7 is not a DU server"),
+        (dict(cu_servers=(4, 2)), TopologyError, "node 2 is not a CU server"),
     ], ids=["split", "du", "cu"])
-    def test_raises_the_catalogue_error(self, action, error, text):
-        env = build_env()
+    def test_raises_the_catalogue_error(self, fields, error, text):
+        layout = ActionLayout(**{"du_servers": (2, 3), "cu_servers": (4,), **fields})
         with pytest.raises(error, match=text):
-            env.compute_costs(state_for(env, (1, 1, 1), env.initial_action), action)
+            OranMecEnv(build_topology(COST_TOPOLOGY), layout, UtilizationModel())
 
 
 class TestGreedyOneStepOracle:
@@ -406,21 +408,21 @@ class TestGreedyOneStepOracle:
         )
         return env
 
-    def _best(self, env, demand, prev):
-        state = State(0, np.asarray([demand], dtype=float), prev)
+    def _best(self, env, demand):
+        state = State(0, np.asarray([demand], dtype=float), env.initial_action)
         best_action, best_reward = None, -np.inf
         for a in enumerate_actions(env.layout):
             r = env.compute_costs(state, a).reward
             if r > best_reward:
                 best_action, best_reward = a, r
-        return best_action, best_reward
+        return env.layout.indices_to_action(best_action), best_reward
 
     def test_idle_network_drops_all_flavors(self):
         # keeping the 1-RC instances costs 0.625/slot; releasing them costs
         # a one-off 0.05*3 churn -> release everything, keep the cheap split
         prev = Action(("S1",), (2,), (4,), (1,), (1,), ((1,),), ((0,),))
         env = self._build((0.0, 0.0), (0.0, 0.0), prev)
-        best, reward = self._best(env, (0.0, 0.0), prev)
+        best, reward = self._best(env, (0.0, 0.0))
         assert best == Action(("S1",), (2,), (4,), (0,), (0,), ((0,),), ((0,),))
         assert reward == pytest.approx(-10.25, **APPROX)
 
@@ -431,7 +433,7 @@ class TestGreedyOneStepOracle:
         #   D = 0.1875 + 0.5 + 0.0001 -> reward -16.1126
         prev = Action(("S1",), (2,), (4,), (3,), (1,), ((1,),), ((0,),))
         env = self._build((0.5, 1.5), (0.0, 1.0), prev)
-        best, reward = self._best(env, (2.0, 1.0), prev)
+        best, reward = self._best(env, (2.0, 1.0))
         assert best == Action(("S1",), (2,), (4,), (3,), (1,), ((2,),), ((1,),))
         assert reward == pytest.approx(-16.1126, **APPROX)
 
@@ -440,7 +442,7 @@ class TestGreedyOneStepOracle:
         # the migration charge: reward -11.1376 vs -11.2275 for staying
         prev = Action(("S1",), (2,), (4,), (0,), (0,), ((2,),), ((0,),))
         env = self._build((0.0, 0.0), (0.0, 1.0), prev)
-        best, reward = self._best(env, (0.0, 1.0), prev)
+        best, reward = self._best(env, (0.0, 1.0))
         assert best == Action(("S1",), (2,), (4,), (0,), (0,), ((2,),), ((1,),))
         assert reward == pytest.approx(-11.1376, **APPROX)
 
@@ -457,9 +459,7 @@ class TestCostTypes:
         shape = (lay.n_bs, 1 + lay.n_services)
 
         def random_action():
-            return lay.indices_to_action(
-                [int(rng.integers(n)) for n in lay.branch_sizes()]
-            )
+            return tuple(int(rng.integers(n)) for n in lay.branch_sizes())
 
         for _ in range(50):
             demand = rng.uniform(0.0, 4.0, size=shape)
@@ -506,7 +506,31 @@ class TestCostDigest:
         costs = []
         for _ in range(300):
             t = int(rng.integers(len(demands)))
-            prev = env.layout.indices_to_action(rng.integers(sizes))
-            action = env.layout.indices_to_action(rng.integers(sizes))
+            prev = tuple(rng.integers(sizes).tolist())
+            action = tuple(rng.integers(sizes).tolist())
             costs.append(env.compute_costs(State(t, demands[t], prev), action))
         assert self._digest(costs) == self.DEFAULT_DIGEST
+
+
+class TestEncodeDigest:
+    """``encode_state`` pinned bit for bit: the sha256 of the encoded bytes
+    over seeded random (slot, previous action) pairs, on both shipped
+    configs.  The digests were taken from the encoder that walked each BS's
+    ``Action`` fields, before it read index rows through tables."""
+
+    TOY_DIGEST = "19c9fb2ad901dbf259cc265a305730f7c7df32d78c9960346fa2576cbe7a6c06"
+    DEFAULT_DIGEST = "8409db4d0eabf1429e4b8a673b6fe06eeed2d591636e1166ce89e03fd2156887"
+
+    @pytest.mark.parametrize("name, digest", [
+        ("toy.yaml", TOY_DIGEST), ("default.yaml", DEFAULT_DIGEST),
+    ], ids=["toy", "default"])
+    def test_random_slots_and_previous_actions(self, name, digest):
+        env, demands = TestCostDigest._env_and_demands(name)
+        sizes = env.layout.branch_sizes()
+        rng = np.random.default_rng(16142)
+        h = hashlib.sha256()
+        for _ in range(2000):
+            t = int(rng.integers(len(demands)))
+            prev = tuple(rng.integers(sizes).tolist())
+            h.update(env.encode_state(State(t, demands[t], prev)).tobytes())
+        assert h.hexdigest() == digest

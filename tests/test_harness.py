@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import importlib.util
+import math
 import time
 
 import numpy as np
@@ -26,7 +27,7 @@ from oranmec.harness import (
     write_step_csv,
 )
 from oranmec.workload import platform_b, synth_demands
-from tests.conftest import CONFIG_DIR
+from tests.conftest import CONFIG_DIR, make_toy_env, toy_agent_config, toy_demands
 
 
 def toy_config(tmp_path, **overrides):
@@ -297,8 +298,7 @@ class TestOracle:
         rng = np.random.default_rng(0)
         T = len(demands)
         for _ in range(50):
-            idx = [rng.integers(n) for n in env.layout.branch_sizes()]
-            action = env.layout.indices_to_action(idx)
+            action = tuple(int(rng.integers(n)) for n in env.layout.branch_sizes())
             r0 = env.compute_costs(State(0, demands[0], env.initial_action), action).reward
             steady = env.compute_costs(State(1, demands[0], action), action).reward
             avg = (r0 + (T - 1) * steady) / T
@@ -348,6 +348,17 @@ class TestCompareRuns:
         assert out[2].pct_vs_first == pytest.approx(-25.0)
         table = harness.format_comparison(out).splitlines()
         assert table[2].endswith("+25.00%") and table[3].endswith("-25.00%")
+
+    def test_zero_first_mean_gives_signed_infinities(self, tmp_path):
+        a = self._write(tmp_path / "a.csv", [0.0] * 10)
+        better = self._write(tmp_path / "better.csv", [1.0] * 10)
+        worse = self._write(tmp_path / "worse.csv", [-1.0] * 10)
+        same = self._write(tmp_path / "same.csv", [0.0] * 10)
+        out = compare_runs([a, better, worse, same])
+        assert [s.pct_vs_first for s in out] == [0.0, math.inf, -math.inf, 0.0]
+        table = harness.format_comparison(out).splitlines()
+        assert table[2].endswith("+inf%") and table[3].endswith("-inf%")
+        assert table[4].endswith("+0.00%")
 
     def test_mismatched_lengths_rejected(self, tmp_path):
         a = self._write(tmp_path / "a.csv", [-1.0] * 5)
@@ -465,3 +476,32 @@ class TestCli:
                          "--episodes", "1"]) == 0
         ep = tmp_path / "out" / "episodes_seed9_bayes.csv"
         assert len(ep.read_text().strip().splitlines()) == 2
+
+
+class TestToyCopy:
+    """``conftest.make_toy_env``, ``toy_demands`` and ``toy_agent_config``
+    copy ``configs/toy.yaml`` by hand; these keep the copy equal to it."""
+
+    @pytest.fixture
+    def cfg(self):
+        return load_experiment_config(CONFIG_DIR / "toy.yaml")
+
+    def test_env_and_demands_match(self, cfg):
+        ours, theirs = make_toy_env(), harness.build_env(cfg)
+        assert ours.topo == theirs.topo
+        assert ours.layout == theirs.layout
+        assert ours.util == theirs.util
+        assert ours.reward_cfg == theirs.reward_cfg
+        assert ours.services == theirs.services
+        assert ours.initial_action == theirs.initial_action
+        demands = harness.make_demand_provider(cfg, cfg.seeds[0])(0)
+        assert np.array_equal(toy_demands(cfg.episode_slots), demands)
+
+    def test_bayes_agent_config_matches(self, cfg):
+        assert toy_agent_config(5) == dataclasses.replace(cfg.agent, seed=5)
+
+    def test_egreedy_config_differs_only_in_its_decay(self, cfg):
+        ours = toy_agent_config(5, mode="egreedy")
+        theirs = dataclasses.replace(cfg.agent, mode="egreedy", seed=5)
+        assert (ours.eps_decay_episodes, theirs.eps_decay_episodes) == (50, 100)
+        assert dataclasses.replace(ours, eps_decay_episodes=100) == theirs

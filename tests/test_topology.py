@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -61,6 +62,38 @@ class TestBuild:
         cfg = chain_config()
         cfg["capacity_rc"] = {2: -3}
         with pytest.raises(TopologyError):
+            build_topology(cfg)
+
+    @pytest.mark.parametrize("key, value, text", [
+        ("capacity_rc", math.nan, "server 2 needs a positive finite capacity, got nan"),
+        ("capacity_rc", math.inf, "server 2 needs a positive finite capacity, got inf"),
+        ("server_rate", -1.0, "server 2 needs a nonnegative finite rate, got -1.0"),
+        ("server_rate", math.nan, "server 2 needs a nonnegative finite rate, got nan"),
+        ("server_rate", math.inf, "server 2 needs a nonnegative finite rate, got inf"),
+    ], ids=["nan-capacity", "inf-capacity", "negative-rate", "nan-rate", "inf-rate"])
+    def test_unusable_server_number_rejected(self, key, value, text):
+        cfg = chain_config()
+        cfg[key] = {2: value}
+        with pytest.raises(TopologyError, match=text):
+            build_topology(cfg)
+
+    def test_zero_server_rate_accepted(self):
+        cfg = chain_config()
+        cfg["server_rate"] = {2: 0.0}
+        assert build_topology(cfg).server_rate[2] == 0.0
+
+    @pytest.mark.parametrize("key, value, text", [
+        ("capacity_gbps", math.nan, "capacity must be > 0 and finite, got nan"),
+        ("capacity_gbps", math.inf, "capacity must be > 0 and finite, got inf"),
+        ("delay_ms", math.nan, "needs a finite nonnegative delay and weight, got nan and 0.05"),
+        ("delay_ms", math.inf, "needs a finite nonnegative delay and weight, got inf and 0.05"),
+        ("weight", math.nan, "needs a finite nonnegative delay and weight, got 0.2 and nan"),
+        ("weight", math.inf, "needs a finite nonnegative delay and weight, got 0.2 and inf"),
+    ], ids=["nan-capacity", "inf-capacity", "nan-delay", "inf-delay", "nan-weight", "inf-weight"])
+    def test_non_finite_link_number_rejected(self, key, value, text):
+        cfg = chain_config()
+        cfg["links"][1][key] = value
+        with pytest.raises(TopologyError, match=f"link 2-0 {text}"):
             build_topology(cfg)
 
     def test_single_epc_with_id_zero(self):
