@@ -27,7 +27,9 @@ backward pass overwrites its (batch, branches, features) taken means.
   sub-action, in the branch order of the target-score columns: means,
   sampling factors (the covariance is never formed), sampled weights and
   target weights.  A checkpoint restores exactly these arrays; it stores
-  only the sampling factors a refit has moved off the prior.
+  only the sampling factors a refit has moved off the prior.  A refit
+  (``blr_posterior``) is one stacked fit per branch on numpy's own LAPACK
+  (``np.linalg``), so the package needs no scipy.
 
 The training loop follows a fixed schedule: posteriors refresh every
 ``T_p`` slots, the target network (and the target last-layer weights, set
@@ -57,6 +59,11 @@ from .neural import Adam, BranchingQNet
 logger = logging.getLogger("oranmec.agents")
 
 JITTER = 1e-6
+
+# Rows per block of the sampling factor's triangular inverse: a diagonal
+# block this small is cheap to invert dense, and the products left of it
+# are GEMMs.  A dense inverse of a whole 128-wide factor costs 2-3x as much.
+INVERSE_BLOCK = 16
 
 # Bytes of one fused branch-layer output per posterior-refresh chunk.  It
 # bounds the refresh's temporaries, which would otherwise grow with the
@@ -99,6 +106,12 @@ class AgentConfig:
             raise ValueError("schedule periods must be positive")
         if not (0.0 <= self.eps_min <= self.eps_max <= 1.0):
             raise ValueError("need 0 <= eps_min <= eps_max <= 1")
+        for name in ("lr", "sigma_eps", "prior_sigma"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:        # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if min(self.batch_size, self.blr_dataset_cap) < 1:
             raise ValueError("batch_size and blr_dataset_cap must be positive")
         if self.buffer_capacity < self.batch_size:
@@ -239,12 +252,20 @@ def td_target(
 
 # -- Bayesian linear regression --------------------------------------------
 
-def _lapack():
-    """scipy's LAPACK wrappers, imported at the first call: only a Bayes
-    agent fits a posterior, and loading ``scipy.linalg`` costs ~27 MB
-    resident and ~250 ms."""
-    from scipy.linalg import lapack
-    return lapack
+def _inverse_lower(lower: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of lower-triangular matrices, with +0.0 above the
+    diagonal.  numpy has no stacked triangular solve, so this is block
+    forward substitution, ``INVERSE_BLOCK`` rows at a time: each diagonal
+    block is inverted dense, and the block row left of it is one product
+    with the rows already inverted.  Every call is a stacked gufunc, so each
+    matrix's inverse is bit-equal to its inverse alone."""
+    d = lower.shape[-1]
+    inv = np.zeros_like(lower)
+    for i in range(0, d, INVERSE_BLOCK):
+        rows = slice(i, i + INVERSE_BLOCK)
+        inv[..., rows, rows] = np.tril(np.linalg.inv(lower[..., rows, rows]))
+        inv[..., rows, :i] = -inv[..., rows, rows] @ (lower[..., rows, :i] @ inv[..., :i, :i])
+    return inv
 
 
 def blr_posterior(
@@ -256,33 +277,25 @@ def blr_posterior(
     sample and n_a >= 1, and its targets ``us[a]``; the sets may differ in
     n_a.  Returns stacked (A, d) means and (A, d, d) scales: set a's
     covariance is scale[a] @ scale[a].T, and mean[a] + scale[a] @ z with z
-    standard normal is a posterior draw.  Each set is one LAPACK factor
-    (``dpotrf``), one solve for the mean (``dpotrs``) and one triangular
-    solve for the scale (``dtrtrs``), the routines ``scipy.linalg``'s
-    ``cho_factor``, ``cho_solve`` and ``solve_triangular`` call, so each
-    set's result is bit-equal to theirs on that set alone
-    (``np.linalg.cholesky`` on a stack is not).  If any precision in the
-    stack fails to factor, the whole stack gets a small jitter added, with
-    a warning.
+    standard normal is a posterior draw.  The precisions are factored
+    L L^T by one stacked ``np.linalg.cholesky``; each scale is inv(L).T,
+    upper triangular with +0.0 below the diagonal, and each mean is
+    scale (scale^T rhs).  numpy's gufuncs call LAPACK and BLAS once per
+    matrix, so each set's result is bit-equal to a fit of that set alone.
+    If any precision in the stack fails to factor, the whole stack gets a
+    small jitter added, with a warning.
     """
-    lapack = _lapack()
     d = phis[0].shape[1]
     precision = np.stack([phi.T @ phi for phi in phis]) / sigma_eps**2 + np.eye(d) / prior_sigma
     rhs = np.stack([phi.T @ u for phi, u in zip(phis, us)]) / sigma_eps**2
-    for attempt in range(2):
-        factors = [lapack.dpotrf(p, lower=1, clean=0) for p in precision]
-        if all(info == 0 for _, info in factors):
-            break
-        if attempt:
-            raise np.linalg.LinAlgError("posterior precision is not positive definite")
+    try:
+        lower = np.linalg.cholesky(precision)
+    except np.linalg.LinAlgError:
         logger.warning("ill-conditioned posterior precision, adding jitter")
-        precision = precision + JITTER * np.eye(d)
-    eye = np.eye(d)
-    mu = np.stack([
-        lapack.dpotrs(c, b[:, None], lower=1)[0][:, 0] for (c, _), b in zip(factors, rhs)
-    ])
+        lower = np.linalg.cholesky(precision + JITTER * np.eye(d))
     # inv(L).T has the right product with its transpose: a valid sampling scale
-    scale = np.stack([lapack.dtrtrs(c, eye, lower=1)[0].T for c, _ in factors])
+    scale = np.swapaxes(_inverse_lower(lower), 1, 2)
+    mu = (scale @ (np.swapaxes(scale, 1, 2) @ rhs[..., None]))[..., 0]
     return mu, scale
 
 
@@ -547,7 +560,6 @@ class BayesAgent(_AgentBase):
 
     def __init__(self, layout: ActionLayout, state_dim: int, config: AgentConfig):
         super().__init__(layout, state_dim, config)
-        _lapack()       # load scipy at set-up, not in the first refresh
         self.posterior = Posterior(
             self.cols, config.feature_dim, config.prior_sigma, config.sigma_eps, self.rng,
         )

@@ -6,7 +6,6 @@ import textwrap
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from oranmec import agents, neural
 from oranmec.agents import (
@@ -45,6 +44,21 @@ class TestAgentConfig:
 
     def test_ring_of_exactly_one_batch_is_accepted(self):
         assert AgentConfig(buffer_capacity=128, batch_size=128).batch_size == 128
+
+    @pytest.mark.parametrize("name, value", [
+        ("sigma_eps", 0.0), ("sigma_eps", -1.0), ("sigma_eps", np.inf),
+        ("prior_sigma", 0.0), ("prior_sigma", -1.0), ("prior_sigma", np.nan),
+        ("lr", 0.0), ("lr", -1e-4), ("lr", np.inf),
+        ("gamma", 1.5), ("gamma", -0.1), ("gamma", np.nan),
+    ])
+    def test_unusable_numbers_are_rejected(self, name, value):
+        # prior_sigma -1 would act on NaN Thompson weights, then fail to
+        # factor; sigma_eps 0 ends in a GradientError; gamma 1.5 trains
+        with pytest.raises(ValueError, match=name):
+            AgentConfig(**{name: value})
+
+    def test_discount_bounds_are_accepted(self):
+        assert [AgentConfig(gamma=g).gamma for g in (0.0, 1.0)] == [0.0, 1.0]
 
 
 class TestReplayBuffer:
@@ -347,52 +361,77 @@ class TestBlrPosterior:
                 assert np.abs(_cov(scale[a]) - cov_ref).max() < 1e-8
                 assert np.abs(mu[a] - mu_ref).max() < 1e-8
 
+    def test_matches_a_direct_solve_at_network_widths(self, rng):
+        # the toy and default feature widths; 20 rows leave most of the
+        # default precision to the prior
+        for d, sigma_eps, prior in ((48, 3.0, 9.0), (128, 1.0, 1.0)):
+            phis = [rng.normal(size=(n, d)) for n in (20, 300, 600)]
+            us = [rng.normal(size=len(phi)) * 100.0 for phi in phis]
+            mu, scale = blr_posterior(phis, us, sigma_eps, prior)
+            for a, (phi, u) in enumerate(zip(phis, us)):
+                precision = phi.T @ phi / sigma_eps**2 + np.eye(d) / prior
+                cov_ref = np.linalg.inv(precision)
+                mu_ref = np.linalg.solve(precision, phi.T @ u / sigma_eps**2)
+                assert np.abs(_cov(scale[a]) - cov_ref).max() <= 1e-12 * np.abs(cov_ref).max()
+                assert np.abs(mu[a] - mu_ref).max() <= 1e-12 * np.abs(mu_ref).max()
+
+    def test_scale_is_exactly_upper_triangular(self, rng):
+        # +0.0 bytes below the diagonal, so a row packs losslessly
+        d = 40                  # two whole blocks of the inverse and a partial one
+        phis = [rng.normal(size=(n, d)) for n in (1, 50, 400)]
+        _, scale = blr_posterior(phis, [rng.normal(size=len(phi)) for phi in phis], 3.0, 9.0)
+        lower = np.tril_indices(d, -1)
+        below = scale[:, lower[0], lower[1]]
+        assert below.tobytes() == bytes(below.nbytes)
+        assert (np.diagonal(scale, axis1=1, axis2=2) > 0).all()
+
     def test_stack_is_bit_equal_to_one_fit_per_set(self, rng):
-        # one LAPACK call per matrix, as scipy's cho_factor, cho_solve and
-        # solve_triangular make; a batched np.linalg.cholesky would move the
-        # last bits of some sets
-        d, sigma_eps, prior = 48, 3.0, 9.0
-        phis = [rng.normal(size=(n, d)) for n in (1, 7, 60, 300, 1500)]
-        us = [rng.normal(size=len(phi)) for phi in phis]
-        mu, scale = blr_posterior(phis, us, sigma_eps, prior)
-        for a, (phi, u) in enumerate(zip(phis, us)):
-            precision = (phi.T @ phi) / sigma_eps**2 + np.eye(d) / prior
-            chol = scipy.linalg.cho_factor(precision, lower=True)
-            assert np.array_equal(mu[a], scipy.linalg.cho_solve(chol, (phi.T @ u) / sigma_eps**2))
-            inv_l = scipy.linalg.solve_triangular(chol[0], np.eye(d), lower=True)
-            assert np.array_equal(scale[a], inv_l.T)
+        # numpy's stacked gufuncs call LAPACK and BLAS once per matrix, so
+        # a set's fit does not depend on the sets stacked with it
+        for d in (3, 48, 130):
+            sigma_eps, prior = 3.0, 9.0
+            phis = [rng.normal(size=(n, d)) for n in (1, 7, 60, 300, 1500)]
+            us = [rng.normal(size=len(phi)) for phi in phis]
+            mu, scale = blr_posterior(phis, us, sigma_eps, prior)
+            for a, (phi, u) in enumerate(zip(phis, us)):
+                mu_a, scale_a = blr_posterior([phi], [u], sigma_eps, prior)
+                assert mu[a].tobytes() == mu_a[0].tobytes()
+                assert scale[a].tobytes() == scale_a[0].tobytes()
 
     def test_a_failed_factor_jitters_the_whole_stack(self, monkeypatch, caplog):
         calls = []
-        factor = scipy.linalg.lapack.dpotrf
+        factor = np.linalg.cholesky
 
-        def fail_once(precision, lower, clean):
+        def fail_once(precision):
             calls.append(precision.copy())
-            c, info = factor(precision, lower=lower, clean=clean)
-            return c, 1 if len(calls) == 1 else info
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return factor(precision)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", fail_once)
+        monkeypatch.setattr(np.linalg, "cholesky", fail_once)
         phis = [np.eye(2), np.ones((3, 2))]
         blr_posterior(phis, [np.ones(2), np.ones(3)], 1.0, 1.0)
         assert "jitter" in caplog.text
-        assert len(calls) == 4      # both sets factored, then both again
-        for before, after in zip(calls[:2], calls[2:]):     # every set in the stack
-            assert np.array_equal(after, before + agents.JITTER * np.eye(2))
+        assert [c.shape for c in calls] == [(2, 2, 2)] * 2     # the stack, then again
+        assert np.array_equal(calls[1], calls[0] + agents.JITTER * np.eye(2))
 
     def test_a_factor_failing_after_the_jitter_raises(self, monkeypatch):
-        factor = scipy.linalg.lapack.dpotrf
-        monkeypatch.setattr(
-            scipy.linalg.lapack, "dpotrf",
-            lambda precision, lower, clean: (factor(precision, lower=lower, clean=clean)[0], 1),
-        )
+        calls = []
+
+        def fail(precision):
+            calls.append(precision)
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
         with pytest.raises(np.linalg.LinAlgError):
             blr_posterior([np.eye(2)], [np.ones(2)], 1.0, 1.0)
+        assert len(calls) == 2
 
 
-def test_scipy_loads_only_for_the_bayes_agent():
-    # an oracle pass and an epsilon-greedy agent fit no posterior, so they
-    # leave scipy.linalg (~27 MB resident) unloaded; a Bayes agent loads it
-    # at set-up
+def test_no_agent_loads_scipy():
+    # the posterior fits on numpy's own LAPACK, so an oracle pass and an
+    # episode of either agent, Bayes refits included, leave scipy (~20 MB
+    # resident) unloaded
     code = textwrap.dedent("""
         import dataclasses, sys
         from oranmec import agents, harness
@@ -400,15 +439,17 @@ def test_scipy_loads_only_for_the_bayes_agent():
         harness.run_oracle(cfg)
         env = harness.build_env(cfg)
         for mode in ("egreedy", "bayes"):
-            agents.make_agent(env.layout, env.state_dim, dataclasses.replace(cfg.agent, mode=mode))
-            print("scipy.linalg" in sys.modules)
+            agent = agents.make_agent(
+                env.layout, env.state_dim, dataclasses.replace(cfg.agent, mode=mode))
+            agents.run_training(env, agent, harness.make_demand_provider(cfg, 0), 1)
+        print(agent.posterior.scale.flags.writeable, "scipy" in sys.modules)
     """)
     src = str(CONFIG_DIR.parent / "src")
     out = subprocess.run(
         [sys.executable, "-c", code, str(CONFIG_DIR / "toy.yaml")],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["True", "False"]      # refit, and no scipy
 
 
 class TestBranchPosterior:
@@ -725,6 +766,20 @@ class TestPosteriorUpdate:
                 mu_ref = cov_ref @ (phi.T @ u[rows]) / cfg.sigma_eps**2
                 assert np.abs(post.mu[cols.start + a] - mu_ref).max() < 1e-8
                 assert np.abs(_cov(post.scale[cols.start + a]) - cov_ref).max() < 1e-8
+
+    def test_refit_factors_pack_into_their_upper_triangle(self):
+        # what packed storage of the sampling factors rests on: after real
+        # refits every row has +0.0 bytes below its diagonal, so packing the
+        # upper triangle and unpacking it gives back the same bytes
+        env = make_toy_env()
+        agent = make_agent(env.layout, env.state_dim, toy_agent_config(0))
+        run_training(env, agent, lambda e: toy_demands(), 2)
+        scale = agent.posterior.scale
+        assert scale.flags.writeable                    # refit off the shared prior
+        upper = np.triu_indices(agent.posterior.d)
+        unpacked = np.zeros_like(scale)
+        unpacked[:, upper[0], upper[1]] = scale[:, upper[0], upper[1]]
+        assert unpacked.tobytes() == scale.tobytes()
 
     def test_unseen_sub_actions_keep_prior(self):
         agent = _filled_agent(mode="bayes", n_fill=16)

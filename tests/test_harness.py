@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import importlib.util
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -78,10 +82,13 @@ class TestConfig:
     def test_agent_sizes_rejected(self, tmp_path):
         path = toy_config(tmp_path)
         raw = yaml.safe_load(path.read_text())
-        raw["agent"]["blr_dataset_cap"] = 0
-        path.write_text(yaml.safe_dump(raw))
-        with pytest.raises(ConfigError, match="blr_dataset_cap"):
-            load_experiment_config(path)
+        for key, value in [
+            ("blr_dataset_cap", 0), ("sigma_eps", 0.0), ("prior_sigma", -1.0),
+            ("lr", 0.0), ("lr", math.inf), ("gamma", 1.5),
+        ]:
+            path.write_text(yaml.safe_dump({**raw, "agent": {**raw["agent"], key: value}}))
+            with pytest.raises(ConfigError, match=key):
+                load_experiment_config(path)
 
     def test_reward_gamma_rejected(self, tmp_path):
         # the discount is agent.gamma; a reward-level gamma would do nothing
@@ -171,6 +178,25 @@ class TestConfig:
         assert env.layout.n_bs == len(cfg.topology.ru_ids)
         assert make_demand_provider(cfg, cfg.seeds[0])(0).shape == \
             (cfg.episode_slots, env.layout.n_bs, 1 + cfg.services.n_services)
+
+    def test_the_oracle_path_leaves_numpy_random_unloaded(self):
+        # toy.yaml's oracle draws no number, so reading the config (whose
+        # UtilizationModel has a private Generator field), building the env
+        # and an oracle pass leave numpy.random (~5 MB resident) unloaded
+        code = textwrap.dedent("""
+            import sys
+            from oranmec import harness
+            cfg = harness.load_experiment_config(sys.argv[1])
+            harness.build_env(cfg)
+            harness.run_oracle(cfg)
+            print("numpy.random" in sys.modules)
+        """)
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(CONFIG_DIR / "toy.yaml")],
+            env={**os.environ, "PYTHONPATH": str(CONFIG_DIR.parent / "src")},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split() == ["False"]
 
 
 class TestRunExperiment:
