@@ -114,6 +114,10 @@ class AgentConfig:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if min(self.batch_size, self.blr_dataset_cap) < 1:
             raise ValueError("batch_size and blr_dataset_cap must be positive")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be positive, got {self.feature_dim}")
+        if min(self.trunk_widths, default=1) < 1:
+            raise ValueError(f"trunk_widths must be positive, got {self.trunk_widths}")
         if self.buffer_capacity < self.batch_size:
             # the ring would never hold a batch, so no step would ever train
             raise ValueError(

@@ -95,11 +95,8 @@ class State:
     the previous slot."""
 
     t: int
-    demand: np.ndarray          # (K, 1 + C), read-only
+    demand: np.ndarray          # (K, 1 + C); the env's states hold rows of its read-only episode
     prev: tuple[int, ...]       # the previous slot's action row
-
-    def __post_init__(self):
-        self.demand.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, State):
@@ -156,9 +153,11 @@ class RewardConfig:
     max_delay_ms: float = 1e3  # finite sentinel when a demanded service has no compute
 
     def __post_init__(self):
-        numeric = [getattr(self, f.name) for f in fields(self) if f.name != "delay_threshold"]
-        if any(v < 0 for v in [*numeric, *self.delay_threshold.values()]):
-            raise ValueError("reward coefficients must be nonnegative")
+        named = {f.name: getattr(self, f.name) for f in fields(self)}
+        named.update((f"delay_threshold[{c}]", v) for c, v in named.pop("delay_threshold").items())
+        for name, value in named.items():
+            if not 0.0 <= value < math.inf:     # NaN fails too
+                raise ValueError(f"reward {name} must be nonnegative and finite, got {value}")
 
 
 @dataclass
@@ -389,9 +388,9 @@ class OranMecEnv:
     def ingest(self, episode_demands: np.ndarray) -> np.ndarray:
         """Check an episode's demands in one pass and return them read-only.
 
-        Wrong shapes and negative demands raise ValueError.  Demands above
-        the achievable cell rate are clipped to it, with one warning per
-        episode that counts the slots clipped.
+        Wrong shapes and negative or NaN demands raise ValueError.  Demands
+        above the achievable cell rate, +inf among them, are clipped to it,
+        with one warning per episode that counts the slots clipped.
         """
         demands = np.asarray(episode_demands, dtype=np.float64)
         n_bs, width = self.layout.n_bs, 1 + self.layout.n_services
@@ -401,9 +400,11 @@ class OranMecEnv:
             )
         if len(demands) == 0:
             raise ValueError("episode demand sequence must be nonempty")
-        negative = (demands < 0).any(axis=(1, 2))
-        if negative.any():
-            raise ValueError(f"slot {int(np.argmax(negative))}: negative demand")
+        valid = demands >= 0        # NaN fails too
+        if not valid.all():
+            t = int(np.argmin(valid.all(axis=(1, 2))))
+            kind = "NaN" if np.isnan(demands[t]).any() else "negative"
+            raise ValueError(f"slot {t}: {kind} demand")
         clipped = (demands > DEMAND_CAP_GBPS).any(axis=(1, 2))
         if clipped.any():
             logger.warning(

@@ -9,7 +9,7 @@ level into ``ExperimentConfig``, ``topology`` into ``TopologyConfig`` (its
 ``UtilizationSection`` (whose ``params`` are ``UtilizationModel``'s affine
 fields and override ``platform``), and ``reward``, ``services`` and
 ``agent`` into ``RewardConfig``, ``ServiceMix`` and ``AgentConfig``.
-``run_experiment`` executes it per seed and writes:
+``run_experiment`` trains each seed's ``seeded_run`` and writes:
 
   * ``episodes_seed<S>_<mode>.csv``: one record per episode,
   * ``steps_seed<S>_<mode>.csv``: per-slot reward and cost aggregates,
@@ -244,20 +244,27 @@ def derived_seeds(seed: int) -> tuple[int, int, int]:
     return tuple(int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(3))
 
 
+def seeded_run(cfg: ExperimentConfig, seed: int, **agent_changes):
+    """Experiment seed ``seed``'s run, as ``run_experiment`` trains it: the
+    env, the agent of ``cfg.agent`` with ``agent_changes``, the demand
+    provider and the episode-noise seed base, seeded by ``derived_seeds``."""
+    util_seed, agent_seed, episode_seed = derived_seeds(seed)
+    env = build_env(cfg, util_seed=util_seed)
+    agent_cfg = dataclasses.replace(cfg.agent, seed=agent_seed, **agent_changes)
+    agent = make_agent(env.layout, env.state_dim, agent_cfg)
+    return env, agent, make_demand_provider(cfg, seed), episode_seed
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     """Execute the experiment per seed; returns the written file paths."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for seed in cfg.seeds:
-        util_seed, agent_seed, ep_seed = derived_seeds(seed)
-        env = build_env(cfg, util_seed=util_seed)
-        agent_cfg = dataclasses.replace(cfg.agent, seed=agent_seed)
-        agent = make_agent(env.layout, env.state_dim, agent_cfg)
-        provider = make_demand_provider(cfg, seed)
+        env, agent, provider, episode_seed = seeded_run(cfg, seed)
         result = run_training(
-            env, agent, provider, cfg.episodes, episode_seed_base=ep_seed
+            env, agent, provider, cfg.episodes, episode_seed_base=episode_seed
         )
-        tag = f"seed{seed}_{agent_cfg.mode}"
+        tag = f"seed{seed}_{agent.config.mode}"
         ep_path = cfg.out_dir / f"episodes_{tag}.csv"
         st_path = cfg.out_dir / f"steps_{tag}.csv"
         ck_path = cfg.out_dir / f"checkpoint_{tag}.npz"

@@ -59,6 +59,8 @@ def load_trace(path, n_bs: int | None = None, n_services: int | None = None) -> 
                 demand = float(raw[3])
             except (ValueError, IndexError) as exc:
                 raise TraceError(f"{path}: line {lineno}: {exc}") from exc
+            if not math.isfinite(demand):
+                raise TraceError(f"{path}: line {lineno}: demand_gbps {demand} is not finite")
             if demand < 0:
                 raise TraceError(f"{path}: line {lineno}: negative demand {demand}")
             if t < 0 or k < 0 or c < 0:
@@ -154,11 +156,11 @@ class UtilizationModel:
     def __post_init__(self):
         self.mec_base = _per_class(self.mec_base, self.n_services, "mec_base")
         self.mec_slope = _per_class(self.mec_slope, self.n_services, "mec_slope")
-        for name in ("bbu_base", "bbu_slope", "noise_std"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if min(self.mec_base) < 0 or min(self.mec_slope) < 0:
-            raise ValueError("mec parameters must be nonnegative")
+        for name in ("bbu_base", "bbu_slope", "mec_base", "mec_slope", "noise_std"):
+            value = getattr(self, name)
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(0.0 <= v < math.inf for v in values):     # NaN fails too
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
     def reseed(self, seed: int | None) -> None:
         self._rng = np.random.default_rng(seed)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from pathlib import Path
 
@@ -9,9 +10,10 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
-from oranmec.env import ActionLayout, OranMecEnv, RewardConfig, ServiceMix
+from oranmec.env import ActionLayout, OranMecEnv, ServiceMix
+from oranmec.harness import ExperimentConfig, build_env, load_experiment_config
 from oranmec.topology import build_topology
-from oranmec.workload import UtilizationModel, constant_demands
+from oranmec.workload import UtilizationModel
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -57,21 +59,6 @@ def chain_config():
     }
 
 
-# The learning toy: same shape but symmetric fast links everywhere.
-TOY_TOPOLOGY = {
-    "nodes": COST_TOPOLOGY["nodes"],
-    "links": [
-        {"src": 1, "dst": 2, "capacity_gbps": 50.0, "delay_ms": 0.05, "weight": 0.01},
-        {"src": 1, "dst": 3, "capacity_gbps": 50.0, "delay_ms": 0.05, "weight": 0.02},
-        {"src": 2, "dst": 4, "capacity_gbps": 50.0, "delay_ms": 0.05, "weight": 0.01},
-        {"src": 3, "dst": 4, "capacity_gbps": 50.0, "delay_ms": 0.05, "weight": 0.01},
-        {"src": 4, "dst": 0, "capacity_gbps": 50.0, "delay_ms": 0.05, "weight": 0.01},
-    ],
-    "du_servers": [2, 3],
-    "cu_servers": [4],
-}
-
-
 def make_cost_env(
     bbu_base=0.5,
     bbu_slope=1.5,
@@ -97,45 +84,19 @@ def make_cost_env(
     return OranMecEnv(topo, layout, util, reward, services, initial_action)
 
 
+def load_toy(**changes) -> ExperimentConfig:
+    """``configs/toy.yaml`` as ``oranmec run`` loads it, with top-level ``changes``."""
+    return dataclasses.replace(load_experiment_config(CONFIG_DIR / "toy.yaml"), **changes)
+
+
 def make_toy_env():
-    """Small noise-free environment the learning acceptance tests use."""
-    topo = build_topology(TOY_TOPOLOGY)
-    layout = ActionLayout.from_topology(topo, n_services=2, bbu_flavors=(0, 1, 2, 3))
-    reward = RewardConfig(
-        kappa_dm=0.05, kappa_cm=0.025, kappa_h=2.0,
-        kappa_i=0.01, kappa_r=0.01, max_delay_ms=40.0,
-    )
-    util = UtilizationModel(
-        bbu_base=0.2, bbu_slope=1.2, mec_base=0.2, mec_slope=1.0, n_services=2
-    )
-    return OranMecEnv(topo, layout, util, reward, ServiceMix())
+    """The noise-free environment of ``configs/toy.yaml``."""
+    return build_env(load_toy())
 
 
-def toy_demands(slots=144):
-    return constant_demands(slots, 1, 0.5, [0.6, 0.6])
-
-
-def toy_agent_config(seed, mode="bayes", **overrides):
-    from oranmec.agents import AgentConfig
-
-    base = dict(
-        mode=mode,
-        gamma=0.5,
-        lr=1e-3,
-        T_p=36,
-        T_g=72,
-        T_s=8,
-        sigma_eps=3.0,
-        prior_sigma=9.0,
-        trunk_widths=(64, 64, 64),
-        feature_dim=48,
-        blr_dataset_cap=1500,
-        seed=seed,
-    )
-    if mode == "egreedy":
-        base.update(eps_max=1.0, eps_min=0.05, eps_decay_episodes=50)
-    base.update(overrides)
-    return AgentConfig(**base)
+def toy_agent_config(seed, **changes):
+    """``configs/toy.yaml``'s agent settings with ``seed`` and ``changes``."""
+    return dataclasses.replace(load_toy().agent, seed=seed, **changes)
 
 
 @pytest.fixture

@@ -23,12 +23,8 @@ from oranmec.agents import (
     td_target,
 )
 from oranmec.env import ActionLayout
-from tests.conftest import CONFIG_DIR, make_toy_env, toy_agent_config, toy_demands
-
-TOY_LAYOUT = ActionLayout(
-    n_bs=1, du_servers=(2, 3), cu_servers=(4,), bbu_flavors=(0, 1, 2, 3),
-    n_services=2,
-)
+from oranmec.harness import seeded_run
+from tests.conftest import CONFIG_DIR, load_toy, make_toy_env, toy_agent_config
 
 
 class TestAgentConfig:
@@ -50,10 +46,12 @@ class TestAgentConfig:
         ("prior_sigma", 0.0), ("prior_sigma", -1.0), ("prior_sigma", np.nan),
         ("lr", 0.0), ("lr", -1e-4), ("lr", np.inf),
         ("gamma", 1.5), ("gamma", -0.1), ("gamma", np.nan),
+        ("feature_dim", 0), ("trunk_widths", (64, 0)),
     ])
     def test_unusable_numbers_are_rejected(self, name, value):
         # prior_sigma -1 would act on NaN Thompson weights, then fail to
-        # factor; sigma_eps 0 ends in a GradientError; gamma 1.5 trains
+        # factor; sigma_eps 0 ends in a GradientError; feature_dim 0 divides
+        # by zero at the first refresh; gamma 1.5 trains
         with pytest.raises(ValueError, match=name):
             AgentConfig(**{name: value})
 
@@ -433,15 +431,13 @@ def test_no_agent_loads_scipy():
     # episode of either agent, Bayes refits included, leave scipy (~20 MB
     # resident) unloaded
     code = textwrap.dedent("""
-        import dataclasses, sys
+        import sys
         from oranmec import agents, harness
         cfg = harness.load_experiment_config(sys.argv[1])
         harness.run_oracle(cfg)
-        env = harness.build_env(cfg)
         for mode in ("egreedy", "bayes"):
-            agent = agents.make_agent(
-                env.layout, env.state_dim, dataclasses.replace(cfg.agent, mode=mode))
-            agents.run_training(env, agent, harness.make_demand_provider(cfg, 0), 1)
+            env, agent, provider, _ = harness.seeded_run(cfg, 0, mode=mode)
+            agents.run_training(env, agent, provider, 1)
         print(agent.posterior.scale.flags.writeable, "scipy" in sys.modules)
     """)
     src = str(CONFIG_DIR.parent / "src")
@@ -771,9 +767,8 @@ class TestPosteriorUpdate:
         # what packed storage of the sampling factors rests on: after real
         # refits every row has +0.0 bytes below its diagonal, so packing the
         # upper triangle and unpacking it gives back the same bytes
-        env = make_toy_env()
-        agent = make_agent(env.layout, env.state_dim, toy_agent_config(0))
-        run_training(env, agent, lambda e: toy_demands(), 2)
+        env, agent, provider, episode_seed = seeded_run(load_toy(), 0)
+        run_training(env, agent, provider, 2, episode_seed_base=episode_seed)
         scale = agent.posterior.scale
         assert scale.flags.writeable                    # refit off the shared prior
         upper = np.triu_indices(agent.posterior.d)
@@ -975,13 +970,12 @@ class TestCheckpointRoundTrip:
             assert not np.array_equal(twin.posterior.mu, twin.posterior.omega_tilde)
 
     def test_next_thompson_draw_after_a_load_equals_the_saved_agents(self, tmp_path):
-        env = make_toy_env()
-        demands = toy_demands(144)
-        agent = make_agent(env.layout, env.state_dim, toy_agent_config(2))
-        run_training(env, agent, lambda e: demands, 2, episode_seed_base=4)
+        cfg = load_toy()
+        env, agent, provider, episode_seed = seeded_run(cfg, 2)
+        run_training(env, agent, provider, 2, episode_seed_base=episode_seed)
         path = tmp_path / "agent.npz"
         agent.save_checkpoint(path)
-        twin = make_agent(env.layout, env.state_dim, toy_agent_config(5))
+        twin = seeded_run(cfg, 5)[1]
         twin.load_checkpoint(path)
         twin.rng.bit_generator.state = agent.rng.bit_generator.state
         agent.resample()
@@ -1014,10 +1008,8 @@ class TestCheckpointRoundTrip:
 
 class TestRunTraining:
     def test_single_episode_smoke(self):
-        env = make_toy_env()
-        demands = toy_demands(4)
-        agent = make_agent(env.layout, env.state_dim, toy_agent_config(0))
-        result = run_training(env, agent, lambda e: demands, 1)
+        env, agent, provider, episode_seed = seeded_run(load_toy(episode_slots=4), 0)
+        result = run_training(env, agent, provider, 1, episode_seed_base=episode_seed)
         assert len(result.episodes) == 1
         assert len(result.steps) == 4
         assert result.episodes[0].mean_reward < 0
@@ -1025,42 +1017,32 @@ class TestRunTraining:
     def test_seeded_runs_identical(self):
         logs = []
         for _ in range(2):
-            env = make_toy_env()
-            demands = toy_demands(8)
-            agent = make_agent(env.layout, env.state_dim, toy_agent_config(3))
-            result = run_training(env, agent, lambda e: demands, 2,
-                                  episode_seed_base=10)
+            env, agent, provider, episode_seed = seeded_run(load_toy(episode_slots=8), 3)
+            result = run_training(env, agent, provider, 2, episode_seed_base=episode_seed)
             logs.append([(r.total_reward, r.penalty_total) for r in result.episodes])
         assert logs[0] == logs[1]
 
     def test_modes_produce_different_trajectories(self):
         outs = []
         for mode in ("bayes", "egreedy"):
-            env = make_toy_env()
-            demands = toy_demands(8)
-            agent = make_agent(env.layout, env.state_dim,
-                               toy_agent_config(3, mode=mode))
-            result = run_training(env, agent, lambda e: demands, 2)
+            env, agent, provider, _ = seeded_run(load_toy(episode_slots=8), 3, mode=mode)
+            result = run_training(env, agent, provider, 2)
             outs.append([r.total_reward for r in result.episodes])
         assert outs[0] != outs[1]
 
     def test_greedy_evaluation_runs(self):
-        env = make_toy_env()
-        demands = toy_demands(4)
-        agent = make_agent(env.layout, env.state_dim, toy_agent_config(1))
-        value = evaluate_greedy(env, agent, demands)
+        env, agent, provider, _ = seeded_run(load_toy(episode_slots=4), 1)
+        value = evaluate_greedy(env, agent, provider(0))
         assert np.isfinite(value)
 
     @pytest.mark.parametrize("mode", ["egreedy", "bayes"])
     def test_greedy_evaluation_leaves_the_rng_alone(self, mode):
         # an evaluation between training episodes must not shift the
         # training stream that follows it
-        env = make_toy_env()
-        demands = toy_demands(8)
-        agent = make_agent(env.layout, env.state_dim, toy_agent_config(1, mode=mode))
-        run_training(env, agent, lambda e: demands, 1)
+        env, agent, provider, _ = seeded_run(load_toy(episode_slots=8), 1, mode=mode)
+        run_training(env, agent, provider, 1)
         before = agent.rng.bit_generator.state
-        evaluate_greedy(env, agent, demands, noise_seed=3)
+        evaluate_greedy(env, agent, provider(0), noise_seed=3)
         assert agent.rng.bit_generator.state == before
 
 
@@ -1068,7 +1050,7 @@ class TestEpsilonSchedule:
     def test_linear_decay(self):
         cfg = toy_agent_config(0, mode="egreedy",
                                eps_max=1.0, eps_min=0.05, eps_decay_episodes=100)
-        agent = EGreedyAgent(TOY_LAYOUT, 4, cfg)
+        agent = EGreedyAgent(make_toy_env().layout, 4, cfg)
         assert agent.epsilon(0) == 1.0
         assert agent.epsilon(50) == pytest.approx(0.525)
         assert agent.epsilon(100) == pytest.approx(0.05)
@@ -1081,7 +1063,7 @@ class TestEpsilonSchedule:
         from oranmec.config import read_section
 
         def start(agent_cfg):
-            return EGreedyAgent(TOY_LAYOUT, 4, agent_cfg).epsilon(0)
+            return EGreedyAgent(make_toy_env().layout, 4, agent_cfg).epsilon(0)
 
         # the yaml key: eps_max is capped at 0.1, whether set or defaulted
         for eps_max, expected in ((None, 0.1), (0.5, 0.1), (0.05, 0.05)):

@@ -11,6 +11,7 @@ from oranmec.env import (
     ActionSpaceTooLarge,
     EpisodeExhausted,
     OranMecEnv,
+    State,
     enumerate_actions,
 )
 from oranmec.topology import build_topology
@@ -65,6 +66,24 @@ class TestReset:
         demand[2, 0, 1] = -0.1
         with pytest.raises(ValueError, match="slot 2: negative"):
             env.reset(demand)
+
+    def test_nan_cell_rejected_and_inf_clipped(self, env):
+        demand = np.full((4, 1, 3), 0.5)
+        demand[1, 0, 0] = np.inf
+        assert env.reset(demand).demand[0, 0] == 0.5
+        assert env.step(env.initial_action)[0].demand[0, 0] == 4.0
+        demand[3, 0, 2] = np.nan
+        with pytest.raises(ValueError, match="slot 3: NaN demand"):
+            env.reset(demand)
+
+    def test_states_hold_read_only_rows_and_leave_the_callers_array_alone(self, env):
+        demand = np.full((3, 1, 3), 0.5)
+        states = [env.reset(demand)] + [env.step(env.initial_action)[0] for _ in range(2)]
+        assert not any(s.demand.flags.writeable for s in states)
+        assert demand.flags.writeable
+        row = np.full((1, 3), 0.5)
+        State(0, row, env.initial_action)       # a hand-built state
+        assert row.flags.writeable
 
     def test_clipped_episode_warns_once(self, env, caplog):
         demand = np.full((6, 1, 3), 0.5)

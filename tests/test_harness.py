@@ -1,6 +1,4 @@
 import csv
-import dataclasses
-import importlib.util
 import math
 import os
 import subprocess
@@ -13,7 +11,7 @@ import pytest
 import yaml
 
 from oranmec import harness
-from oranmec.agents import make_agent, run_training
+from oranmec.agents import run_training
 from oranmec.cli import main as cli_main
 from oranmec.env import ActionSpaceTooLarge, CostBreakdown
 from oranmec.harness import (
@@ -27,11 +25,12 @@ from oranmec.harness import (
     make_demand_provider,
     run_experiment,
     run_oracle,
+    seeded_run,
     write_episode_csv,
     write_step_csv,
 )
 from oranmec.workload import platform_b, synth_demands
-from tests.conftest import CONFIG_DIR, make_toy_env, toy_agent_config, toy_demands
+from tests.conftest import CONFIG_DIR
 
 
 def toy_config(tmp_path, **overrides):
@@ -85,10 +84,39 @@ class TestConfig:
         for key, value in [
             ("blr_dataset_cap", 0), ("sigma_eps", 0.0), ("prior_sigma", -1.0),
             ("lr", 0.0), ("lr", math.inf), ("gamma", 1.5),
+            ("feature_dim", 0), ("trunk_widths", [64, 0]),
         ]:
             path.write_text(yaml.safe_dump({**raw, "agent": {**raw["agent"], key: value}}))
             with pytest.raises(ConfigError, match=key):
                 load_experiment_config(path)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("reward", "kappa_d", math.nan),
+        ("reward", "kappa_h", math.inf),
+        ("reward", "delay_slope", math.nan),
+        ("reward", "max_delay_ms", math.inf),
+        ("reward", "delay_threshold", {1: math.nan}),
+        ("utilization.params", "bbu_base", math.nan),
+        ("utilization.params", "mec_slope", [1.0, math.inf]),
+        ("utilization", "noise_std", math.nan),
+        ("agent", "feature_dim", 0),
+    ])
+    def test_unusable_number_refused_at_load(self, tmp_path, capsys, section, key, value):
+        # a NaN or infinite reward term leaves the oracle no action scored
+        # above -inf; a NaN utilization term prices every draw as 0
+        raw = yaml.safe_load(toy_config(tmp_path).read_text())
+        target = raw
+        for name in section.split("."):
+            target = target[name]
+        target[key] = value
+        path = tmp_path / "unusable.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match=key):
+            load_experiment_config(path)
+        for command in ("oracle", "run"):
+            assert cli_main([command, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and key in err
 
     def test_reward_gamma_rejected(self, tmp_path):
         # the discount is agent.gamma; a reward-level gamma would do nothing
@@ -233,6 +261,17 @@ class TestRunExperiment:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    def test_trains_the_run_that_seeded_run_builds(self, tmp_path):
+        # tools/identity.py and the tests train seeded_run's runs themselves;
+        # seeded unlike run_experiment, they would check a run nobody makes
+        cfg = load_experiment_config(toy_config(tmp_path, seeds=[7], episode_slots=144))
+        env, agent, provider, episode_seed = seeded_run(cfg, 7)
+        result = run_training(env, agent, provider, cfg.episodes, episode_seed_base=episode_seed)
+        ours = [(repr(r.total_reward), repr(r.mean_reward)) for r in result.episodes]
+        run_experiment(cfg)
+        rows = harness.read_episode_csv(cfg.out_dir / "episodes_seed7_bayes.csv")
+        assert ours == [(row["total_reward"], row["mean_reward"]) for row in rows]
+
     def test_default_cluster_single_episode_under_budget(self, tmp_path):
         with open(CONFIG_DIR / "default.yaml") as fh:
             raw = yaml.safe_load(fh)
@@ -245,17 +284,6 @@ class TestRunExperiment:
         start = time.monotonic()
         run_experiment(cfg)
         assert time.monotonic() - start < 10.0
-
-
-def test_identity_tool_splits_seeds_as_the_harness():
-    # tools/identity.py writes the split out so that it runs on older trees;
-    # seeded unlike run_experiment, its fingerprints would compare nothing
-    path = CONFIG_DIR.parent / "tools" / "identity.py"
-    spec = importlib.util.spec_from_file_location("identity", path)
-    identity = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(identity)
-    for seed in range(21):
-        assert identity.derived_seeds(seed) == harness.derived_seeds(seed)
 
 
 class TestOracle:
@@ -306,11 +334,32 @@ class TestOracle:
         for legacy in (5.0, 4.0):
             path = toy_config(
                 tmp_path,
-                workload={"source": "constant", "legacy_gbps": legacy, "mec_gbps": [0.6, 0.6]},
+                workload={"source": "constant", "legacy_gbps": legacy},
             )
             best.append(run_oracle(load_experiment_config(path)))
         assert best[0].mean_reward == best[1].mean_reward
         assert best[0].action == best[1].action
+
+    def test_scores_read_only_demand_rows(self, tmp_path, monkeypatch):
+        # a State keeps its demand as given, so the oracle must price rows
+        # of its read-only ingested episode
+        build = harness.build_env
+        writeable = set()
+
+        def recording_build(cfg, util_seed=None):
+            env = build(cfg, util_seed=util_seed)
+            compute_costs = env.compute_costs
+
+            def recorded(state, row):
+                writeable.add(state.demand.flags.writeable)
+                return compute_costs(state, row)
+
+            env.compute_costs = recorded
+            return env
+
+        monkeypatch.setattr(harness, "build_env", recording_build)
+        assert run_oracle(load_experiment_config(toy_config(tmp_path))).n_evaluated == 8192
+        assert writeable == {False}
 
     def test_oracle_upper_bounds_stationary_policies(self, tmp_path):
         import numpy as np
@@ -417,12 +466,9 @@ class TestMetricFileRoundTrip:
 
     @pytest.fixture
     def result(self, tmp_path):
-        cfg = load_experiment_config(toy_config(tmp_path, seeds=[3]))
-        env = build_env(cfg, util_seed=1)
-        agent = make_agent(env.layout, env.state_dim, dataclasses.replace(cfg.agent, seed=2))
-        return run_training(
-            env, agent, make_demand_provider(cfg, 3), cfg.episodes, episode_seed_base=4
-        )
+        cfg = load_experiment_config(toy_config(tmp_path))
+        env, agent, provider, episode_seed = seeded_run(cfg, 3)
+        return run_training(env, agent, provider, cfg.episodes, episode_seed_base=episode_seed)
 
     def _read_back(self, path, fields):
         with open(path, newline="") as fh:
@@ -502,32 +548,3 @@ class TestCli:
                          "--episodes", "1"]) == 0
         ep = tmp_path / "out" / "episodes_seed9_bayes.csv"
         assert len(ep.read_text().strip().splitlines()) == 2
-
-
-class TestToyCopy:
-    """``conftest.make_toy_env``, ``toy_demands`` and ``toy_agent_config``
-    copy ``configs/toy.yaml`` by hand; these keep the copy equal to it."""
-
-    @pytest.fixture
-    def cfg(self):
-        return load_experiment_config(CONFIG_DIR / "toy.yaml")
-
-    def test_env_and_demands_match(self, cfg):
-        ours, theirs = make_toy_env(), harness.build_env(cfg)
-        assert ours.topo == theirs.topo
-        assert ours.layout == theirs.layout
-        assert ours.util == theirs.util
-        assert ours.reward_cfg == theirs.reward_cfg
-        assert ours.services == theirs.services
-        assert ours.initial_action == theirs.initial_action
-        demands = harness.make_demand_provider(cfg, cfg.seeds[0])(0)
-        assert np.array_equal(toy_demands(cfg.episode_slots), demands)
-
-    def test_bayes_agent_config_matches(self, cfg):
-        assert toy_agent_config(5) == dataclasses.replace(cfg.agent, seed=5)
-
-    def test_egreedy_config_differs_only_in_its_decay(self, cfg):
-        ours = toy_agent_config(5, mode="egreedy")
-        theirs = dataclasses.replace(cfg.agent, mode="egreedy", seed=5)
-        assert (ours.eps_decay_episodes, theirs.eps_decay_episodes) == (50, 100)
-        assert dataclasses.replace(ours, eps_decay_episodes=100) == theirs

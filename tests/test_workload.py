@@ -45,6 +45,12 @@ class TestLoadTrace:
         with pytest.raises(TraceError, match="line 2"):
             load_trace(path)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_demand_rejected(self, tmp_path, text):
+        path = write_trace(tmp_path, ["0,0,0,1.0", f"0,0,1,{text}"])
+        with pytest.raises(TraceError, match="line 3: demand_gbps .* is not finite"):
+            load_trace(path)
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = write_trace(tmp_path, ["0,0,0,1.0", "1,zero,0,1.0"])
         with pytest.raises(TraceError, match="line 3"):
@@ -158,6 +164,15 @@ class TestMecUtilization:
         m = UtilizationModel(n_services=2)
         with pytest.raises(ValueError):
             m.mec_utilization(3, 1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("bbu_base", np.nan), ("bbu_slope", np.inf), ("bbu_base", -0.1),
+        ("mec_base", (0.2, np.nan)), ("mec_slope", np.inf), ("noise_std", np.nan),
+    ])
+    def test_unusable_parameters_rejected(self, name, value):
+        # a NaN base would price every draw as 0 through max(0.0, nan)
+        with pytest.raises(ValueError, match=name):
+            UtilizationModel(**{name: value})
 
     def test_per_class_parameters(self):
         m = UtilizationModel(mec_base=(0.1, 0.3), mec_slope=(1.0, 2.0), n_services=2)

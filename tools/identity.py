@@ -13,9 +13,9 @@ that moves one step's loss in its last bit can leave the episode means
 equal).  A Bayes run also prints the sha256 of its final posterior means
 (``posterior.mu``) and sampling factors (``posterior.scale``) bytes, which
 fingerprint the posterior refits directly.  ``toy-oracle`` prints the
-exhaustive oracle's best mean reward.  Runs are seeded as
-``harness.run_experiment`` seeds them, with BLAS on one thread as the
-benchmark runs it.
+exhaustive oracle's best mean reward.  Runs are built by
+``harness.seeded_run``, as ``harness.run_experiment`` builds them, with BLAS
+on one thread as the benchmark runs it.
 
 ``default-bayes`` never refits a posterior (the first refresh on
 ``default.yaml`` is at slot 1,440), so its posterior means stay zero and
@@ -32,7 +32,6 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"       # before numpy is first imported
 
-import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -62,13 +61,6 @@ def hex_sha256(values) -> str:
     return hashlib.sha256("\n".join(map(float.hex, values)).encode()).hexdigest()
 
 
-def derived_seeds(seed: int) -> tuple[int, int, int]:
-    """The utilization-noise, agent and episode-noise seeds of experiment
-    seed ``seed``: ``harness.derived_seeds``, written out here so that the
-    tool also runs on trees that predate that helper."""
-    return tuple(int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(3))
-
-
 def fingerprint(
     config: str, mode: str, seed: int, episodes: int, overrides: dict
 ) -> str:
@@ -77,10 +69,7 @@ def fingerprint(
     episodes' ``mean_loss``, sha256 of the float-hex per-step losses and,
     for Bayes, sha256 of the final posterior means and sampling factors."""
     cfg = harness.load_experiment_config(CONFIGS / config)
-    util_seed, agent_seed, ep_seed = derived_seeds(seed)
-    env = harness.build_env(cfg, util_seed=util_seed)
-    agent_cfg = dataclasses.replace(cfg.agent, mode=mode, seed=agent_seed, **overrides)
-    agent = agents.make_agent(env.layout, env.state_dim, agent_cfg)
+    env, agent, provider, episode_seed = harness.seeded_run(cfg, seed, mode=mode, **overrides)
     losses = []
     train_step = agent.train_step
 
@@ -91,8 +80,7 @@ def fingerprint(
         return loss
 
     agent.train_step = recorded_train_step
-    provider = harness.make_demand_provider(cfg, seed)
-    result = agents.run_training(env, agent, provider, episodes, episode_seed_base=ep_seed)
+    result = agents.run_training(env, agent, provider, episodes, episode_seed_base=episode_seed)
     line = (
         f"rewards {hex_sha256(s.reward for s in result.steps)} "
         f"params {sha256(agent.net.params)} "
