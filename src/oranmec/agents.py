@@ -65,11 +65,11 @@ JITTER = 1e-6
 # are GEMMs.  A dense inverse of a whole 128-wide factor costs 2-3x as much.
 INVERSE_BLOCK = 16
 
-# Bytes of one fused branch-layer output per posterior-refresh chunk.  It
-# bounds the refresh's temporaries, which would otherwise grow with the
-# replay buffer, and keeps them below the 4 MiB at which numpy asks for
-# transparent huge pages: huge-page backing makes resident memory depend on
-# what the host has free.
+# Bytes of one fused branch-layer output per chunk of the posterior refresh's
+# pass over the ring, which keeps one trunk output and TD target per
+# transition.  It bounds that pass's temporaries below the 4 MiB at which
+# numpy asks for transparent huge pages: huge-page backing makes resident
+# memory depend on what the host has free.
 REFRESH_CHUNK_BYTES = 2 << 20
 
 # Rows of the replay ring's first allocation; it doubles from there.
@@ -112,6 +112,8 @@ class AgentConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+        if self.eps_decay_episodes < 0:
+            raise ValueError(f"eps_decay_episodes must be nonnegative, got {self.eps_decay_episodes}")
         if min(self.batch_size, self.blr_dataset_cap) < 1:
             raise ValueError("batch_size and blr_dataset_cap must be positive")
         if self.feature_dim < 1:
@@ -604,45 +606,31 @@ class BayesAgent(_AgentBase):
     def update_posteriors(self) -> None:
         """Refresh every sub-action's posterior from its replay slice.
 
-        One pass over the ring, oldest first, computes every transition's
-        features and TD target (with the current networks and target
-        weights).  Per branch, transitions are grouped by the sub-action the
-        branch actually took, capped at the most recent ``blr_dataset_cap``
-        per sub-action, and the branch's sub-actions with data are refit in
-        one ``blr_posterior`` call.  A sub-action with no matching
-        transitions keeps its posterior as is (for a never-updated one that
-        is the prior), so freshly loaded pretrained posteriors survive early
-        refreshes.
+        One chunked pass over the ring, oldest first, computes every
+        transition's TD target (with the current networks and target weights)
+        and trunk output.  Per branch, the features are formed from those
+        outputs, transitions are grouped by the sub-action the branch took,
+        capped at the most recent ``blr_dataset_cap`` per sub-action, and the
+        sub-actions with data are refit in one ``blr_posterior`` call.  A
+        sub-action with no matching transitions keeps its posterior as is
+        (for a never-updated one that is the prior), so freshly loaded
+        pretrained posteriors survive early refreshes.
         """
         if len(self.buffer) == 0:
             return
         order = self.buffer.chronological_index()
-        taken = self.buffer.action[order]
-        cap = self.config.blr_dataset_cap
-        phis, u = self._features_and_targets(order)
-        for phi, actions, cols in zip(phis, taken.T, self.cols):
+        chunk = max(1, REFRESH_CHUNK_BYTES // (8 * self.net.n_branches * self.net.feature_dim))
+        h = np.empty((len(order), self.net.trunk_widths[-1]))
+        u = np.empty(len(order))
+        for start in range(0, len(order), chunk):
+            sub = self.buffer.gather(order[start:start + chunk])
+            u[start:start + chunk] = self.compute_targets(sub)
+            h[start:start + chunk] = self.net.trunk(sub["state"])[-1]
+        for j, (actions, cols) in enumerate(zip(self.buffer.action[order].T, self.cols)):
+            phi = self.net.branch_features(h, j)
             seen = np.flatnonzero(np.bincount(actions))     # sub-actions with data, ascending
-            sets = [np.flatnonzero(actions == a)[-cap:] for a in seen]
+            sets = [np.flatnonzero(actions == a)[-self.config.blr_dataset_cap:] for a in seen]
             self.posterior.refit(cols.start + seen, [phi[s] for s in sets], [u[s] for s in sets])
-
-    def _features_and_targets(
-        self, index: np.ndarray
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Online features and TD targets of the ring slots ``index``, in
-        chunks gathered straight from the ring."""
-        n_branches = self.net.n_branches
-        chunk = max(1, REFRESH_CHUNK_BYTES // (8 * n_branches * self.net.feature_dim))
-        phis = [
-            np.empty((len(index), self.net.feature_dim)) for _ in range(n_branches)
-        ]
-        u = np.empty(len(index))
-        for start in range(0, len(index), chunk):
-            sub = self.buffer.gather(index[start:start + chunk])
-            stop = start + len(sub["index"])
-            u[start:stop] = self.compute_targets(sub)
-            for j, phi in enumerate(self.net.features(sub["state"])):
-                phis[j][start:stop] = phi
-        return phis, u
 
     # -- checkpointing ----------------------------------------------------
 

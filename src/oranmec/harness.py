@@ -101,6 +101,11 @@ class Workload:
     def __post_init__(self):
         if self.source not in ("synthetic", "constant", "trace"):
             raise ConfigError(f"unknown workload source {self.source!r}")
+        rates = {"peak_gbps": self.peak_gbps, "legacy_gbps": self.legacy_gbps}
+        rates.update((f"mec_gbps[{c}]", v) for c, v in enumerate(self.mec_gbps or ()))
+        for name, value in rates.items():
+            if not 0.0 <= value < math.inf:     # NaN fails too
+                raise ConfigError(f"workload {name} must be nonnegative and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,11 @@ class ExperimentConfig:
             raise ConfigError("episodes must be positive")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if self.episode_slots < 1:
+            raise ConfigError(f"episode_slots must be positive, got {self.episode_slots}")
+        mec = self.workload.mec_gbps
+        if mec is not None and len(mec) != self.services.n_services:
+            raise ConfigError(f"mec_gbps has {len(mec)} rates for {self.services.n_services} services")
 
 
 def load_experiment_config(path) -> ExperimentConfig:

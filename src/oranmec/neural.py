@@ -16,11 +16,12 @@ single matrix product and ``features()`` returns per-branch column views of
 its output.  ``Adam`` updates the flat vector in place, one fixed-size block
 at a time.  Cloning, syncing and checkpointing a network copy one array.
 
-A network built by the constructor is trainable: each forward pass keeps
-what the next backward pass needs (the trunk layers' inputs and the branch
-layer's rectifier mask, plus the branch layer's output when Q heads sit on
-top) and the backward pass releases it.  ``clone()`` makes an inference copy
-for target networks: it has no gradient vector and keeps no activations.
+A network built by the constructor is trainable: each ``features()`` pass
+(``trunk()``, then the fused branch layer) keeps what the next backward pass
+needs, the trunk layers' inputs and the branch layer's rectifier mask (plus
+its output under Q heads); the backward pass releases it.  ``trunk()`` alone,
+or ``branch_features()`` on its output, keeps nothing.  ``clone()`` makes an
+inference copy for target networks: no gradient vector, no activations.
 Gradients for all parameters (branch errors flowing back into the shared
 trunk) are formed without any autodiff dependency.
 """
@@ -62,6 +63,14 @@ class Layers:
         for w, b in zip(self.trunk, self.trunk_bias):
             out += [w, b]
         return out + [self.branch, self.branch_bias, *self.heads]
+
+
+def _affine_relu(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relu(h @ w + b), formed in place in the product."""
+    z = h @ w
+    z += b
+    np.maximum(z, 0.0, out=z)
+    return z
 
 
 class BranchingQNet:
@@ -143,20 +152,25 @@ class BranchingQNet:
             raise ValueError(f"input shape {x.shape}, expected (*, {self.state_dim})")
         return x
 
+    def trunk(self, x: np.ndarray) -> list[np.ndarray]:
+        """The input, then each trunk layer's (batch, width) output."""
+        inputs = [self._check_input(x)]
+        for w, b in zip(self.w.trunk, self.w.trunk_bias):
+            inputs.append(_affine_relu(inputs[-1], w, b))
+        return inputs
+
+    def branch_features(self, h: np.ndarray, j: int) -> np.ndarray:
+        """Branch j's (batch, feature_dim) features from the trunk output
+        ``h``, through its columns of the branch layer alone."""
+        cols = self._cols[j]
+        return _affine_relu(h, self.w.branch[:, cols], self.w.branch_bias[cols])
+
     def features(self, x: np.ndarray) -> list[np.ndarray]:
         """Per-branch feature matrices, shape (batch, feature_dim): column
         views of one (batch, J*F) array."""
-        h = self._check_input(x)
         self._cache = None          # free the previous pass's activations first
-        inputs = [h]
-        for w, b in zip(self.w.trunk, self.w.trunk_bias):
-            h = h @ w
-            h += b
-            np.maximum(h, 0.0, out=h)
-            inputs.append(h)
-        z = h @ self.w.branch
-        z += self.w.branch_bias
-        np.maximum(z, 0.0, out=z)
+        inputs = self.trunk(x)
+        z = _affine_relu(inputs[-1], self.w.branch, self.w.branch_bias)
         if self.dw is not None:
             self._cache = (inputs, z > 0, z if self.with_heads else None)
         return [z[:, cols] for cols in self._cols]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,12 +47,13 @@ class TestAgentConfig:
         ("prior_sigma", 0.0), ("prior_sigma", -1.0), ("prior_sigma", np.nan),
         ("lr", 0.0), ("lr", -1e-4), ("lr", np.inf),
         ("gamma", 1.5), ("gamma", -0.1), ("gamma", np.nan),
-        ("feature_dim", 0), ("trunk_widths", (64, 0)),
+        ("feature_dim", 0), ("trunk_widths", (64, 0)), ("eps_decay_episodes", -5),
     ])
     def test_unusable_numbers_are_rejected(self, name, value):
         # prior_sigma -1 would act on NaN Thompson weights, then fail to
         # factor; sigma_eps 0 ends in a GradientError; feature_dim 0 divides
-        # by zero at the first refresh; gamma 1.5 trains
+        # by zero at the first refresh; gamma 1.5 trains; eps_decay_episodes
+        # -5 would decay as 1 does
         with pytest.raises(ValueError, match=name):
             AgentConfig(**{name: value})
 
@@ -595,7 +597,9 @@ class TestThompsonSelection:
             assert _argmax(post, phi, post.omega * 7.5) == base
 
 
-def _filled_agent(mode="egreedy", batch_size=8, n_fill=32, seed=0, n_bs=1, **overrides):
+def _filled_agent(
+    mode="egreedy", batch_size=8, n_fill=32, seed=0, n_bs=1, feature_dim=4, **overrides
+):
     cfg = toy_agent_config(seed, mode=mode, batch_size=batch_size, **overrides)
     state_dim = 6
     layout = ActionLayout(
@@ -603,7 +607,7 @@ def _filled_agent(mode="egreedy", batch_size=8, n_fill=32, seed=0, n_bs=1, **ove
         mec_flavors=((0, 1), (0, 1)), n_services=2,
     )
     cfg.trunk_widths = (8, 8)
-    cfg.feature_dim = 4
+    cfg.feature_dim = feature_dim
     agent = make_agent(layout, state_dim, cfg)
     rng = np.random.default_rng(5)
     for _ in range(n_fill):
@@ -797,16 +801,35 @@ class TestPosteriorUpdate:
         )
         buf, post, cfg = agent.buffer, agent.posterior, agent.config
         assert len(buf) == capacity and buf.chronological_index()[0] != 0
-        phis, u = agent._features_and_targets(buf.chronological_index())
+        # the reference: every stored transition's features and TD target in
+        # one pass, oldest first
+        data = buf.gather(buf.chronological_index())
+        u = agent.compute_targets(data)
+        phi = agent.net.features(data["state"])[0]
         agent.update_posteriors()
         # stored push p (of the newest 24) sits at ring slot p % capacity
         stored = range(pushes - capacity, pushes)
         took_0 = [p for p in stored if buf.action[p % capacity, 0] == 0]
         assert len(took_0) > cap
         newest = np.array(took_0[-cap:]) - (pushes - capacity)     # chronological positions
-        mu, scale = blr_posterior([phis[0][newest]], [u[newest]], cfg.sigma_eps, cfg.prior_sigma)
+        mu, scale = blr_posterior([phi[newest]], [u[newest]], cfg.sigma_eps, cfg.prior_sigma)
         assert np.array_equal(post.mu[0], mu[0])
         assert np.array_equal(post.scale[0], scale[0])
+
+    def test_refresh_peak_stays_below_a_whole_ring_feature_copy(self):
+        # the refresh keeps one trunk output per transition and forms one
+        # branch's features at a time; a copy of every branch's features of
+        # the whole ring, J*n*F*8 bytes (37 MB here), would exceed the bound
+        n_fill, F = 4000, 32
+        agent = _filled_agent(mode="bayes", n_fill=n_fill, n_bs=4, feature_dim=F)
+        assert agent.net.n_branches == 36
+        tracemalloc.start()
+        try:
+            agent.update_posteriors()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < agent.net.n_branches * n_fill * F * 8
 
     def test_chunked_refresh_matches_one_chunk(self, monkeypatch):
         fits = []

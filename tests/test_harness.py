@@ -100,13 +100,23 @@ class TestConfig:
         ("utilization.params", "mec_slope", [1.0, math.inf]),
         ("utilization", "noise_std", math.nan),
         ("agent", "feature_dim", 0),
+        ("workload", "legacy_gbps", math.nan),
+        ("workload", "legacy_gbps", -1.0),
+        ("workload", "legacy_gbps", math.inf),
+        ("workload", "peak_gbps", math.nan),
+        ("workload", "mec_gbps", [0.6, -0.1]),
+        ("workload", "mec_gbps", [0.6]),
+        ("", "episode_slots", 0),
     ])
     def test_unusable_number_refused_at_load(self, tmp_path, capsys, section, key, value):
         # a NaN or infinite reward term leaves the oracle no action scored
-        # above -inf; a NaN utilization term prices every draw as 0
+        # above -inf; a NaN utilization term prices every draw as 0; an
+        # infinite demand is priced at the demand cap; a NaN, negative or
+        # misshapen demand, or no slots, would fail only at run time without
+        # naming the key
         raw = yaml.safe_load(toy_config(tmp_path).read_text())
         target = raw
-        for name in section.split("."):
+        for name in filter(None, section.split(".")):     # "" is the top level
             target = target[name]
         target[key] = value
         path = tmp_path / "unusable.yaml"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oranmec.agents import REFRESH_CHUNK_BYTES
 from oranmec.env import ActionLayout
 from oranmec.neural import (
     ADAM_BLOCK,
@@ -347,6 +348,35 @@ class TestFusedBranches:
             assert np.array_equal(q, ref)
         for phi, ref in zip(net.features(x[0]), per_branch_reference(net, x[0])[0]):
             assert np.array_equal(phi, ref)
+
+    @pytest.mark.parametrize("rows", [2, 3, 100, 700])
+    @pytest.mark.parametrize("state_dim,n_branches,width,F", [
+        (18, 9, 64, 48), (84, 36, 256, 128),
+    ], ids=["toy", "default"])
+    def test_one_branch_pass_is_bit_equal_to_features(self, rows, state_dim, n_branches, width, F):
+        # the posterior refresh runs the trunk over the ring chunk by chunk,
+        # then forms one branch's features over all rows at a time; features()
+        # forms every branch's at once.  Both must give the same bytes, whole
+        # or chunked: 100 and 700 rows end in a partial chunk (the refresh
+        # chunk is 606 rows at toy widths, 56 at default ones).  A one-row
+        # product takes BLAS's matrix-vector path, whose last bits differ;
+        # a refresh never runs on a one-row ring, since the first refresh
+        # with data comes at slot T_p.
+        rng = np.random.default_rng(23)
+        net = BranchingQNet(state_dim, [2] * n_branches, trunk_widths=(width,) * 3,
+                            feature_dim=F, with_heads=False, seed=4)
+        net.params += rng.normal(scale=0.01, size=net.params.size)     # nonzero biases
+        x = rng.normal(size=(rows, state_dim))
+        chunk = REFRESH_CHUNK_BYTES // (8 * n_branches * F)
+        starts = range(0, rows, chunk)
+        h = np.concatenate([net.trunk(x[s:s + chunk])[-1] for s in starts])
+        assert h.tobytes() == net.trunk(x)[-1].tobytes()
+        whole = net.features(x)
+        chunked = [net.features(x[s:s + chunk]) for s in starts]
+        for j in range(n_branches):
+            phi = net.branch_features(h, j)
+            assert phi.tobytes() == whole[j].tobytes()
+            assert phi.tobytes() == np.concatenate([c[j] for c in chunked]).tobytes()
 
     def test_features_are_views_of_one_output(self):
         net = small_net(seed=16)
