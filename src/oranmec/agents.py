@@ -118,8 +118,8 @@ class AgentConfig:
             raise ValueError("batch_size and blr_dataset_cap must be positive")
         if self.feature_dim < 1:
             raise ValueError(f"feature_dim must be positive, got {self.feature_dim}")
-        if min(self.trunk_widths, default=1) < 1:
-            raise ValueError(f"trunk_widths must be positive, got {self.trunk_widths}")
+        if min(self.trunk_widths, default=0) < 1:
+            raise ValueError(f"trunk_widths must be nonempty and positive, got {self.trunk_widths}")
         if self.buffer_capacity < self.batch_size:
             # the ring would never hold a batch, so no step would ever train
             raise ValueError(
@@ -465,8 +465,10 @@ class _AgentBase:
         if n:
             x = batch["next_state"][missing]
             if n == 1:
-                # a 1-row forward takes BLAS's matrix-vector path, whose
-                # last bit differs from the same row in a larger batch
+                # a lone row is scored as two, off BLAS's matrix-vector
+                # path.  The pad keeps pinned bits; it buys no batch
+                # invariance, as score rows differ in their last bits
+                # between most batch sizes (all but multiples of 4 at toy widths)
                 x = np.repeat(x, 2, axis=0)
             slots = index[missing]
             fresh = self._scores(self.target_net, x, "omega_tilde")
@@ -531,9 +533,11 @@ class EGreedyAgent(_AgentBase):
     def epsilon(self, episode: int) -> float:
         """Linear decay from ``eps_max`` to ``eps_min`` over
         ``eps_decay_episodes``.  A run from a pretrained checkpoint already
-        knows a policy, so it starts at most at 0.1."""
+        knows a policy, so it starts at most at 0.1 (and never below
+        ``eps_min``)."""
         cfg = self.config
-        eps_max = min(cfg.eps_max, 0.1) if cfg.pretrained_checkpoint else cfg.eps_max
+        eps_max = (max(cfg.eps_min, min(cfg.eps_max, 0.1)) if cfg.pretrained_checkpoint
+                   else cfg.eps_max)
         frac = min(1.0, episode / max(1, cfg.eps_decay_episodes))
         return eps_max + (cfg.eps_min - eps_max) * frac
 

@@ -364,8 +364,7 @@ class OranMecEnv:
         split_rows = [(s, *splits_mod.delay_requirements(s)) for s in map(get_split, doms[0])]
         self._values = (split_rows, *doms[1:5 + layout.n_services])    # all but the MEC sides
         self._route_delays = [
-            [[(float(e.fh_delay_ms), float(e.mh_delay_ms))
-              for e in (topo.path_entry(ru, du, cu) for cu in layout.cu_servers)]
+            [[topo.route_delays(ru, du, cu) for cu in layout.cu_servers]
              for du in layout.du_servers]
             for ru in topo.ru_ids
         ]

@@ -106,6 +106,8 @@ class Workload:
         for name, value in rates.items():
             if not 0.0 <= value < math.inf:     # NaN fails too
                 raise ConfigError(f"workload {name} must be nonnegative and finite, got {value}")
+        if self.source == "trace" and self.path is None:
+            raise ConfigError("workload.source trace needs a workload.path")
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,11 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if self.episode_slots < 1:
             raise ConfigError(f"episode_slots must be positive, got {self.episode_slots}")
+        if self.workload.source == "synthetic" and self.episodes * self.episode_slots % SLOTS_PER_DAY:
+            raise ConfigError(     # synth_demands draws whole days
+                f"workload.source synthetic needs episodes x episode_slots to be a multiple "
+                f"of {SLOTS_PER_DAY}, got {self.episodes} x {self.episode_slots}"
+            )
         mec = self.workload.mec_gbps
         if mec is not None and len(mec) != self.services.n_services:
             raise ConfigError(f"mec_gbps has {len(mec)} rates for {self.services.n_services} services")

@@ -6,11 +6,12 @@ routers and one core gateway (EPC, always node 0).  Links carry a capacity
 total weight while deadline checks use delay, which is why the two are
 separate fields.
 
-For every (RU, DU server, CU server) combination the constructor stores the
-min-weight fronthaul (RU to DU), midhaul (DU to CU) and backhaul (CU to EPC)
-paths with their delays, so action evaluation later is one lookup through
-``Topology.path_entry``.  Topologies are immutable after construction and
-safe to share across workers.
+A route belongs to one segment, and the constructor searches each once: the
+min-weight fronthaul per (RU, DU host) pair, midhaul per (DU host, CU host)
+pair and backhaul per CU host (to the EPC), each stored as a ``Route`` with
+its delay.  A placement choice (RU, DU host, CU host) reads its fronthaul and
+midhaul delays through ``Topology.route_delays``.  Topologies are immutable
+after construction and safe to share across workers.
 """
 from __future__ import annotations
 
@@ -77,19 +78,12 @@ class Link:
 
 
 @dataclass(frozen=True)
-class PathEntry:
-    """Stored routes for one (RU, DU server, CU server) combination.
+class Route:
+    """A min-weight route: its node-id sequence and the sum of its links'
+    delays.  A single-node route (DU and CU on one host) has zero delay."""
 
-    Paths are node-id sequences; a single-node path (DU == CU midhaul) has
-    zero delay.  Delays are the sums of the member links' delays.
-    """
-
-    fh_path: tuple[int, ...]
-    mh_path: tuple[int, ...]
-    bh_path: tuple[int, ...]
-    fh_delay_ms: float
-    mh_delay_ms: float
-    bh_delay_ms: float
+    path: tuple[int, ...]
+    delay_ms: float
 
 
 @dataclass(frozen=True)
@@ -101,20 +95,19 @@ class Topology:
     capacity_rc: dict[int, float]
     server_rate: dict[int, float]
     ru_ids: tuple[int, ...]
-    paths: dict[tuple[int, int, int], PathEntry] = field(repr=False)
+    fronthaul: dict[tuple[int, int], Route] = field(repr=False)     # (RU, DU host)
+    midhaul: dict[tuple[int, int], Route] = field(repr=False)       # (DU host, CU host)
+    backhaul: dict[int, Route] = field(repr=False)                  # CU host to the EPC
 
-    def path_entry(self, ru: int, du: int, cu: int) -> PathEntry:
-        """Stored shortest FH/MH/BH paths for one placement choice."""
+    def route_delays(self, ru: int, du: int, cu: int) -> tuple[float, float]:
+        """Fronthaul and midhaul delays (ms) of one placement choice."""
         if du not in self.du_servers:
             raise TopologyError(f"node {du} is not a DU server")
         if cu not in self.cu_servers:
             raise TopologyError(f"node {cu} is not a CU server")
-        try:
-            return self.paths[(ru, du, cu)]
-        except KeyError:
-            raise RoutingInfeasibleError(
-                f"no stored route for RU {ru} via DU {du} / CU {cu}"
-            ) from None
+        if ru not in self.ru_ids:
+            raise TopologyError(f"node {ru} is not an RU")
+        return self.fronthaul[(ru, du)].delay_ms, self.midhaul[(du, cu)].delay_ms
 
 
 def _adjacency(links: tuple[Link, ...]) -> dict[int, list[tuple[int, float, float]]]:
@@ -126,16 +119,12 @@ def _adjacency(links: tuple[Link, ...]) -> dict[int, list[tuple[int, float, floa
     return adj
 
 
-def _dijkstra(
-    adj: dict[int, list[tuple[int, float, float]]], src: int, dst: int
-) -> tuple[tuple[int, ...], float, float]:
-    """Min-weight path from src to dst with its weight and delay.
+def _dijkstra(adj: dict[int, list[tuple[int, float, float]]], src: int, dst: int) -> Route:
+    """Min-weight route from src to dst.
 
     Ties on total weight break toward the lexicographically smallest node
     sequence, which the heap ordering on (weight, path) gives for free.
     """
-    if src == dst:
-        return (src,), 0.0, 0.0
     heap: list[tuple[float, tuple[int, ...], float]] = [(0.0, (src,), 0.0)]
     settled: set[int] = set()
     while heap:
@@ -145,7 +134,7 @@ def _dijkstra(
             continue
         settled.add(node)
         if node == dst:
-            return path, weight, delay
+            return Route(path, delay)
         for nbr, w, d in adj.get(node, ()):
             if nbr not in settled:
                 heappush(heap, (weight + w, path + (nbr,), delay + d))
@@ -199,7 +188,7 @@ def _waxman_links(
     The raw model can leave components disconnected (it usually does for
     strong distance control); each stranded component is then attached to
     the growing connected part by its geometrically shortest candidate
-    link, deterministically.
+    link, deterministically; one union-find tracks the components.
     """
     pos = rng.uniform(0.0, 1.0, size=(n, 2))
     d_max = math.sqrt(2.0)
@@ -210,28 +199,25 @@ def _waxman_links(
             if rng.uniform() < alpha * math.exp(-dist[i, j] / (beta * d_max)):
                 edges.add((i, j))
 
-    def component(start: int) -> set[int]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for a, b in edges:
-                for v in ((b,) if a == u else (a,) if b == u else ()):
-                    if v not in seen:
-                        seen.add(v)
-                        frontier.append(v)
-        return seen
+    parent = list(range(n))
 
-    connected = component(0)
-    while len(connected) < n:
-        outside = sorted(set(range(n)) - connected)
-        best = min(
-            ((dist[i, j], i, j) for i in outside for j in sorted(connected)),
-            key=lambda t: (t[0], t[1], t[2]),
-        )
-        edges.add((min(best[1], best[2]), max(best[1], best[2])))
-        connected |= component(best[1])
-    return sorted(edges)
+    def root(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for i, j in edges:
+        parent[root(i)] = root(j)
+    while True:
+        hub = root(0)
+        outside = [i for i in range(n) if root(i) != hub]
+        if not outside:
+            return sorted(edges)
+        connected = [j for j in range(n) if root(j) == hub]
+        _, i, j = min((dist[i, j], i, j) for i in outside for j in connected)
+        edges.add((min(i, j), max(i, j)))
+        parent[root(i)] = hub
 
 
 @dataclass(frozen=True)
@@ -288,8 +274,8 @@ def _build_waxman(w: Waxman) -> tuple[list[Node], list[Link], list[int], list[in
 
 def build_topology(config: dict) -> Topology:
     """Build and validate a topology from the keys of ``TopologyConfig``,
-    precomputing all placement routes.  The MEC host of a BS is always its DU
-    or CU server."""
+    searching each fronthaul, midhaul and backhaul route once.  The MEC host
+    of a BS is always its DU or CU server."""
     spec = read_section(TopologyConfig, config, "topology")
     if spec.waxman is not None:
         nodes, links, du_servers, cu_servers = _build_waxman(spec.waxman)
@@ -312,27 +298,24 @@ def build_topology(config: dict) -> Topology:
         raise TopologyError("topology has no RUs")
 
     adj = _adjacency(tuple(links))
-    paths: dict[tuple[int, int, int], PathEntry] = {}
+    du_servers, cu_servers = tuple(sorted(du_servers)), tuple(sorted(cu_servers))
+    fronthaul = {}
     for ru in ru_ids:
-        for du in sorted(du_servers):
+        for du in du_servers:
             try:
-                fh_path, _, fh_delay = _dijkstra(adj, ru, du)
+                fronthaul[(ru, du)] = _dijkstra(adj, ru, du)
             except RoutingInfeasibleError as exc:
                 raise TopologyError(f"RU {ru} cannot reach DU server {du}: {exc}") from exc
-            for cu in sorted(cu_servers):
-                mh_path, _, mh_delay = _dijkstra(adj, du, cu)
-                bh_path, _, bh_delay = _dijkstra(adj, cu, EPC_ID)
-                paths[(ru, du, cu)] = PathEntry(
-                    fh_path, mh_path, bh_path, fh_delay, mh_delay, bh_delay
-                )
 
     return Topology(
         nodes=tuple(nodes),
         links=tuple(links),
-        du_servers=tuple(sorted(du_servers)),
-        cu_servers=tuple(sorted(cu_servers)),
+        du_servers=du_servers,
+        cu_servers=cu_servers,
         capacity_rc=capacity_rc,
         server_rate=server_rate,
         ru_ids=ru_ids,
-        paths=paths,
+        fronthaul=fronthaul,
+        midhaul={(du, cu): _dijkstra(adj, du, cu) for du in du_servers for cu in cu_servers},
+        backhaul={cu: _dijkstra(adj, cu, EPC_ID) for cu in cu_servers},
     )

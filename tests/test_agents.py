@@ -47,13 +47,14 @@ class TestAgentConfig:
         ("prior_sigma", 0.0), ("prior_sigma", -1.0), ("prior_sigma", np.nan),
         ("lr", 0.0), ("lr", -1e-4), ("lr", np.inf),
         ("gamma", 1.5), ("gamma", -0.1), ("gamma", np.nan),
-        ("feature_dim", 0), ("trunk_widths", (64, 0)), ("eps_decay_episodes", -5),
+        ("feature_dim", 0), ("trunk_widths", (64, 0)), ("trunk_widths", ()),
+        ("eps_decay_episodes", -5),
     ])
     def test_unusable_numbers_are_rejected(self, name, value):
         # prior_sigma -1 would act on NaN Thompson weights, then fail to
         # factor; sigma_eps 0 ends in a GradientError; feature_dim 0 divides
         # by zero at the first refresh; gamma 1.5 trains; eps_decay_episodes
-        # -5 would decay as 1 does
+        # -5 would decay as 1 does; no trunk_widths fails only in the net
         with pytest.raises(ValueError, match=name):
             AgentConfig(**{name: value})
 
@@ -1106,3 +1107,13 @@ class TestEpsilonSchedule:
         assert cli.main(["run", "--config", str(config), "--pretrained", "x.npz"]) == 0
         assert seen[0].agent.pretrained_checkpoint == "x.npz"
         assert start(seen[0].agent) == 0.1
+
+    @pytest.mark.parametrize("eps_min, eps_max", [(0.2, 1.0), (0.05, 1.0), (0.1, 0.1), (0.3, 0.5)])
+    @pytest.mark.parametrize("pretrained", [None, "x.npz"])
+    def test_epsilon_never_rises(self, eps_min, eps_max, pretrained):
+        # a pretrained run starts at 0.1, or at eps_min when that is higher
+        cfg = toy_agent_config(0, mode="egreedy", eps_max=eps_max, eps_min=eps_min,
+                               eps_decay_episodes=10, pretrained_checkpoint=pretrained)
+        schedule = [EGreedyAgent(make_toy_env().layout, 4, cfg).epsilon(e) for e in range(25)]
+        assert all(b <= a for a, b in zip(schedule, schedule[1:]))
+        assert schedule[-1] == pytest.approx(eps_min)

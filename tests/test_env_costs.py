@@ -376,7 +376,7 @@ class TestCostProperties:
 
 class TestUnknownChoices:
     """A layout split or server outside the catalogue or the topology raises
-    as ``get_split`` and ``Topology.path_entry`` do, when the env is built."""
+    as ``get_split`` and ``Topology.route_delays`` do, when the env is built."""
 
     @pytest.mark.parametrize("fields, error, text", [
         (dict(splits=("S1", "S9")), KeyError, "unknown split 'S9'"),

@@ -84,7 +84,7 @@ class TestConfig:
         for key, value in [
             ("blr_dataset_cap", 0), ("sigma_eps", 0.0), ("prior_sigma", -1.0),
             ("lr", 0.0), ("lr", math.inf), ("gamma", 1.5),
-            ("feature_dim", 0), ("trunk_widths", [64, 0]),
+            ("feature_dim", 0), ("trunk_widths", [64, 0]), ("trunk_widths", []),
         ]:
             path.write_text(yaml.safe_dump({**raw, "agent": {**raw["agent"], key: value}}))
             with pytest.raises(ConfigError, match=key):
@@ -107,13 +107,17 @@ class TestConfig:
         ("workload", "mec_gbps", [0.6, -0.1]),
         ("workload", "mec_gbps", [0.6]),
         ("", "episode_slots", 0),
+        ("workload", "source", "synthetic"),
+        ("workload", "source", "trace"),
+        ("agent", "trunk_widths", []),
     ])
     def test_unusable_number_refused_at_load(self, tmp_path, capsys, section, key, value):
         # a NaN or infinite reward term leaves the oracle no action scored
         # above -inf; a NaN utilization term prices every draw as 0; an
         # infinite demand is priced at the demand cap; a NaN, negative or
-        # misshapen demand, or no slots, would fail only at run time without
-        # naming the key
+        # misshapen demand, no slots, a synthetic horizon that is not whole
+        # days (2 x 12 slots here) or a trace without a path would fail only
+        # at run time without naming the key
         raw = yaml.safe_load(toy_config(tmp_path).read_text())
         target = raw
         for name in filter(None, section.split(".")):     # "" is the top level
@@ -127,6 +131,11 @@ class TestConfig:
             assert cli_main([command, "--config", str(path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and key in err
+
+    def test_trace_without_path_names_the_key(self, tmp_path):
+        path = toy_config(tmp_path, workload={"source": "trace"})
+        with pytest.raises(ConfigError, match=r"workload\.source trace needs a workload\.path"):
+            load_experiment_config(path)
 
     def test_reward_gamma_rejected(self, tmp_path):
         # the discount is agent.gamma; a reward-level gamma would do nothing

@@ -1,15 +1,17 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from oranmec import harness, topology
 from oranmec.topology import (
     RoutingInfeasibleError,
     TopologyError,
     build_topology,
 )
-from tests.conftest import COST_TOPOLOGY, chain_config
+from tests.conftest import CONFIG_DIR, COST_TOPOLOGY, chain_config
 
 
 def brute_force_shortest(links, src, dst):
@@ -44,13 +46,14 @@ def link_sums(links, path):
 class TestBuild:
     def test_chain_single_path(self):
         topo = build_topology(chain_config())
-        entry = topo.path_entry(1, 2, 2)
-        assert entry.fh_path == (1, 2)
-        assert entry.fh_delay_ms == 0.1
-        assert entry.mh_path == (2,)
-        assert entry.mh_delay_ms == 0.0      # DU and CU co-located
-        assert entry.bh_path == (2, 0)
-        assert entry.bh_delay_ms == 0.2
+        fh, mh, bh = topo.fronthaul[(1, 2)], topo.midhaul[(2, 2)], topo.backhaul[2]
+        assert fh.path == (1, 2)
+        assert fh.delay_ms == 0.1
+        assert mh.path == (2,)
+        assert mh.delay_ms == 0.0      # DU and CU co-located
+        assert bh.path == (2, 0)
+        assert bh.delay_ms == 0.2
+        assert topo.route_delays(1, 2, 2) == (0.1, 0.0)
 
     def test_capacity_must_be_positive(self):
         cfg = chain_config()
@@ -112,7 +115,18 @@ class TestBuild:
         a = build_topology(COST_TOPOLOGY)
         b = build_topology(COST_TOPOLOGY)
         assert a.links == b.links
-        assert a.paths == b.paths
+        assert (a.fronthaul, a.midhaul, a.backhaul) == (b.fronthaul, b.midhaul, b.backhaul)
+
+    def test_each_segment_route_is_searched_once(self, monkeypatch):
+        # default.yaml: 4 RUs x 4 DU hosts + 4 DU x 2 CU hosts + 2 CU hosts
+        calls = []
+        search = topology._dijkstra
+        monkeypatch.setattr(topology, "_dijkstra", lambda *a: calls.append(a[1:]) or search(*a))
+        topo = harness.load_experiment_config(CONFIG_DIR / "default.yaml").topology
+        assert len(calls) == len(set(calls)) == 4 * 4 + 4 * 2 + 2
+        assert sorted(topo.fronthaul) == list(itertools.product(topo.ru_ids, topo.du_servers))
+        assert sorted(topo.midhaul) == list(itertools.product(topo.du_servers, topo.cu_servers))
+        assert sorted(topo.backhaul) == list(topo.cu_servers)
 
 
 class TestShortestPaths:
@@ -136,8 +150,7 @@ class TestShortestPaths:
             "cu_servers": [4],
         }
         topo = build_topology(cfg)
-        entry = topo.path_entry(1, 2, 4)
-        assert entry.fh_path == (1, 3, 2)    # weight 0.2 beats direct 0.3
+        assert topo.fronthaul[(1, 2)].path == (1, 3, 2)    # weight 0.2 beats direct 0.3
 
     def test_lexicographic_tie_break(self):
         # two equal-weight RU->server routes via routers 3 and 4
@@ -162,7 +175,7 @@ class TestShortestPaths:
             "cu_servers": [5],
         }
         topo = build_topology(cfg)
-        assert topo.path_entry(1, 2, 5).fh_path == (1, 3, 2)
+        assert topo.fronthaul[(1, 2)].path == (1, 3, 2)
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(42)
@@ -191,32 +204,52 @@ class TestShortestPaths:
                 topo = build_topology(cfg)
             except TopologyError:
                 continue                      # disconnected draw
-            entry = topo.path_entry(1, 2, 3)
-            for path, (src, dst) in (
-                (entry.fh_path, (1, 2)),
-                (entry.mh_path, (2, 3)),
-                (entry.bh_path, (3, 0)),
+            for route, (src, dst) in (
+                (topo.fronthaul[(1, 2)], (1, 2)),
+                (topo.midhaul[(2, 3)], (2, 3)),
+                (topo.backhaul[3], (3, 0)),
             ):
                 weight, delay = brute_force_shortest(links, src, dst)
-                got_weight, got_delay = link_sums(links, path)
+                got_weight, got_delay = link_sums(links, route.path)
                 assert got_weight == pytest.approx(weight, abs=1e-12)
                 assert got_delay == pytest.approx(delay, abs=1e-12)
 
     def test_stored_delay_is_link_sum(self):
         topo = build_topology(COST_TOPOLOGY)
         links = COST_TOPOLOGY["links"]
-        for entry in topo.paths.values():
-            for path, delay in (
-                (entry.fh_path, entry.fh_delay_ms),
-                (entry.mh_path, entry.mh_delay_ms),
-                (entry.bh_path, entry.bh_delay_ms),
-            ):
-                assert delay == pytest.approx(link_sums(links, path)[1], abs=1e-12)
+        routes = [*topo.fronthaul.values(), *topo.midhaul.values(), *topo.backhaul.values()]
+        for route in routes:
+            assert route.delay_ms == pytest.approx(link_sums(links, route.path)[1], abs=1e-12)
 
     def test_unknown_servers_rejected(self):
         topo = build_topology(COST_TOPOLOGY)
-        with pytest.raises(TopologyError):
-            topo.path_entry(1, 4, 4)    # 4 is a CU host, not DU
+        with pytest.raises(TopologyError, match="node 4 is not a DU server"):
+            topo.route_delays(1, 4, 4)    # 4 is a CU host, not DU
+        with pytest.raises(TopologyError, match="node 2 is not a CU server"):
+            topo.route_delays(1, 2, 2)
+        with pytest.raises(TopologyError, match="node 2 is not an RU"):
+            topo.route_delays(2, 2, 4)
+
+
+class TestRouteDigest:
+    """``default.yaml``'s links and the (FH, MH) delays of every (RU, DU, CU)
+    choice pinned bit for bit: the sha256 of each link's fields and each
+    delay pair written as ``float.hex``, one per line.  The digest was taken
+    when a route was still searched once per (RU, DU, CU) triple."""
+
+    DEFAULT_DIGEST = "b2ddc836ef476cdca97fc44b487dd1942ad52e081ef8849fed4b27a00534f5a2"
+
+    def test_default_links_and_route_delays(self):
+        topo = harness.load_experiment_config(CONFIG_DIR / "default.yaml").topology
+        lines = [
+            f"{l.src} {l.dst} {l.capacity_gbps.hex()} {l.delay_ms.hex()} {l.weight.hex()}"
+            for l in topo.links
+        ]
+        for ru, du, cu in itertools.product(topo.ru_ids, topo.du_servers, topo.cu_servers):
+            fh, mh = topo.route_delays(ru, du, cu)
+            lines.append(f"{ru} {du} {cu} {fh.hex()} {mh.hex()}")
+        assert len(lines) == 13 + 4 * 4 * 2
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DEFAULT_DIGEST
 
 
 class TestWaxman:
@@ -227,7 +260,7 @@ class TestWaxman:
         a = build_topology(self.WAXMAN)
         b = build_topology(self.WAXMAN)
         assert a.links == b.links
-        assert a.paths == b.paths
+        assert (a.fronthaul, a.midhaul, a.backhaul) == (b.fronthaul, b.midhaul, b.backhaul)
 
     def test_seed_changes_graph(self):
         other = {"waxman": {**self.WAXMAN["waxman"], "seed": 6}}
