@@ -1,6 +1,7 @@
 """One reader for config sections: each is read by the dataclass that uses
 it, whose init fields are its keys, their defaults the defaults and their
-annotations the value types."""
+annotations the value types.  A value of the wrong kind raises ``ConfigError``
+naming its key path."""
 from __future__ import annotations
 
 import dataclasses
@@ -41,20 +42,49 @@ def _readers(cls, name: str) -> dict:
 
 
 def _reader(tp, name: str):
-    """A function that reads the config value at key path ``name`` as ``tp``."""
+    """A function that reads the config value at key path ``name`` as ``tp``.
+    A list or tuple is read from a yaml list only, a dict from a mapping only;
+    an int from an int or a whole float, a float from a number or a numeric
+    string (PyYAML reads ``1e-3`` as one); neither from a bool."""
     if isinstance(tp, types.UnionType):     # X | None reads as X
         args = [a for a in tp.__args__ if a is not type(None)]
         if len(args) > 1:
-            return lambda value: value      # any other choice is the field owner's
+            return _same        # any other choice is the field owner's
         read = _reader(args[0], name)
         return lambda value: None if value is None else read(value)
     if dataclasses.is_dataclass(tp):
         return functools.partial(read_section, tp, name=name)
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
     if origin is dict:
-        key, val = _reader(args[0], name), _reader(args[1], name)
-        return lambda value: {key(k): val(v) for k, v in value.items()}
+        key, val = (_reader(a, name) for a in args) if args else (_same, _same)
+        return lambda value: {key(k): val(v) for k, v in _of_kind(dict, name, value).items()}
     if origin in (tuple, list):
         item = _reader(args[0], name)
-        return lambda value: origin([item(v) for v in value])
+        return lambda value: origin([item(v) for v in _of_kind((list, tuple), name, value)])
+    if tp in (int, float):
+        return functools.partial(_number, tp, name)
     return tp
+
+
+def _same(value):
+    return value
+
+
+def _of_kind(kind, name: str, value):
+    """``value`` if it is a ``kind``: a yaml mapping (dict) or list."""
+    if not isinstance(value, kind):
+        what = "mapping" if kind is dict else "list"
+        raise ConfigError(f"{name} must be a {what}, got {value!r}")
+    return value
+
+
+def _number(tp, name: str, value):
+    """``value`` as ``tp``, int or float."""
+    whole = not isinstance(value, float) or value.is_integer()
+    if isinstance(value, bool) or (tp is int and not whole):
+        what = "an integer" if tp is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    try:
+        return tp(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None

@@ -1,8 +1,9 @@
 """The orchestration MDP: state, multi-dimensional action, cost model, reward.
 
 An episode runs over a demand array of shape ``(slots, n_bs, 1 + C)`` (see
-``workload``); ``reset`` checks it once for the whole episode and clips
-demands above the achievable cell rate, and slot t's state holds row t.
+``workload``); ``reset`` passes it to ``ingest``, the one check on demands,
+which also clips those above the achievable cell rate, and slot t's state
+holds row t.  Pricing trusts these rows and checks no demand again.
 Each slot the operator picks, per BS: a functional split, DU/CU/MEC compute
 flavors (discrete reference-core sizes), DU/CU hosting servers and the MEC
 hosting side (DU- or CU-colocated).  Routing follows from the placement via
@@ -322,10 +323,10 @@ class OranMecEnv:
     """One episode-scoped orchestration environment instance.
 
     Instances are independent; run any number in parallel with disjoint
-    seeds.  Demands above the achievable cell rate are clipped at ingestion,
-    and ``compute_costs`` prices a hand-built state's demands clipped the
-    same way.  ``initial_action``, the configuration before slot 0, is
-    given as an ``Action`` and kept as its index row.
+    seeds.  ``ingest`` alone refuses or clips demands, and pricing trusts
+    its rows: a hand-built ``State`` holds a row that ``ingest`` returned.
+    ``initial_action``, the configuration before slot 0, is given as an
+    ``Action`` and kept as its index row.
     """
 
     def __init__(
@@ -462,8 +463,9 @@ class OranMecEnv:
         """Price one slot: ``action`` taken in ``state``, itemized.
 
         ``action`` and ``state.prev`` are index rows in the form ``step``
-        and ``enumerate_actions`` produce; they are not checked here.  Each
-        BS's indices are decoded through tables built with the env: per
+        and ``enumerate_actions`` produce, ``state.demand`` a row ``ingest``
+        returned (in a hand-built ``State`` too); none is checked here.
+        Each BS's indices are decoded through tables built with the env: per
         split index its ``CompositeSplit`` and (HLS, LLS) deadlines, per
         (DU, CU) index pair the (FH, MH) route delays, every other branch's
         values.  The items accumulate in local floats, each term added in
@@ -488,11 +490,8 @@ class OranMecEnv:
             (split, hls_req, lls_req), alpha, beta, x, y, *z = map(getitem, values, row)
             _, alpha_p, beta_p, xp, yp, *zp = map(getitem, values, prow)
             zeta, zetap = row[5 + n:], prow[5 + n:]     # a MEC side's index is its value
-            # Python floats, not numpy scalars, so every cost item is a float;
-            # clipped to the achievable rate as ``ingest`` clips an episode
+            # Python floats, not numpy scalars, so every cost item is a float
             demand = state.demand[k].tolist()
-            if max(demand) > DEMAND_CAP_GBPS:
-                demand = [min(d, DEMAND_CAP_GBPS) for d in demand]
             lam0 = demand[0]
 
             x_hat, y_hat = util.bbu_utilization(split, lam0)

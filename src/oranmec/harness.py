@@ -166,6 +166,8 @@ def load_experiment_config(path) -> ExperimentConfig:
             raw = yaml.load(fh, Loader=YAML_LOADER)
         if not isinstance(raw, dict):
             raise ConfigError("top level must be a mapping")
+        if "topology" not in raw:
+            raise ConfigError("missing topology section")
         topology = build_topology(raw.pop("topology"))
         services = read_section(ServiceMix, raw.pop("services", None), "services")
         utilization = read_section(UtilizationSection, raw.pop("utilization", None), "utilization")
@@ -364,7 +366,8 @@ def read_episode_csv(path) -> list[dict[str, str]]:
 
 def _read_mean_rewards(path: Path) -> list[float]:
     """The ``mean_reward`` column of an episode file; a cell that does not
-    parse raises a ValueError naming the file, the line and the column."""
+    parse raises a ValueError naming the file, the line and the column, and
+    a file without rows one naming the file."""
     series = []
     for line, row in enumerate(read_episode_csv(path), start=2):  # line 1: header
         text = row.get("mean_reward")
@@ -374,6 +377,8 @@ def _read_mean_rewards(path: Path) -> list[float]:
             raise ValueError(
                 f"{path}, line {line}, column 'mean_reward': {text!r} is not a number"
             ) from None
+    if not series:
+        raise ValueError(f"{path}: no episode rows")
     return series
 
 

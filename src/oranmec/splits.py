@@ -114,11 +114,10 @@ def segment_loads(split: CompositeSplit, demand_gbps: float) -> tuple[float, flo
     The LLS option sets the FH load, the HLS option the MH load, and the
     raw user demand always traverses the BH toward the core.  For the
     integrated S4 stack there is no HLS: the MH just forwards the user
-    plane (demand) toward the CU site.  The demand is taken as given: the
-    env clips it to ``DEMAND_CAP_GBPS`` before pricing a slot.
+    plane (demand) toward the CU site.  The demand is taken as given:
+    ``OranMecEnv.ingest`` refuses a negative one and clips it to
+    ``DEMAND_CAP_GBPS`` before any slot is priced.
     """
-    if demand_gbps < 0:
-        raise ValueError(f"demand must be nonnegative, got {demand_gbps}")
     fh = split.lls.load(demand_gbps)
     mh = split.hls.load(demand_gbps) if split.hls is not None else demand_gbps
     bh = demand_gbps

@@ -39,10 +39,12 @@ def load_trace(path, n_bs: int | None = None, n_services: int | None = None) -> 
     """Read a demand trace into a ``(slots, n_bs, 1 + C)`` array; slots run
     from 0 to the largest ``t`` and missing cells are 0.
 
-    Rows must be sorted by slot.  ``n_bs``/``n_services`` override the shape
-    inferred from the largest indices seen.
+    Rows must be sorted by slot, and no cell may appear twice.
+    ``n_bs``/``n_services`` override the shape inferred from the largest
+    indices seen.
     """
     rows: list[tuple[int, int, int, float]] = []
+    seen: dict[tuple[int, int, int], int] = {}      # cell -> the line that set it
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, raw in enumerate(reader, start=1):
@@ -67,6 +69,11 @@ def load_trace(path, n_bs: int | None = None, n_services: int | None = None) -> 
                 raise TraceError(f"{path}: line {lineno}: negative index")
             if rows and t < rows[-1][0]:
                 raise TraceError(f"{path}: line {lineno}: rows not sorted by t")
+            first = seen.setdefault((t, k, c), lineno)
+            if first != lineno:
+                raise TraceError(
+                    f"{path}: line {lineno}: cell t={t}, bs={k}, svc={c} repeats line {first}"
+                )
             rows.append((t, k, c, demand))
 
     if not rows:
@@ -80,11 +87,9 @@ def load_trace(path, n_bs: int | None = None, n_services: int | None = None) -> 
 
     horizon = rows[-1][0] + 1
     demand = np.zeros((horizon, n_bs, 1 + n_services))
-    filled = np.zeros_like(demand, dtype=bool)
     for t, k, c, d in rows:
         demand[t, k, c] = d
-        filled[t, k, c] = True
-    n_missing = filled.size - int(filled.sum())
+    n_missing = demand.size - len(rows)     # each row sets its own cell
     if n_missing:
         logger.warning("%s: %d missing (t,bs,svc) cells defaulted to 0", path, n_missing)
     return _read_only(demand)
@@ -139,9 +144,11 @@ class UtilizationModel:
 
     The BBU total is split between the DU and CU hosts according to the
     active composite split; each MEC class has its own affine parameters.
-    Outputs are clamped at zero.  The model owns a private seeded noise
-    stream; with ``noise_std`` 0 it is deterministic and the stream is
-    never made.
+    Outputs are clamped at zero.  Demands and class indices are taken as
+    given: ``OranMecEnv`` refuses a model whose class count differs from its
+    layout, and its ``ingest`` refuses negative and NaN demands.  The model
+    owns a private seeded noise stream; with ``noise_std`` 0 it is
+    deterministic and the stream is never made.
     """
 
     bbu_base: float = 0.5
@@ -174,17 +181,11 @@ class UtilizationModel:
 
     def bbu_utilization(self, split: CompositeSplit, legacy_gbps: float) -> tuple[float, float]:
         """Actual (DU, CU) reference-core draw for one BS's BBU."""
-        if legacy_gbps < 0:
-            raise ValueError(f"demand must be nonnegative, got {legacy_gbps}")
         total = max(0.0, self.bbu_base + self.bbu_slope * legacy_gbps + self._noise())
         return split.du_compute_share * total, split.cu_compute_share * total
 
     def mec_utilization(self, c: int, demand_gbps: float) -> float:
         """Actual reference-core draw for MEC class ``c`` (1-based)."""
-        if demand_gbps < 0:
-            raise ValueError(f"demand must be nonnegative, got {demand_gbps}")
-        if not 1 <= c <= self.n_services:
-            raise ValueError(f"MEC class {c} out of range 1..{self.n_services}")
         base = self.mec_base[c - 1]
         slope = self.mec_slope[c - 1]
         return max(0.0, base + slope * demand_gbps + self._noise())

@@ -11,12 +11,13 @@ from oranmec.env import (
     ActionSpaceTooLarge,
     EpisodeExhausted,
     OranMecEnv,
+    ServiceMix,
     State,
     enumerate_actions,
 )
 from oranmec.topology import build_topology
-from oranmec.workload import constant_demands, platform_a
-from tests.conftest import make_cost_env
+from oranmec.workload import UtilizationModel, constant_demands, platform_a
+from tests.conftest import COST_TOPOLOGY, make_cost_env
 
 
 @pytest.fixture
@@ -27,6 +28,29 @@ def env():
 @pytest.fixture
 def demands():
     return constant_demands(4, 1, 1.0, [0.5, 0.5])
+
+
+class TestClassCount:
+    """The env refuses a utilization model or service mix whose class count
+    differs from its layout's; pricing indexes both by class unchecked."""
+
+    @pytest.fixture
+    def topo_and_layout(self):
+        topo = build_topology(COST_TOPOLOGY)
+        return topo, ActionLayout.from_topology(topo, n_services=2)
+
+    @pytest.mark.parametrize("n_services", [1, 3])
+    def test_utilization_model_refused(self, topo_and_layout, n_services):
+        with pytest.raises(ValueError, match="utilization model and layout disagree"):
+            OranMecEnv(*topo_and_layout, UtilizationModel(n_services=n_services))
+
+    @pytest.mark.parametrize("services", [
+        ServiceMix(n_services=1, inelastic=(1,), elastic=()),
+        ServiceMix(n_services=3, inelastic=(1,), elastic=(2, 3)),
+    ], ids=["one", "three"])
+    def test_service_mix_refused(self, topo_and_layout, services):
+        with pytest.raises(ValueError, match="service mix and layout disagree"):
+            OranMecEnv(*topo_and_layout, UtilizationModel(n_services=2), services=services)
 
 
 class TestReset:

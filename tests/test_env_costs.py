@@ -87,9 +87,9 @@ def build_env(
 
 def price(env, demand, prev, action):
     """``compute_costs`` at slot 0 of hand-written ``Action``s, passed as the
-    index rows the env takes."""
+    index rows the env takes, on ``demand`` as ``ingest`` returns it."""
     rows = env.layout.action_to_indices
-    return env.compute_costs(State(0, np.asarray([demand], dtype=float), rows(prev)), rows(action))
+    return env.compute_costs(State(0, env.ingest([[demand]])[0], rows(prev)), rows(action))
 
 
 def assert_breakdown(costs, expected):
@@ -305,21 +305,21 @@ class TestHandScenarios:
 
 
 class TestDemandCap:
-    """``compute_costs`` prices demand above the achievable cell rate as the
-    rate itself, on every cost item, as ``ingest`` clips an episode."""
+    """Demand above the achievable cell rate is priced as the rate itself, on
+    every cost item, because ``ingest`` clips it before any pricing."""
 
     @pytest.mark.parametrize("above", [(5.0, 0.0, 0.0), (5.0, 6.0, 4.5)])
     def test_demand_above_cap_is_priced_as_the_cap(self, above):
         env = make_cost_env()
         a = env.initial_action
         at_cap = env.compute_costs(State(0, np.minimum([above], 4.0), a), a)
-        clipped = env.compute_costs(State(0, np.array([above]), a), a)
+        clipped = env.compute_costs(State(0, env.ingest([[above]])[0], a), a)
         assert clipped.as_dict() == at_cap.as_dict()
 
     def test_legacy_five_gbps_prices_routing_and_underprovision_at_four(self):
         env = make_cost_env()
         a = env.initial_action
-        costs = env.compute_costs(State(0, np.array([[5.0, 0.0, 0.0]]), a), a)
+        costs = env.compute_costs(State(0, env.ingest([[[5.0, 0.0, 0.0]]])[0], a), a)
         assert costs.routing == pytest.approx(18.1, **APPROX)
         assert costs.sla_underprovision == pytest.approx(21.0, **APPROX)
 
@@ -510,6 +510,30 @@ class TestCostDigest:
             action = tuple(rng.integers(sizes).tolist())
             costs.append(env.compute_costs(State(t, demands[t], prev), action))
         assert self._digest(costs) == self.DEFAULT_DIGEST
+
+
+class TestClippedCostDigest:
+    """Demands above the cell-rate cap priced through ``ingest``, the only
+    place that clips them: ``TestCostDigest``'s sha256 over 300 seeded random
+    (slot, previous action, action) triples on 1.5 times ``default.yaml``'s
+    demands, where 139 of the 144 slots hold a clipped cell.  The digest was
+    taken from the cost model that clipped each row again while pricing."""
+
+    DIGEST = "69d9df7c54594fb34c31691c82fc0c77a771000a872782cddc3ad95fe807395a"
+
+    def test_random_default_slots_on_clipped_demands(self):
+        env, demands = TestCostDigest._env_and_demands("default.yaml")
+        demands = env.ingest(1.5 * demands)
+        assert int((demands == 4.0).any(axis=(1, 2)).sum()) == 139
+        sizes = env.layout.branch_sizes()
+        rng = np.random.default_rng(24)
+        costs = []
+        for _ in range(300):
+            t = int(rng.integers(len(demands)))
+            prev = tuple(rng.integers(sizes).tolist())
+            action = tuple(rng.integers(sizes).tolist())
+            costs.append(env.compute_costs(State(t, demands[t], prev), action))
+        assert TestCostDigest._digest(costs) == self.DIGEST
 
 
 class TestEncodeDigest:

@@ -110,6 +110,16 @@ class TestConfig:
         ("workload", "source", "synthetic"),
         ("workload", "source", "trace"),
         ("agent", "trunk_widths", []),
+        ("agent", "T_p", 36.9),
+        ("", "episodes", 2.5),
+        ("", "seeds", [7.9]),
+        ("agent", "batch_size", True),
+        ("reward", "kappa_d", True),
+        ("agent", "T_p", math.inf),
+        ("agent", "trunk_widths", "64"),
+        ("agent", "trunk_widths", 64),
+        ("flavors", "bbu", "0123"),
+        ("reward", "delay_threshold", [1.0]),
     ])
     def test_unusable_number_refused_at_load(self, tmp_path, capsys, section, key, value):
         # a NaN or infinite reward term leaves the oracle no action scored
@@ -117,7 +127,9 @@ class TestConfig:
         # infinite demand is priced at the demand cap; a NaN, negative or
         # misshapen demand, no slots, a synthetic horizon that is not whole
         # days (2 x 12 slots here) or a trace without a path would fail only
-        # at run time without naming the key
+        # at run time without naming the key; a fractional or bool number
+        # would be truncated or read as 1, a string read as a list of its
+        # characters, and an infinite int key would raise an OverflowError
         raw = yaml.safe_load(toy_config(tmp_path).read_text())
         target = raw
         for name in filter(None, section.split(".")):     # "" is the top level
@@ -131,6 +143,14 @@ class TestConfig:
             assert cli_main([command, "--config", str(path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and key in err
+
+    def test_missing_topology_section_named(self, tmp_path):
+        raw = yaml.safe_load(toy_config(tmp_path).read_text())
+        del raw["topology"]
+        path = tmp_path / "no_topology.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match="missing topology section"):
+            load_experiment_config(path)
 
     def test_trace_without_path_names_the_key(self, tmp_path):
         path = toy_config(tmp_path, workload={"source": "trace"})
@@ -467,6 +487,16 @@ class TestCompareRuns:
         b.write_text(text)
         with pytest.raises(ValueError, match=r"b\.csv, line 2, column 'mean_reward'"):
             compare_runs([a, b])
+
+    def test_file_without_rows_names_the_file(self, tmp_path, capsys):
+        # a header alone must not compare as mean nan, converged@ 0 and +nan%
+        a = self._write(tmp_path / "a.csv", [-1.0] * 3)
+        empty = tmp_path / "empty.csv"
+        empty.write_text(",".join(EPISODE_FIELDS) + "\n")
+        with pytest.raises(ValueError, match=r"empty\.csv: no episode rows"):
+            compare_runs([a, empty])
+        assert cli_main(["compare", str(a), str(empty)]) == 1
+        assert capsys.readouterr().err == f"error: {empty}: no episode rows\n"
 
     def test_convergence_detector_on_ramp(self):
         # 30-episode ramp: converges only near the end

@@ -52,10 +52,6 @@ class TestSegmentLoads:
         assert fh == 157.3
         assert (mh, bh) == (1.0, 1.0)
 
-    def test_negative_demand_rejected(self):
-        with pytest.raises(ValueError):
-            segment_loads(get_split("S1"), -0.1)
-
 
 class TestDelayRequirements:
     @pytest.mark.parametrize(

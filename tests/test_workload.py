@@ -51,6 +51,12 @@ class TestLoadTrace:
         with pytest.raises(TraceError, match="line 3: demand_gbps .* is not finite"):
             load_trace(path)
 
+    def test_repeated_cell_rejected(self, tmp_path):
+        # a repeated cell must not let its last value win without a word
+        path = write_trace(tmp_path, ["0,0,0,1.0", "0,0,1,0.5", "0,0,0,2.5"])
+        with pytest.raises(TraceError, match="line 4: cell t=0, bs=0, svc=0 repeats line 2"):
+            load_trace(path)
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = write_trace(tmp_path, ["0,0,0,1.0", "1,zero,0,1.0"])
         with pytest.raises(TraceError, match="line 3"):
@@ -159,11 +165,6 @@ class TestMecUtilization:
         draws = [m.mec_utilization(1, 0.0) for _ in range(50)]
         assert all(v >= 0.0 for v in draws)
         assert any(v == 0.0 for v in draws)    # clamp actually fired
-
-    def test_class_index_checked(self):
-        m = UtilizationModel(n_services=2)
-        with pytest.raises(ValueError):
-            m.mec_utilization(3, 1.0)
 
     @pytest.mark.parametrize("name, value", [
         ("bbu_base", np.nan), ("bbu_slope", np.inf), ("bbu_base", -0.1),
