@@ -46,8 +46,15 @@ def _reader(tp, name: str):
     A list or tuple is read from a yaml list only, a dict from a mapping only;
     an int from an int or a whole float, a float from a number or a numeric
     string (PyYAML reads ``1e-3`` as one); neither from a bool."""
-    if isinstance(tp, types.UnionType):     # X | None reads as X
+    if isinstance(tp, types.UnionType):
+        # X | None reads as X; a list type | X (one value per MEC class or
+        # one for all) reads a yaml list as the list type, anything else as X
         args = [a for a in tp.__args__ if a is not type(None)]
+        listed = [a for a in args if typing.get_origin(a) in (tuple, list)]
+        if len(args) == 2 and len(listed) == 1:
+            many = _reader(listed[0], name)
+            one = _reader(next(a for a in args if a is not listed[0]), name)
+            return lambda value: (many if isinstance(value, (list, tuple)) else one)(value)
         if len(args) > 1:
             return _same        # any other choice is the field owner's
         read = _reader(args[0], name)

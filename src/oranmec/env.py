@@ -110,27 +110,6 @@ class State:
 
 
 @dataclass
-class ServiceMix:
-    """Which MEC classes are deadline-bound (inelastic) versus delay-cost
-    weighted (elastic).  Class ids are 1-based; the two sets partition
-    1..n_services."""
-
-    n_services: int = 2
-    inelastic: tuple[int, ...] = (1,)
-    elastic: tuple[int, ...] = (2,)
-
-    def __post_init__(self):
-        all_ids = set(self.inelastic) | set(self.elastic)
-        if sorted(all_ids) != list(range(1, self.n_services + 1)) or (
-            set(self.inelastic) & set(self.elastic)
-        ):
-            raise ValueError(
-                f"inelastic {self.inelastic} and elastic {self.elastic} must "
-                f"partition classes 1..{self.n_services}"
-            )
-
-
-@dataclass
 class RewardConfig:
     """Monetary coefficients and delay-model parameters.
 
@@ -138,6 +117,9 @@ class RewardConfig:
     and ``delay_slope`` converts delay units into money (the "B" knob of
     the delay-coefficient experiments); the reward is
     ``-(total cost) - delay_weight * delay_slope * (elastic delay)``.
+    A MEC class (1-based) is inelastic exactly when ``delay_threshold``
+    has a key for it: its delay past that deadline is an SLA penalty.
+    Every other class is elastic.
     """
 
     kappa_dm: float = 0.25     # $ per DU-side reserved RC
@@ -325,8 +307,8 @@ class OranMecEnv:
     Instances are independent; run any number in parallel with disjoint
     seeds.  ``ingest`` alone refuses or clips demands, and pricing trusts
     its rows: a hand-built ``State`` holds a row that ``ingest`` returned.
-    ``initial_action``, the configuration before slot 0, is given as an
-    ``Action`` and kept as its index row.
+    ``initial_action``, the configuration before slot 0, is the layout's
+    default row.
     """
 
     def __init__(
@@ -335,27 +317,20 @@ class OranMecEnv:
         layout: ActionLayout,
         util_model: UtilizationModel,
         reward_cfg: RewardConfig | None = None,
-        services: ServiceMix | None = None,
-        initial_action: Action | None = None,
     ):
         self.topo = topo
         self.layout = layout
         self.util = util_model
         self.reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
-        self.services = services or ServiceMix(n_services=layout.n_services)
-        if self.services.n_services != layout.n_services:
-            raise ValueError("service mix and layout disagree on the class count")
         if util_model.n_services != layout.n_services:
             raise ValueError("utilization model and layout disagree on the class count")
         if len(topo.ru_ids) != layout.n_bs:
             raise ValueError("layout BS count must match the topology's RU count")
-        for c in self.services.inelastic:
-            if c not in self.reward_cfg.delay_threshold:
-                raise ValueError(f"inelastic class {c} needs a delay threshold")
-        self.initial_action = (
-            layout.default_initial_indices() if initial_action is None
-            else layout.action_to_indices(initial_action)
-        )
+        self._classes = tuple(range(1, layout.n_services + 1))
+        stray = [c for c in self.reward_cfg.delay_threshold if c not in self._classes]
+        if stray:
+            raise ValueError(f"delay_threshold names classes {stray} outside 1..{layout.n_services}")
+        self.initial_action = layout.default_initial_indices()
         self._demands: np.ndarray | None = None
         self._state: State | None = None
         self._sizes = tuple(layout.branch_sizes())
@@ -369,8 +344,6 @@ class OranMecEnv:
              for du in layout.du_servers]
             for ru in topo.ru_ids
         ]
-        self._classes = tuple(range(1, layout.n_services + 1))
-        self._inelastic = frozenset(self.services.inelastic)
         self._enc_offsets, self._enc_cols, self._enc_vals, width = _encoding(layout)
         self.state_dim = layout.n_bs * width
 
@@ -474,6 +447,7 @@ class OranMecEnv:
         ``tests/test_env_costs.py`` pin the resulting bits.
         """
         cfg = self.reward_cfg
+        thresholds = cfg.delay_threshold
         util = self.util
         classes = self._classes
         n = len(classes)
@@ -517,8 +491,9 @@ class OranMecEnv:
                     demand[c], z[c - 1], z_hat[c - 1], zeta[c - 1],
                     fh_delay, mh_delay, alpha, beta,
                 )
-                if c in self._inelastic:
-                    inelastic_delay += cfg.kappa_d * max(0.0, d_kc - cfg.delay_threshold[c])
+                threshold = thresholds.get(c)
+                if threshold is not None:
+                    inelastic_delay += cfg.kappa_d * max(0.0, d_kc - threshold)
                 else:
                     elastic_delay += d_kc
 

@@ -7,8 +7,10 @@ level into ``ExperimentConfig``, ``topology`` into ``TopologyConfig`` (its
 ``waxman`` into ``Waxman``), built and routed once at load, ``flavors``,
 ``workload`` and ``utilization`` into ``Flavors``, ``Workload`` and
 ``UtilizationSection`` (whose ``params`` are ``UtilizationModel``'s affine
-fields and override ``platform``), and ``reward``, ``services`` and
-``agent`` into ``RewardConfig``, ``ServiceMix`` and ``AgentConfig``.
+fields and override ``platform``), and ``reward`` and ``agent`` into
+``RewardConfig`` and ``AgentConfig``.  The top-level ``n_services`` counts
+the MEC classes; a class is inelastic exactly when ``reward.delay_threshold``
+has a key for it.
 ``run_experiment`` trains each seed's ``seeded_run`` and writes:
 
   * ``episodes_seed<S>_<mode>.csv``: one record per episode,
@@ -43,7 +45,6 @@ from .env import (
     CostBreakdown,
     OranMecEnv,
     RewardConfig,
-    ServiceMix,
     State,
     enumerate_actions,
 )
@@ -134,9 +135,9 @@ class ExperimentConfig:
     workload: Workload = field(default_factory=Workload)
     utilization: UtilizationModel = field(default_factory=UtilizationModel)
     reward: RewardConfig = field(default_factory=RewardConfig)
-    services: ServiceMix = field(default_factory=ServiceMix)
     agent: AgentConfig = field(default_factory=AgentConfig)
     flavors: Flavors = field(default_factory=Flavors)
+    n_services: int = 2
     episodes: int = 1
     episode_slots: int = SLOTS_PER_DAY
     seeds: list[int] = field(default_factory=lambda: [0])
@@ -154,9 +155,17 @@ class ExperimentConfig:
                 f"workload.source synthetic needs episodes x episode_slots to be a multiple "
                 f"of {SLOTS_PER_DAY}, got {self.episodes} x {self.episode_slots}"
             )
+        n = self.n_services
+        if n < 1:
+            raise ConfigError(f"n_services must be positive, got {n}")
         mec = self.workload.mec_gbps
-        if mec is not None and len(mec) != self.services.n_services:
-            raise ConfigError(f"mec_gbps has {len(mec)} rates for {self.services.n_services} services")
+        if mec is not None and len(mec) != n:
+            raise ConfigError(f"mec_gbps has {len(mec)} rates for {n} services")
+        if self.flavors.mec and len(self.flavors.mec) != n:
+            raise ConfigError(f"flavors.mec has {len(self.flavors.mec)} ladders for {n} services")
+        stray = [c for c in self.reward.delay_threshold if not 1 <= c <= n]
+        if stray:
+            raise ConfigError(f"reward.delay_threshold names classes {stray} outside 1..{n}")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -169,21 +178,21 @@ def load_experiment_config(path) -> ExperimentConfig:
         if "topology" not in raw:
             raise ConfigError("missing topology section")
         topology = build_topology(raw.pop("topology"))
-        services = read_section(ServiceMix, raw.pop("services", None), "services")
         utilization = read_section(UtilizationSection, raw.pop("utilization", None), "utilization")
-        return read_section(ExperimentConfig, raw, topology=topology, services=services,
-                            utilization=utilization.build(services.n_services))
+        cfg = read_section(ExperimentConfig, raw, topology=topology)
+        cfg.utilization = utilization.build(cfg.n_services)
+        return cfg
     except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def build_env(cfg: ExperimentConfig, util_seed: int | None = None) -> OranMecEnv:
     layout = ActionLayout.from_topology(
-        cfg.topology, n_services=cfg.services.n_services,
+        cfg.topology, n_services=cfg.n_services,
         bbu_flavors=cfg.flavors.bbu, mec_flavors=cfg.flavors.mec,
     )
     util = dataclasses.replace(cfg.utilization, seed=util_seed)
-    return OranMecEnv(cfg.topology, layout, util, cfg.reward, cfg.services)
+    return OranMecEnv(cfg.topology, layout, util, cfg.reward)
 
 
 def make_demand_provider(cfg: ExperimentConfig, seed: int):
@@ -192,7 +201,7 @@ def make_demand_provider(cfg: ExperimentConfig, seed: int):
     wl = cfg.workload
     slots = cfg.episode_slots
     n_bs = len(cfg.topology.ru_ids)
-    n_services = cfg.services.n_services
+    n_services = cfg.n_services
     if wl.source == "constant":
         mec = (0.5,) * n_services if wl.mec_gbps is None else wl.mec_gbps
         episode = constant_demands(slots, n_bs, wl.legacy_gbps, mec)

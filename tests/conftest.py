@@ -10,7 +10,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
-from oranmec.env import ActionLayout, OranMecEnv, ServiceMix
+from oranmec.env import ActionLayout, OranMecEnv
 from oranmec.harness import ExperimentConfig, build_env, load_experiment_config
 from oranmec.topology import build_topology
 from oranmec.workload import UtilizationModel
@@ -65,10 +65,8 @@ def make_cost_env(
     mec_base=0.2,
     mec_slope=1.0,
     n_services=2,
-    services=None,
     reward=None,
     topology=None,
-    initial_action=None,
 ):
     topo = build_topology(topology or COST_TOPOLOGY)
     layout = ActionLayout.from_topology(topo, n_services=n_services)
@@ -79,9 +77,7 @@ def make_cost_env(
         mec_slope=mec_slope,
         n_services=n_services,
     )
-    if services is None:
-        services = ServiceMix(n_services=n_services) if n_services == 2 else None
-    return OranMecEnv(topo, layout, util, reward, services, initial_action)
+    return OranMecEnv(topo, layout, util, reward)
 
 
 def load_toy(**changes) -> ExperimentConfig:

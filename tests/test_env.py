@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import logging
 
@@ -11,7 +10,7 @@ from oranmec.env import (
     ActionSpaceTooLarge,
     EpisodeExhausted,
     OranMecEnv,
-    ServiceMix,
+    RewardConfig,
     State,
     enumerate_actions,
 )
@@ -31,8 +30,9 @@ def demands():
 
 
 class TestClassCount:
-    """The env refuses a utilization model or service mix whose class count
-    differs from its layout's; pricing indexes both by class unchecked."""
+    """The env refuses a utilization model whose class count differs from its
+    layout's, or a delay threshold for a class the layout lacks; pricing
+    indexes both by class unchecked."""
 
     @pytest.fixture
     def topo_and_layout(self):
@@ -44,13 +44,11 @@ class TestClassCount:
         with pytest.raises(ValueError, match="utilization model and layout disagree"):
             OranMecEnv(*topo_and_layout, UtilizationModel(n_services=n_services))
 
-    @pytest.mark.parametrize("services", [
-        ServiceMix(n_services=1, inelastic=(1,), elastic=()),
-        ServiceMix(n_services=3, inelastic=(1,), elastic=(2, 3)),
-    ], ids=["one", "three"])
-    def test_service_mix_refused(self, topo_and_layout, services):
-        with pytest.raises(ValueError, match="service mix and layout disagree"):
-            OranMecEnv(*topo_and_layout, UtilizationModel(n_services=2), services=services)
+    @pytest.mark.parametrize("cls", [0, 3], ids=["zero", "three"])
+    def test_threshold_outside_classes_refused(self, topo_and_layout, cls):
+        reward = RewardConfig(delay_threshold={1: 1.0, cls: 1.0})
+        with pytest.raises(ValueError, match=rf"classes \[{cls}\] outside 1\.\.2"):
+            OranMecEnv(*topo_and_layout, UtilizationModel(n_services=2), reward)
 
 
 class TestReset:
@@ -165,13 +163,6 @@ class TestStep:
         next_state, _, _, _ = env.step(action)
         assert next_state.prev == action
         assert next_state.t == 1
-
-    def test_initial_action_outside_its_domain_is_refused_at_construction(self):
-        layout = ActionLayout(du_servers=(2, 3), cu_servers=(4,))
-        bad = layout.indices_to_action(layout.default_initial_indices())
-        bad = dataclasses.replace(bad, du_flavor=(99,))
-        with pytest.raises(ValueError, match="du_flavor=99 not in domain"):
-            make_cost_env(initial_action=bad)
 
     def test_an_agent_row_is_kept_as_python_ints(self, env, demands):
         env.reset(demands)

@@ -21,8 +21,9 @@ from oranmec import harness
 from oranmec.env import (
     Action,
     ActionLayout,
+    CostBreakdown,
     OranMecEnv,
-    ServiceMix,
+    RewardConfig,
     State,
     enumerate_actions,
 )
@@ -70,7 +71,6 @@ def build_env(
     bbu=(0.5, 1.5),
     mec=(0.2, 1.0),
     n_services=2,
-    services=None,
     reward=None,
     bbu_flavors=tuple(range(16)),
 ):
@@ -82,7 +82,7 @@ def build_env(
         bbu_base=bbu[0], bbu_slope=bbu[1], mec_base=mec[0], mec_slope=mec[1],
         n_services=n_services,
     )
-    return OranMecEnv(topo, layout, util, reward, services)
+    return OranMecEnv(topo, layout, util, reward)
 
 
 def price(env, demand, prev, action):
@@ -151,7 +151,7 @@ class TestHandScenarios:
         topo["links"][0]["delay_ms"] = 0.001
         env = build_env(
             topology=topo, bbu=(0.0, 0.0), mec=(0.0, 1.0), n_services=1,
-            services=ServiceMix(n_services=1, inelastic=(), elastic=(1,)),
+            reward=RewardConfig(delay_threshold={}),
         )
         a = Action(("S1",), (2,), (4,), (0,), (0,), ((2,),), ((0,),))
         costs = price(env, (0.0, 1.0), a, a)
@@ -166,7 +166,7 @@ class TestHandScenarios:
         # service sees the DU side's D = 1*0.1 + 1*(1*1/2) + (1/20)^2 = 0.6025
         env = build_env(
             topology=chain_config(), bbu=(0.0, 0.0), mec=(0.0, 1.0), n_services=1,
-            services=ServiceMix(n_services=1, inelastic=(), elastic=(1,)),
+            reward=RewardConfig(delay_threshold={}),
         )
         for at_cu in (0, 1):
             a = Action(("S1",), (2,), (2,), (0,), (0,), ((2,),), ((at_cu,),))
@@ -392,7 +392,7 @@ class TestUnknownChoices:
 class TestGreedyOneStepOracle:
     """Exhaustive one-step argmax versus hand-computed optima."""
 
-    def _build(self, bbu, mec, prev):
+    def _build(self, bbu, mec):
         topo = build_topology(SINGLE_ROUTE_TOPOLOGY)
         layout = ActionLayout.from_topology(
             topo, n_services=1, bbu_flavors=(0, 1, 2, 3)
@@ -401,15 +401,10 @@ class TestGreedyOneStepOracle:
             bbu_base=bbu[0], bbu_slope=bbu[1], mec_base=mec[0], mec_slope=mec[1],
             n_services=1,
         )
-        env = OranMecEnv(
-            topo, layout, util,
-            services=ServiceMix(n_services=1, inelastic=(), elastic=(1,)),
-            initial_action=prev,
-        )
-        return env
+        return OranMecEnv(topo, layout, util, RewardConfig(delay_threshold={}))
 
-    def _best(self, env, demand):
-        state = State(0, np.asarray([demand], dtype=float), env.initial_action)
+    def _best(self, env, prev, demand):
+        state = State(0, np.asarray([demand], dtype=float), env.layout.action_to_indices(prev))
         best_action, best_reward = None, -np.inf
         for a in enumerate_actions(env.layout):
             r = env.compute_costs(state, a).reward
@@ -421,8 +416,8 @@ class TestGreedyOneStepOracle:
         # keeping the 1-RC instances costs 0.625/slot; releasing them costs
         # a one-off 0.05*3 churn -> release everything, keep the cheap split
         prev = Action(("S1",), (2,), (4,), (1,), (1,), ((1,),), ((0,),))
-        env = self._build((0.0, 0.0), (0.0, 0.0), prev)
-        best, reward = self._best(env, (0.0, 0.0))
+        env = self._build((0.0, 0.0), (0.0, 0.0))
+        best, reward = self._best(env, prev, (0.0, 0.0))
         assert best == Action(("S1",), (2,), (4,), (0,), (0,), ((0,),), ((0,),))
         assert reward == pytest.approx(-10.25, **APPROX)
 
@@ -432,8 +427,8 @@ class TestGreedyOneStepOracle:
         #   J = 0.75 + 0.375 + 14.1 + 0.05 + 0.05 + 0.1 = 15.425
         #   D = 0.1875 + 0.5 + 0.0001 -> reward -16.1126
         prev = Action(("S1",), (2,), (4,), (3,), (1,), ((1,),), ((0,),))
-        env = self._build((0.5, 1.5), (0.0, 1.0), prev)
-        best, reward = self._best(env, (2.0, 1.0))
+        env = self._build((0.5, 1.5), (0.0, 1.0))
+        best, reward = self._best(env, prev, (2.0, 1.0))
         assert best == Action(("S1",), (2,), (4,), (3,), (1,), ((2,),), ((1,),))
         assert reward == pytest.approx(-16.1126, **APPROX)
 
@@ -441,10 +436,43 @@ class TestGreedyOneStepOracle:
         # moving the 2-RC service to the cheaper CU host pays off even with
         # the migration charge: reward -11.1376 vs -11.2275 for staying
         prev = Action(("S1",), (2,), (4,), (0,), (0,), ((2,),), ((0,),))
-        env = self._build((0.0, 0.0), (0.0, 1.0), prev)
-        best, reward = self._best(env, (0.0, 1.0))
+        env = self._build((0.0, 0.0), (0.0, 1.0))
+        best, reward = self._best(env, prev, (0.0, 1.0))
         assert best == Action(("S1",), (2,), (4,), (0,), (0,), ((2,),), ((1,),))
         assert reward == pytest.approx(-11.1376, **APPROX)
+
+
+class TestInelasticClasses:
+    """A class is inelastic exactly when ``delay_threshold`` has a key for
+    it: naming class 2 moves its delay from ``elastic_delay`` into
+    ``sla_inelastic_delay``, naming none leaves both classes elastic, and no
+    other item moves."""
+
+    def test_threshold_keys_choose_the_inelastic_classes(self, rng):
+        envs = {
+            name: make_cost_env(reward=RewardConfig(delay_threshold=thresholds))
+            for name, thresholds in [
+                ("none", {}), ("first", {1: 1.0}), ("second", {2: 1.0}), ("both", {1: 1.0, 2: 0.5}),
+            ]
+        }
+        sizes = envs["none"].layout.branch_sizes()
+        missed = 0
+        for _ in range(50):
+            demand = envs["none"].ingest(rng.uniform(0.0, 4.0, size=(1, 1, 3)))[0]
+            prev, action = (tuple(int(rng.integers(n)) for n in sizes) for _ in range(2))
+            costs = {name: env.compute_costs(State(0, demand, prev), action)
+                     for name, env in envs.items()}
+            d1, d2 = costs["second"].elastic_delay, costs["first"].elastic_delay
+            assert costs["none"].sla_inelastic_delay == 0.0
+            assert costs["none"].elastic_delay == d1 + d2
+            assert costs["both"].elastic_delay == 0.0
+            assert costs["both"].sla_inelastic_delay == \
+                costs["first"].sla_inelastic_delay + 5.0 * max(0.0, d2 - 0.5)
+            for item in CostBreakdown._ITEMS:
+                if item != "sla_inelastic_delay":
+                    assert len({getattr(c, item) for c in costs.values()}) == 1, item
+            missed += d2 > 0.5
+        assert missed >= 10     # class 2's deadline is missed often enough to tell
 
 
 class TestCostTypes:

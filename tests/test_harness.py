@@ -120,6 +120,11 @@ class TestConfig:
         ("agent", "trunk_widths", 64),
         ("flavors", "bbu", "0123"),
         ("reward", "delay_threshold", [1.0]),
+        ("utilization.params", "mec_base", True),
+        ("utilization.params", "mec_slope", True),
+        ("flavors", "mec", [[0, 1, 2, 3]]),
+        ("reward", "delay_threshold", {5: 1.0}),
+        ("", "n_services", 0),
     ])
     def test_unusable_number_refused_at_load(self, tmp_path, capsys, section, key, value):
         # a NaN or infinite reward term leaves the oracle no action scored
@@ -129,7 +134,9 @@ class TestConfig:
         # days (2 x 12 slots here) or a trace without a path would fail only
         # at run time without naming the key; a fractional or bool number
         # would be truncated or read as 1, a string read as a list of its
-        # characters, and an infinite int key would raise an OverflowError
+        # characters, and an infinite int key would raise an OverflowError;
+        # a MEC flavor ladder or delay threshold per class is checked against
+        # the class count
         raw = yaml.safe_load(toy_config(tmp_path).read_text())
         target = raw
         for name in filter(None, section.split(".")):     # "" is the top level
@@ -166,16 +173,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown reward config keys"):
             load_experiment_config(path)
 
-    def test_services_keys_parsed_and_typos_rejected(self, tmp_path):
-        path = toy_config(tmp_path)
-        raw = yaml.safe_load(path.read_text())
-        raw["services"] = {"n_services": 2, "inelastic": [2], "elastic": [1]}
-        path.write_text(yaml.safe_dump(raw))
-        services = load_experiment_config(path).services
-        assert (services.n_services, services.inelastic, services.elastic) == (2, (2,), (1,))
-        raw["services"] = {"n_services": 2, "inelastc": [1]}
-        path.write_text(yaml.safe_dump(raw))
-        with pytest.raises(ConfigError, match=r"unknown services config keys \['inelastc'\]"):
+    def test_class_keys_parsed_and_services_section_refused(self, tmp_path):
+        path = toy_config(tmp_path, reward={"delay_threshold": {2: 0.5}})
+        cfg = load_experiment_config(path)
+        assert (cfg.n_services, cfg.reward.delay_threshold) == (2, {2: 0.5})
+        path = toy_config(tmp_path, services={"n_services": 2, "inelastic": [1]})
+        with pytest.raises(ConfigError, match=r"unknown top-level config keys \['services'\]"):
             load_experiment_config(path)
 
     def test_no_seeds_rejected(self, tmp_path):
@@ -244,7 +247,7 @@ class TestConfig:
         env = build_env(cfg)
         assert env.layout.n_bs == len(cfg.topology.ru_ids)
         assert make_demand_provider(cfg, cfg.seeds[0])(0).shape == \
-            (cfg.episode_slots, env.layout.n_bs, 1 + cfg.services.n_services)
+            (cfg.episode_slots, env.layout.n_bs, 1 + cfg.n_services)
 
     def test_the_oracle_path_leaves_numpy_random_unloaded(self):
         # toy.yaml's oracle draws no number, so reading the config (whose
@@ -323,6 +326,25 @@ class TestRunExperiment:
         start = time.monotonic()
         run_experiment(cfg)
         assert time.monotonic() - start < 10.0
+
+
+class TestClassCount:
+    @pytest.mark.parametrize("mode", ["bayes", "egreedy"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_toy_trains_with_other_class_counts(self, tmp_path, n, mode):
+        path = toy_config(
+            tmp_path, n_services=n,
+            flavors={"bbu": [0, 1, 2, 3], "mec": [[0, 1, 2, 3]] * n},
+            workload={"source": "constant", "legacy_gbps": 0.5, "mec_gbps": [0.6] * n},
+            utilization={"params": {"bbu_base": 0.2, "bbu_slope": 1.2,
+                                    "mec_base": [0.2] * n, "mec_slope": [1.0] * n}},
+        )
+        cfg = load_experiment_config(path)
+        env, agent, provider, episode_seed = seeded_run(cfg, 7, mode=mode)
+        assert env.layout.n_services == env.util.n_services == n
+        result = run_training(env, agent, provider, 1, episode_seed_base=episode_seed)
+        rewards = [s.reward for s in result.steps]
+        assert len(rewards) == cfg.episode_slots and np.isfinite(rewards).all()
 
 
 class TestOracle:

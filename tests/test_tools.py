@@ -20,7 +20,8 @@ def run_tool(*argv: str) -> str:
 
 
 def test_identity_prints_the_toy_oracle_best():
-    assert run_tool("tools/identity.py", "toy-oracle") == "toy-oracle best -22.635619555555554\n"
+    assert run_tool("tools/identity.py", "toy-oracle") == \
+        "toy-oracle best -22.635619555555554 row (0, 0, 0, 1, 1, 1, 3, 1, 1)\n"
 
 
 def test_refresh_peak_prints_memory_time_and_posterior_hashes():
