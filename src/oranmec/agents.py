@@ -717,11 +717,12 @@ def run_training(
     """Run the full slotted learning loop for ``n_episodes`` episodes.
 
     ``demand_provider(e)`` returns episode e's ``(slots, n_bs, 1 + C)``
-    demand array.  The schedule counters are global: with the Bayesian
-    agent, posteriors are refreshed at slot counts divisible by ``T_p``
-    (before acting), the target network syncs at multiples of ``T_g`` and
-    the Thompson weights are re-drawn at multiples of ``T_s`` (both after
-    the gradient step).
+    demand array, and ``episode_seed_base + e`` is its utilization-noise
+    seed, which a noisy env needs.  The schedule counters are global: with
+    the Bayesian agent, posteriors are refreshed at slot counts divisible by
+    ``T_p`` (before acting), the target network syncs at multiples of
+    ``T_g`` and the Thompson weights are re-drawn at multiples of ``T_s``
+    (both after the gradient step).
     """
     cfg = agent.config
     bayes = isinstance(agent, BayesAgent)

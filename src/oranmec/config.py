@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import sys
 import types
 import typing
 
@@ -31,14 +30,8 @@ def read_section(cls, raw, name: str = "", **given):
 
 @functools.cache
 def _readers(cls, name: str) -> dict:
-    # only the init fields' annotations are evaluated: another field's may
-    # name what reading a config never uses (numpy.random, for a private RNG)
-    init = types.SimpleNamespace(
-        __annotations__={f.name: f.type for f in dataclasses.fields(cls) if f.init}
-    )
-    hints = typing.get_type_hints(init, vars(sys.modules[cls.__module__]))
     path = f"{name}." if name else ""
-    return {key: _reader(tp, path + key) for key, tp in hints.items()}
+    return {key: _reader(tp, path + key) for key, tp in typing.get_type_hints(cls).items()}
 
 
 def _reader(tp, name: str):

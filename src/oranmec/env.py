@@ -4,6 +4,8 @@ An episode runs over a demand array of shape ``(slots, n_bs, 1 + C)`` (see
 ``workload``); ``reset`` passes it to ``ingest``, the one check on demands,
 which also clips those above the achievable cell rate, and slot t's state
 holds row t.  Pricing trusts these rows and checks no demand again.
+A noisy utilization model's noise is episode data too: ``reset`` draws it
+once from the episode's noise seed, and pricing draws nothing.
 Each slot the operator picks, per BS: a functional split, DU/CU/MEC compute
 flavors (discrete reference-core sizes), DU/CU hosting servers and the MEC
 hosting side (DU- or CU-colocated).  Routing follows from the placement via
@@ -332,6 +334,8 @@ class OranMecEnv:
             raise ValueError(f"delay_threshold names classes {stray} outside 1..{layout.n_services}")
         self.initial_action = layout.default_initial_indices()
         self._demands: np.ndarray | None = None
+        self._noise: list | None = None         # the episode's, per slot, BS and component
+        self._no_noise = [[0.0] * (1 + layout.n_services)] * layout.n_bs
         self._state: State | None = None
         self._sizes = tuple(layout.branch_sizes())
         # constants of the cost model, built once and keyed by branch index;
@@ -351,11 +355,26 @@ class OranMecEnv:
 
     def reset(self, episode_demands: np.ndarray, noise_seed: int | None = None) -> State:
         """Start an episode over ``episode_demands``, a ``(slots, n_bs, 1 + C)``
-        array; see ``ingest``."""
-        self._demands = self.ingest(episode_demands)
-        if noise_seed is not None:
-            self.util.reseed(noise_seed)
-        self._state = State(0, self._demands[0], self.initial_action)
+        array; see ``ingest``.
+
+        Under a noisy utilization model this draws the episode's noise, one
+        ``normal(0, noise_std)`` call from ``default_rng(noise_seed)`` of the
+        demands' shape: slot by slot, BS by BS, the BBU's draw and then
+        classes 1..C.  ``compute_costs`` adds row ``state.t``.  A noisy
+        model without a ``noise_seed`` raises ValueError; a noise-free one
+        draws nothing.
+        """
+        demands = self.ingest(episode_demands)
+        std = self.util.noise_std
+        if std == 0.0:
+            self._noise = None
+        elif noise_seed is None:
+            raise ValueError("a noisy utilization model needs a noise_seed to reset")
+        else:
+            rng = np.random.default_rng(noise_seed)
+            self._noise = rng.normal(0.0, std, size=demands.shape).tolist()
+        self._demands = demands
+        self._state = State(0, demands[0], self.initial_action)
         return self._state
 
     def ingest(self, episode_demands: np.ndarray) -> np.ndarray:
@@ -438,6 +457,8 @@ class OranMecEnv:
         ``action`` and ``state.prev`` are index rows in the form ``step``
         and ``enumerate_actions`` produce, ``state.demand`` a row ``ingest``
         returned (in a hand-built ``State`` too); none is checked here.
+        A noisy env adds row ``state.t`` of the noise its last ``reset``
+        drew, so it must be reset first; a noise-free one adds 0.0.
         Each BS's indices are decoded through tables built with the env: per
         split index its ``CompositeSplit`` and (HLS, LLS) deadlines, per
         (DU, CU) index pair the (FH, MH) route delays, every other branch's
@@ -454,6 +475,9 @@ class OranMecEnv:
         per = self.layout.branches_per_bs
         values = self._values
         prev = state.prev
+        if self._noise is None and util.noise_std:
+            raise RuntimeError("reset() the noisy environment first")
+        noise = self._no_noise if self._noise is None else self._noise[state.t]
         compute_du = compute_cu = underprovision = server_capacity = 0.0
         split_delay = inelastic_delay = instantiation = reconfig_flavor = 0.0
         mec_migration = server_migration = routing = elastic_delay = 0.0
@@ -468,8 +492,9 @@ class OranMecEnv:
             demand = state.demand[k].tolist()
             lam0 = demand[0]
 
-            x_hat, y_hat = util.bbu_utilization(split, lam0)
-            z_hat = [util.mec_utilization(c, demand[c]) for c in classes]
+            eps = noise[k]
+            x_hat, y_hat = util.bbu_utilization(split, lam0, eps[0])
+            z_hat = [util.mec_utilization(c, demand[c], eps[c]) for c in classes]
 
             du_side = x + sum([(1 - zeta[c - 1]) * z[c - 1] for c in classes])
             cu_side = y + sum([zeta[c - 1] * z[c - 1] for c in classes])

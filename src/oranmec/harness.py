@@ -120,12 +120,17 @@ class UtilizationSection:
     params: dict = field(default_factory=dict)
 
     def build(self, n_services: int) -> UtilizationModel:
+        """The section's model for ``n_services`` MEC classes."""
         stock = {"A": platform_a, "B": platform_b}.get(self.platform)
         if stock is None:
             raise ConfigError(f"utilization platform must be A or B, got {self.platform!r}")
+        for key in ("mec_base", "mec_slope"):
+            value = self.params.get(key)
+            if isinstance(value, (list, tuple)) and len(value) != n_services:
+                raise ConfigError(f"utilization.params.{key} needs {n_services} entries, got {len(value)}")
         if self.params:
             return read_section(UtilizationModel, self.params, "utilization.params",
-                                noise_std=self.noise_std, n_services=n_services, seed=None)
+                                noise_std=self.noise_std, n_services=n_services)
         return stock(n_services, noise_std=self.noise_std)
 
 
@@ -133,7 +138,7 @@ class UtilizationSection:
 class ExperimentConfig:
     topology: Topology
     workload: Workload = field(default_factory=Workload)
-    utilization: UtilizationModel = field(default_factory=UtilizationModel)
+    utilization: UtilizationSection = field(default_factory=UtilizationSection)
     reward: RewardConfig = field(default_factory=RewardConfig)
     agent: AgentConfig = field(default_factory=AgentConfig)
     flavors: Flavors = field(default_factory=Flavors)
@@ -166,6 +171,7 @@ class ExperimentConfig:
         stray = [c for c in self.reward.delay_threshold if not 1 <= c <= n]
         if stray:
             raise ConfigError(f"reward.delay_threshold names classes {stray} outside 1..{n}")
+        self.utilization.build(n)       # refuses unusable values at load, not at build_env
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -178,21 +184,24 @@ def load_experiment_config(path) -> ExperimentConfig:
         if "topology" not in raw:
             raise ConfigError("missing topology section")
         topology = build_topology(raw.pop("topology"))
-        utilization = read_section(UtilizationSection, raw.pop("utilization", None), "utilization")
-        cfg = read_section(ExperimentConfig, raw, topology=topology)
-        cfg.utilization = utilization.build(cfg.n_services)
-        return cfg
+        return read_section(ExperimentConfig, raw, topology=topology)
     except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def build_env(cfg: ExperimentConfig, util_seed: int | None = None) -> OranMecEnv:
+    """The env of ``cfg``: its topology, flavors and reward, and the model of
+    its ``utilization`` section for ``cfg.n_services`` classes.
+
+    ``util_seed`` is unused: the env draws its utilization noise at
+    ``reset``, from the episode's noise seed.  The keyword stays because
+    ``perfbench/workloads.py`` passes it.
+    """
     layout = ActionLayout.from_topology(
         cfg.topology, n_services=cfg.n_services,
         bbu_flavors=cfg.flavors.bbu, mec_flavors=cfg.flavors.mec,
     )
-    util = dataclasses.replace(cfg.utilization, seed=util_seed)
-    return OranMecEnv(cfg.topology, layout, util, cfg.reward)
+    return OranMecEnv(cfg.topology, layout, cfg.utilization.build(cfg.n_services), cfg.reward)
 
 
 def make_demand_provider(cfg: ExperimentConfig, seed: int):
@@ -267,8 +276,10 @@ def write_step_csv(path, steps) -> None:
 
 
 def derived_seeds(seed: int) -> tuple[int, int, int]:
-    """The utilization-noise, agent and episode-noise seeds that experiment
-    seed ``seed`` derives; episode e's noise seed is the last plus e."""
+    """The three seeds that experiment seed ``seed`` spawns.  The first seeds
+    nothing (the env draws its noise per episode) but is still spawned, so
+    the other two keep their values.  The second seeds the agent; episode
+    e's utilization-noise seed is the third plus e."""
     return tuple(int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(3))
 
 
@@ -276,8 +287,8 @@ def seeded_run(cfg: ExperimentConfig, seed: int, **agent_changes):
     """Experiment seed ``seed``'s run, as ``run_experiment`` trains it: the
     env, the agent of ``cfg.agent`` with ``agent_changes``, the demand
     provider and the episode-noise seed base, seeded by ``derived_seeds``."""
-    util_seed, agent_seed, episode_seed = derived_seeds(seed)
-    env = build_env(cfg, util_seed=util_seed)
+    _, agent_seed, episode_seed = derived_seeds(seed)
+    env = build_env(cfg)
     agent_cfg = dataclasses.replace(cfg.agent, seed=agent_seed, **agent_changes)
     agent = make_agent(env.layout, env.state_dim, agent_cfg)
     return env, agent, make_demand_provider(cfg, seed), episode_seed
@@ -323,17 +334,19 @@ def run_oracle(cfg: ExperimentConfig, limit: int = 1_000_000) -> OracleResult:
     only in the first slot (the change away from the initial configuration);
     with stationary demands and a noise-free utilization model each later
     slot costs the same, which the evaluation exploits.  Under utilization
-    noise every action's episode draws the same noise, the stream that
-    ``run_experiment`` seeds episode 0 of the first seed with, so actions
-    are compared on equal terms and the result is reproducible.
+    noise the env is reset once with the noise seed that ``run_experiment``
+    gives episode 0 of the first seed, and every action is priced on that
+    one episode's noise, so actions are compared on equal terms and the
+    result is reproducible.
     """
     env = build_env(cfg)
     actions = enumerate_actions(env.layout, limit=limit)    # refuses before any demand is built
     demands = env.ingest(make_demand_provider(cfg, cfg.seeds[0])(0))
-    stationary = env.util.noise_std == 0.0 and bool(np.all(demands == demands[0]))
-    noise_seed = None if stationary else derived_seeds(cfg.seeds[0])[2]    # ~50 us: only if used
+    noisy = env.util.noise_std != 0.0
+    noise_seed = derived_seeds(cfg.seeds[0])[2] if noisy else None    # ~50 us: only if used
+    first = env.reset(demands, noise_seed)      # every action's slot 0
+    stationary = not noisy and bool(np.all(demands == demands[0]))
     T = len(demands)
-    first = State(0, demands[0], env.initial_action)     # every action's slot 0
     steady_demand = demands[1 % T]
     best_action = None
     best_reward = -math.inf
@@ -345,7 +358,6 @@ def run_oracle(cfg: ExperimentConfig, limit: int = 1_000_000) -> OracleResult:
             steady = env.compute_costs(State(1, steady_demand, action), action).reward
             avg = (r0 + (T - 1) * steady) / T
         else:
-            env.util.reseed(noise_seed)
             total = env.compute_costs(first, action).reward
             for t in range(1, T):
                 total += env.compute_costs(State(t, demands[t], action), action).reward

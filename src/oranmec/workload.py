@@ -8,17 +8,19 @@ class-c demand (Gbps), c = 1..C.
 
 The utilization model maps a demand to the compute (reference cores) the
 hosting platform actually burns serving it.  The real relation is platform
-dependent and noisy; here an affine model with optional Gaussian noise
-stands behind a small interface so a measurement-trained predictor can be
-plugged in later.  Two stock parameter sets ("A" and "B") emulate two
-different platforms for transfer experiments.
+dependent and noisy; here an affine model plus a noise term the caller
+passes stands behind a small interface so a measurement-trained predictor
+can be plugged in later.  The model draws nothing: ``OranMecEnv.reset``
+draws an episode's noise once, from its ``noise_std``.  Two stock parameter
+sets ("A" and "B") emulate two different platforms for transfer
+experiments.
 """
 from __future__ import annotations
 
 import csv
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,15 +142,15 @@ def _per_class(value, n_services: int, name: str) -> tuple[float, ...]:
 
 @dataclass
 class UtilizationModel:
-    """Affine demand-to-reference-cores map with optional Gaussian noise.
+    """Affine demand-to-reference-cores map plus a given noise term.
 
     The BBU total is split between the DU and CU hosts according to the
     active composite split; each MEC class has its own affine parameters.
     Outputs are clamped at zero.  Demands and class indices are taken as
     given: ``OranMecEnv`` refuses a model whose class count differs from its
-    layout, and its ``ingest`` refuses negative and NaN demands.  The model
-    owns a private seeded noise stream; with ``noise_std`` 0 it is
-    deterministic and the stream is never made.
+    layout, and its ``ingest`` refuses negative and NaN demands.
+    ``noise_std`` is the standard deviation of the Gaussian noise that
+    ``OranMecEnv.reset`` draws per episode; the model holds no random state.
     """
 
     bbu_base: float = 0.5
@@ -157,8 +159,6 @@ class UtilizationModel:
     mec_slope: tuple[float, ...] | float = 1.0
     noise_std: float = 0.0
     n_services: int = 2
-    seed: int | None = None
-    _rng: np.random.Generator | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.mec_base = _per_class(self.mec_base, self.n_services, "mec_base")
@@ -169,36 +169,30 @@ class UtilizationModel:
             if not all(0.0 <= v < math.inf for v in values):     # NaN fails too
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
-    def reseed(self, seed: int | None) -> None:
-        self._rng = np.random.default_rng(seed)
-
-    def _noise(self) -> float:
-        if self.noise_std == 0.0:
-            return 0.0
-        if self._rng is None:       # drawn from ``seed`` at the first noisy call
-            self.reseed(self.seed)
-        return float(self._rng.normal(0.0, self.noise_std))
-
-    def bbu_utilization(self, split: CompositeSplit, legacy_gbps: float) -> tuple[float, float]:
-        """Actual (DU, CU) reference-core draw for one BS's BBU."""
-        total = max(0.0, self.bbu_base + self.bbu_slope * legacy_gbps + self._noise())
+    def bbu_utilization(
+        self, split: CompositeSplit, legacy_gbps: float, noise: float = 0.0
+    ) -> tuple[float, float]:
+        """Actual (DU, CU) reference-core draw for one BS's BBU, ``noise``
+        added to the total."""
+        total = max(0.0, self.bbu_base + self.bbu_slope * legacy_gbps + noise)
         return split.du_compute_share * total, split.cu_compute_share * total
 
-    def mec_utilization(self, c: int, demand_gbps: float) -> float:
-        """Actual reference-core draw for MEC class ``c`` (1-based)."""
+    def mec_utilization(self, c: int, demand_gbps: float, noise: float = 0.0) -> float:
+        """Actual reference-core draw for MEC class ``c`` (1-based), ``noise``
+        added."""
         base = self.mec_base[c - 1]
         slope = self.mec_slope[c - 1]
-        return max(0.0, base + slope * demand_gbps + self._noise())
+        return max(0.0, base + slope * demand_gbps + noise)
 
 
-def platform_a(n_services: int = 2, noise_std: float = 0.0, seed: int | None = None) -> UtilizationModel:
-    return UtilizationModel(n_services=n_services, noise_std=noise_std, seed=seed)
+def platform_a(n_services: int = 2, noise_std: float = 0.0) -> UtilizationModel:
+    return UtilizationModel(n_services=n_services, noise_std=noise_std)
 
 
-def platform_b(n_services: int = 2, noise_std: float = 0.0, seed: int | None = None) -> UtilizationModel:
+def platform_b(n_services: int = 2, noise_std: float = 0.0) -> UtilizationModel:
     """Platform A with 25% steeper slopes and 10% higher floors: a genuinely
     different environment for pretraining/transfer studies."""
-    a = platform_a(n_services, noise_std, seed)
+    a = platform_a(n_services, noise_std)
     return replace(
         a,
         bbu_base=a.bbu_base * 1.1,

@@ -194,6 +194,39 @@ class TestStep:
         assert env.state.t == 0                     # nothing was taken
 
 
+class TestEpisodeNoise:
+    """A noisy env draws an episode's utilization noise at ``reset``, and
+    pricing draws nothing."""
+
+    @pytest.fixture
+    def noisy(self):
+        env = make_cost_env()
+        env.util.noise_std = 0.5
+        return env
+
+    def test_a_price_does_not_depend_on_the_prices_before_it(self, noisy, demands, rng):
+        state = noisy.reset(demands, noise_seed=3)
+        sizes = noisy.layout.branch_sizes()
+        row = tuple(rng.integers(sizes).tolist())
+
+        def bits(costs):
+            return [float.hex(v) for v in costs.as_dict().values()]
+
+        first = bits(noisy.compute_costs(state, row))
+        for _ in range(50):
+            noisy.compute_costs(state, tuple(rng.integers(sizes).tolist()))
+        assert bits(noisy.compute_costs(state, row)) == first
+
+    def test_noisy_reset_needs_a_seed(self, noisy, demands):
+        with pytest.raises(ValueError, match="needs a noise_seed"):
+            noisy.reset(demands)
+
+    def test_noisy_env_prices_only_after_a_reset(self, noisy, demands):
+        state = State(0, noisy.ingest(demands)[0], noisy.initial_action)
+        with pytest.raises(RuntimeError, match="reset"):
+            noisy.compute_costs(state, noisy.initial_action)
+
+
 class TestEncodeState:
     def test_dimension_formula(self):
         # per BS: 3 demand + 4 split + |DU| + |CU| + 2 per class + 2 + |C|

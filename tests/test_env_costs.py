@@ -16,6 +16,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import yaml
 
 from oranmec import harness
 from oranmec.env import (
@@ -562,6 +563,47 @@ class TestClippedCostDigest:
             action = tuple(rng.integers(sizes).tolist())
             costs.append(env.compute_costs(State(t, demands[t], prev), action))
         assert TestCostDigest._digest(costs) == self.DIGEST
+
+
+class TestNoisyCostDigest:
+    """Pricing under utilization noise pinned bit for bit: the sha256 of the
+    slot rewards, written as ``float.hex``, of one seeded episode of random
+    rows stepped through each shipped config with ``noise_std`` 0.3, and the
+    best of the noisy 3-slot toy oracle.  The digests were taken from the
+    model that drew its noise from a private stream while pricing."""
+
+    TOY_DIGEST = "2fb11824baed5ec6246d3b902b5bba6d0e354c962b0536f0edf67d69b55948db"
+    DEFAULT_DIGEST = "2c0e18034cc6785cce72dfc65fc009d9313e163ab302058f2b85edac28444823"
+    ORACLE = (
+        "(Action(split=('S1',), du_server=(2,), cu_server=(4,), du_flavor=(1,), cu_flavor=(1,), "
+        "mec_flavor=((1, 3),), mec_at_cu=((1, 1),)), -22.66170955468444)"
+    )
+
+    @staticmethod
+    def _config(tmp_path, name, utilization, **changes):
+        raw = yaml.safe_load((CONFIG_DIR / name).read_text())
+        raw.update(changes, utilization={**raw["utilization"], **utilization})
+        path = tmp_path / name
+        path.write_text(yaml.safe_dump(raw))
+        return harness.load_experiment_config(path)
+
+    @pytest.mark.parametrize("name, digest", [
+        ("toy.yaml", TOY_DIGEST), ("default.yaml", DEFAULT_DIGEST),
+    ], ids=["toy", "default"])
+    def test_an_episode_of_random_rows(self, tmp_path, name, digest):
+        cfg = self._config(tmp_path, name, {"noise_std": 0.3})
+        env = harness.build_env(cfg)
+        demands = harness.make_demand_provider(cfg, cfg.seeds[0])(0)
+        env.reset(demands, noise_seed=2312)
+        sizes = env.layout.branch_sizes()
+        rng = np.random.default_rng(16142)
+        rewards = [env.step(tuple(rng.integers(sizes).tolist()))[1] for _ in demands]
+        assert hashlib.sha256("\n".join(map(float.hex, rewards)).encode()).hexdigest() == digest
+
+    def test_the_noisy_toy_oracle(self, tmp_path):
+        cfg = self._config(tmp_path, "toy.yaml", {"noise_std": 0.3}, episode_slots=3)
+        best = harness.run_oracle(cfg)
+        assert repr((best.action, best.mean_reward)) == self.ORACLE
 
 
 class TestEncodeDigest:

@@ -18,6 +18,8 @@ from oranmec.harness import (
     EPISODE_FIELDS,
     STEP_FIELDS,
     ConfigError,
+    Flavors,
+    Workload,
     _convergence_episode,
     build_env,
     compare_runs,
@@ -30,7 +32,7 @@ from oranmec.harness import (
     write_step_csv,
 )
 from oranmec.workload import platform_b, synth_demands
-from tests.conftest import CONFIG_DIR
+from tests.conftest import CONFIG_DIR, load_toy
 
 
 def toy_config(tmp_path, **overrides):
@@ -209,6 +211,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"unknown {where} config keys \['{key}'\]"):
             load_experiment_config(path)
 
+    @pytest.mark.parametrize("key", ["mec_base", "mec_slope"])
+    def test_per_class_param_of_another_length_names_its_key(self, tmp_path, key):
+        params = {"bbu_base": 0.2, "bbu_slope": 1.2, "mec_base": 0.2, "mec_slope": 1.0}
+        path = toy_config(tmp_path, utilization={"params": {**params, key: [0.2] * 3}})
+        with pytest.raises(ConfigError, match=rf"utilization\.params\.{key} needs 2 entries, got 3"):
+            load_experiment_config(path)
+
     def test_unknown_platform_rejected(self, tmp_path):
         path = toy_config(tmp_path, utilization={"platform": "C"})
         with pytest.raises(ConfigError, match="platform must be A or B, got 'C'"):
@@ -216,13 +225,13 @@ class TestConfig:
 
     def test_params_override_the_platform(self, tmp_path):
         params = {"bbu_base": 0.2, "bbu_slope": 1.2, "mec_base": 0.2, "mec_slope": 1.0}
-        util = load_experiment_config(
+        util = build_env(load_experiment_config(
             toy_config(tmp_path, utilization={"platform": "B", "params": params})
-        ).utilization
+        )).util
         assert (util.bbu_base, util.bbu_slope, util.mec_base, util.mec_slope) == \
             (0.2, 1.2, (0.2, 0.2), (1.0, 1.0))
         path = toy_config(tmp_path, utilization={"platform": "B"})
-        util = load_experiment_config(path).utilization
+        util = build_env(load_experiment_config(path)).util
         stock = platform_b(2)
         assert (util.bbu_base, util.bbu_slope, util.mec_base, util.mec_slope) == \
             (stock.bbu_base, stock.bbu_slope, stock.mec_base, stock.mec_slope)
@@ -250,9 +259,9 @@ class TestConfig:
             (cfg.episode_slots, env.layout.n_bs, 1 + cfg.n_services)
 
     def test_the_oracle_path_leaves_numpy_random_unloaded(self):
-        # toy.yaml's oracle draws no number, so reading the config (whose
-        # UtilizationModel has a private Generator field), building the env
-        # and an oracle pass leave numpy.random (~5 MB resident) unloaded
+        # toy.yaml's oracle draws no number, so reading the config, building
+        # the env and an oracle pass leave numpy.random (~5 MB resident)
+        # unloaded
         code = textwrap.dedent("""
             import sys
             from oranmec import harness
@@ -345,6 +354,17 @@ class TestClassCount:
         result = run_training(env, agent, provider, 1, episode_seed_base=episode_seed)
         rewards = [s.reward for s in result.steps]
         assert len(rewards) == cfg.episode_slots and np.isfinite(rewards).all()
+
+    def test_class_count_changed_in_code_builds_and_trains(self):
+        # the env's utilization model follows the config's one class count
+        cfg = load_toy(
+            n_services=1, episode_slots=12, flavors=Flavors(bbu=(0, 1, 2, 3)),
+            workload=Workload(source="constant", legacy_gbps=0.5),
+        )
+        env, agent, provider, episode_seed = seeded_run(cfg, 7)
+        assert env.util.n_services == 1
+        result = run_training(env, agent, provider, 1, episode_seed_base=episode_seed)
+        assert len(result.steps) == 12 and np.isfinite([s.reward for s in result.steps]).all()
 
 
 class TestOracle:

@@ -14,6 +14,7 @@ from oranmec.workload import (
     platform_b,
     synth_demands,
 )
+from tests.conftest import make_cost_env
 
 
 def write_trace(tmp_path, rows, header="t,bs,svc,demand_gbps"):
@@ -139,10 +140,14 @@ class TestBbuUtilization:
         assert cu == pytest.approx(0.7, abs=1e-12)
 
     def test_noise_free_is_repeatable(self):
-        m = UtilizationModel(noise_std=0.0, seed=1)
-        a = m.bbu_utilization(get_split("S2"), 1.5)
-        b = m.bbu_utilization(get_split("S2"), 1.5)
-        assert a == b
+        # a noise-free env draws nothing: every noise seed, or none, prices alike
+        env = make_cost_env()
+        demands = constant_demands(4, 1, 1.5, (0.5, 0.5))
+        rewards = []
+        for seed in (None, 1, 2, 1):
+            env.reset(demands, noise_seed=seed)
+            rewards.append([env.step(env.initial_action)[1] for _ in range(4)])
+        assert rewards[1:] == rewards[:-1]
 
     def test_monotone_in_demand_without_noise(self):
         m = UtilizationModel()
@@ -161,10 +166,17 @@ class TestMecUtilization:
         assert m.mec_utilization(2, 1.0) == pytest.approx(1.2, abs=1e-12)
 
     def test_negative_noise_clamped(self):
-        m = UtilizationModel(mec_base=0.0, mec_slope=0.0, noise_std=1.0, seed=9)
-        draws = [m.mec_utilization(1, 0.0) for _ in range(50)]
-        assert all(v >= 0.0 for v in draws)
-        assert any(v == 0.0 for v in draws)    # clamp actually fired
+        m = UtilizationModel(mec_base=0.0, mec_slope=0.0)
+        assert m.mec_utilization(1, 0.0, -0.5) == 0.0
+        assert m.bbu_utilization(get_split("S1"), 0.0, -0.5) == (0.0, 0.0)
+        # over an episode without demand, elastic class 2's delay is its
+        # congestion (z_hat / 20) ** 2: exactly 0 only where the clamp fired
+        env = make_cost_env(bbu_base=0.0, bbu_slope=0.0, mec_base=0.0, mec_slope=0.0)
+        env.util.noise_std = 1.0
+        env.reset(np.zeros((50, 1, 3)), noise_seed=9)
+        delays = [env.step(env.initial_action)[2].elastic_delay for _ in range(50)]
+        assert any(d == 0.0 for d in delays)
+        assert any(d > 0.0 for d in delays)
 
     @pytest.mark.parametrize("name, value", [
         ("bbu_base", np.nan), ("bbu_slope", np.inf), ("bbu_base", -0.1),
@@ -194,10 +206,15 @@ class TestPlatforms:
         assert b.bbu_base == pytest.approx(a.bbu_base * 1.1)
 
     def test_seeded_noise_streams_are_independent(self):
-        m1 = UtilizationModel(noise_std=0.5, seed=7)
-        m2 = UtilizationModel(noise_std=0.5, seed=7)
-        seq1 = [m1.mec_utilization(1, 1.0) for _ in range(5)]
-        seq2 = [m2.mec_utilization(1, 1.0) for _ in range(5)]
-        assert seq1 == seq2
-        m1.reseed(8)
-        assert [m1.mec_utilization(1, 1.0) for _ in range(5)] != seq2
+        demands = constant_demands(5, 1, 1.0, (1.0, 1.0))
+
+        def rewards(env, seed):
+            env.reset(demands, noise_seed=seed)
+            return [env.step(env.initial_action)[1] for _ in range(5)]
+
+        env1, env2 = make_cost_env(), make_cost_env()
+        env1.util.noise_std = env2.util.noise_std = 0.5
+        seq = rewards(env1, 7)
+        assert rewards(env2, 7) == seq
+        assert rewards(env1, 8) != seq
+        assert rewards(env1, 7) == seq      # each reset draws its episode afresh

@@ -24,6 +24,10 @@ every gradient it takes is zero.  ``default-bayes-refit`` and
 ``default-egreedy`` set ``T_p`` and ``T_g`` to 144, so their three episodes
 refresh and sync at slots 144 and 288 at full network size: their params
 hash checks the backward pass and Adam at default shapes.
+
+Both shipped configs are noise-free.  ``toy-noisy`` trains toy's Bayes agent
+for three episodes with utilization ``noise_std`` 0.3, so the episode noise
+that ``OranMecEnv.reset`` draws has a line too.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"       # before numpy is first imported
 
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -42,14 +47,16 @@ from oranmec import agents, harness  # noqa: E402
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# name: (config, agent mode, experiment seed, episodes, agent overrides)
+# name: (config, agent mode, experiment seed, episodes, agent overrides,
+#        utilization noise_std)
 PERIOD_144 = {"T_p": 144, "T_g": 144}
 RUNS = {
-    "toy-bayes": ("toy.yaml", "bayes", 7, 30, {}),
-    "toy-egreedy": ("toy.yaml", "egreedy", 7, 10, {}),
-    "default-bayes": ("default.yaml", "bayes", 0, 2, {}),
-    "default-bayes-refit": ("default.yaml", "bayes", 0, 3, PERIOD_144),
-    "default-egreedy": ("default.yaml", "egreedy", 0, 3, PERIOD_144),
+    "toy-bayes": ("toy.yaml", "bayes", 7, 30, {}, 0.0),
+    "toy-egreedy": ("toy.yaml", "egreedy", 7, 10, {}, 0.0),
+    "default-bayes": ("default.yaml", "bayes", 0, 2, {}, 0.0),
+    "default-bayes-refit": ("default.yaml", "bayes", 0, 3, PERIOD_144, 0.0),
+    "default-egreedy": ("default.yaml", "egreedy", 0, 3, PERIOD_144, 0.0),
+    "toy-noisy": ("toy.yaml", "bayes", 7, 3, {}, 0.3),
 }
 
 
@@ -63,13 +70,16 @@ def hex_sha256(values) -> str:
 
 
 def fingerprint(
-    config: str, mode: str, seed: int, episodes: int, overrides: dict
+    config: str, mode: str, seed: int, episodes: int, overrides: dict, noise_std: float
 ) -> str:
     """One seeded training run's fingerprint line: sha256 of the float-hex
     slot rewards and of the final network parameters, the last three
     episodes' ``mean_loss``, sha256 of the float-hex per-step losses and,
     for Bayes, sha256 of the final posterior means and sampling factors."""
     cfg = harness.load_experiment_config(CONFIGS / config)
+    cfg = dataclasses.replace(
+        cfg, utilization=dataclasses.replace(cfg.utilization, noise_std=noise_std)
+    )
     env, agent, provider, episode_seed = harness.seeded_run(cfg, seed, mode=mode, **overrides)
     losses = []
     train_step = agent.train_step
