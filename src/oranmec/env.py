@@ -40,9 +40,13 @@ split index its ``CompositeSplit`` and (HLS, LLS) deadlines, per BS and
 (DU, CU) index pair the (FH, MH) route delays, and every other branch's
 values.  Building them resolves every split and route of the layout, so an
 unknown split or an unrouted server raises when the env is built.
-``compute_costs`` adds every term in one fixed order, so a change to it
-either keeps each cost bit for bit or moves the pinned digests in
-``tests/test_env_costs.py``; ``encode_state`` is pinned there too.
+``_price_bs`` prices every item but ``sla_server_capacity`` per BS, from
+that BS's row, previous row, demand row and noise row alone.
+``sla_server_capacity`` is the one term that couples BSs, through the
+servers' loads; ``compute_costs`` adds it last.  Every term is added in one
+fixed order, so a change either keeps each cost bit for bit or moves the
+pinned digests in ``tests/test_env_costs.py``; ``encode_state`` is pinned
+there too.
 """
 from __future__ import annotations
 
@@ -50,7 +54,8 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field, fields
-from operator import getitem
+from functools import reduce
+from operator import add, getitem
 
 import numpy as np
 
@@ -459,119 +464,106 @@ class OranMecEnv:
         returned (in a hand-built ``State`` too); none is checked here.
         A noisy env adds row ``state.t`` of the noise its last ``reset``
         drew, so it must be reset first; a noise-free one adds 0.0.
-        Each BS's indices are decoded through tables built with the env: per
-        split index its ``CompositeSplit`` and (HLS, LLS) deadlines, per
-        (DU, CU) index pair the (FH, MH) route delays, every other branch's
-        values.  The items accumulate in local floats, each term added in
-        one fixed order: BS by BS, classes left to right, each per-class
-        ``sum`` from int 0, the total in ``_ITEMS`` order.  The digests in
-        ``tests/test_env_costs.py`` pin the resulting bits.
+        ``_price_bs`` prices each BS alone.  This adds each of its items
+        across BSs in BS order from 0.0, and its delay terms class by class.
+        Then it adds ``sla_server_capacity``, the one term that couples BSs,
+        over the servers' summed loads in first-appearance order, and the
+        total in ``_ITEMS`` order.  The digests in ``tests/test_env_costs.py``
+        pin the resulting bits.
         """
         cfg = self.reward_cfg
-        thresholds = cfg.delay_threshold
-        util = self.util
-        classes = self._classes
-        n = len(classes)
-        per = self.layout.branches_per_bs
-        values = self._values
-        prev = state.prev
-        if self._noise is None and util.noise_std:
+        if self._noise is None and self.util.noise_std:
             raise RuntimeError("reset() the noisy environment first")
         noise = self._no_noise if self._noise is None else self._noise[state.t]
-        compute_du = compute_cu = underprovision = server_capacity = 0.0
-        split_delay = inelastic_delay = instantiation = reconfig_flavor = 0.0
-        mec_migration = server_migration = routing = elastic_delay = 0.0
+        demand = state.demand.tolist()      # Python floats, so every item is a float
+        per, prev = self.layout.branches_per_bs, state.prev
+        own = [0.0] * 9      # _price_bs's items, each summed over BSs
+        inelastic_delay = elastic_delay = 0.0
         server_load: dict[int, float] = {}
-
         for k in range(self.layout.n_bs):
-            row, prow = action[k * per:(k + 1) * per], prev[k * per:(k + 1) * per]
-            (split, hls_req, lls_req), alpha, beta, x, y, *z = map(getitem, values, row)
-            _, alpha_p, beta_p, xp, yp, *zp = map(getitem, values, prow)
-            zeta, zetap = row[5 + n:], prow[5 + n:]     # a MEC side's index is its value
-            # Python floats, not numpy scalars, so every cost item is a float
-            demand = state.demand[k].tolist()
-            lam0 = demand[0]
-
-            eps = noise[k]
-            x_hat, y_hat = util.bbu_utilization(split, lam0, eps[0])
-            z_hat = [util.mec_utilization(c, demand[c], eps[c]) for c in classes]
-
-            du_side = x + sum([(1 - zeta[c - 1]) * z[c - 1] for c in classes])
-            cu_side = y + sum([zeta[c - 1] * z[c - 1] for c in classes])
-            compute_du += cfg.kappa_dm * du_side
-            compute_cu += cfg.kappa_cm * cu_side
-
-            shortfall = max(0.0, x_hat - x, y_hat - y)
-            shortfall += sum([max(0.0, z_hat[c - 1] - z[c - 1]) for c in classes])
-            underprovision += cfg.kappa_d * shortfall
-
-            server_load[alpha] = server_load.get(alpha, 0.0) + du_side
-            server_load[beta] = server_load.get(beta, 0.0) + cu_side
-
-            fh_delay, mh_delay = self._route_delays[k][row[1]][row[2]]
-            split_delay += cfg.kappa_d * max(0.0, fh_delay - lls_req, mh_delay - hls_req)
-
-            for c in classes:
-                d_kc = self._service_delay(
-                    demand[c], z[c - 1], z_hat[c - 1], zeta[c - 1],
-                    fh_delay, mh_delay, alpha, beta,
-                )
-                threshold = thresholds.get(c)
-                if threshold is not None:
-                    inelastic_delay += cfg.kappa_d * max(0.0, d_kc - threshold)
-                else:
-                    elastic_delay += d_kc
-
-            dz = [z[c - 1] - zp[c - 1] for c in classes]
-            instantiation += cfg.kappa_i * (
-                max(0.0, x - xp) + max(0.0, y - yp) + sum([max(0.0, d) for d in dz])
+            bs = slice(k * per, (k + 1) * per)
+            bs_items, (inelastic, elastic), loads = self._price_bs(
+                k, action[bs], prev[bs], demand[k], noise[k]
             )
-            reconfig_flavor += cfg.kappa_r * (
-                abs(x - xp) + abs(y - yp) + sum([abs(d) for d in dz])
-            )
-            mec_migration += cfg.kappa_r * sum(
-                [z[c - 1] * abs(zeta[c - 1] - zetap[c - 1]) for c in classes]
-            )
-            moved = du_side * (alpha != alpha_p) + cu_side * (beta != beta_p)
-            server_migration += cfg.kappa_r * moved
-
-            fh, mh, bh = splits_mod.segment_loads(split, lam0)
-            routing += cfg.kappa_h * (fh + mh + bh)
-
+            own = list(map(add, own, bs_items))
+            inelastic_delay = reduce(add, inelastic, inelastic_delay)     # class by class
+            elastic_delay = reduce(add, elastic, elastic_delay)
+            for server, load in loads:
+                server_load[server] = server_load.get(server, 0.0) + load
+        server_capacity = 0.0
         for server, load in server_load.items():
             server_capacity += cfg.kappa_d * max(0.0, load - self.topo.capacity_rc[server])
-
-        items = (       # in ``CostBreakdown._ITEMS`` order, its first fields
-            compute_du, compute_cu, underprovision, server_capacity, split_delay,
-            inelastic_delay, instantiation, reconfig_flavor, mec_migration,
-            server_migration, routing,
-        )
+        items = (*own[:3], server_capacity, own[3], inelastic_delay, *own[4:])    # _ITEMS order
         total = sum(items)
         reward = -total - cfg.delay_weight * cfg.delay_slope * elastic_delay
         return CostBreakdown(*items, elastic_delay, total, reward)
 
-    def _service_delay(
-        self, lam, z, z_hat, at_cu, fh_delay, mh_delay, alpha, beta
-    ) -> float:
-        """Routing plus processing delay for one MEC flow.
+    def _price_bs(self, k, row, prev, demand, noise):
+        """Price BS ``k`` from its own slices of the slot alone: its index
+        row, previous row, demand row (Python floats) and noise row.
 
-        Hosted with the DU the flow stops at the fronthaul; hosted with the
-        CU it continues over the midhaul.  A demanded service with no
-        compute at all gets a large finite sentinel instead of a division
-        by zero.
+        Returns three things.  First its items in ``_ITEMS`` order, less
+        ``sla_server_capacity`` and ``sla_inelastic_delay``.  Then its
+        per-class delay terms in class order, as (inelastic penalties,
+        elastic delays).  Last its (DU host, DU-side RC) and (CU host,
+        CU-side RC) loads.  One loop over the classes sums each per-class
+        term from int 0 in class order.  A class's delay is routing plus
+        processing plus congestion: hosted with the DU the flow stops at the
+        fronthaul, hosted with the CU it continues over the midhaul.  A
+        demanded class with no compute gets the finite ``max_delay_ms``
+        sentinel instead of a division by zero.
         """
         cfg = self.reward_cfg
-        host = beta if at_cu else alpha
-        d_pc = fh_delay + (mh_delay if at_cu else 0.0)
-        if lam > 0 and z == 0:
-            logger.debug(
-                "service with %.3f Gbps demand but no compute; delay set to %.0f",
-                lam, cfg.max_delay_ms,
-            )
-            return cfg.max_delay_ms
-        processing = 0.0 if lam == 0 else cfg.delta1 * lam * self.topo.server_rate[host] / z
-        congestion = cfg.delta2 * (z_hat / self.topo.capacity_rc[host]) ** 2
-        return lam * d_pc + processing + congestion
+        util = self.util
+        n = self.layout.n_services
+        (split, hls_req, lls_req), alpha, beta, x, y, *z = map(getitem, self._values, row)
+        _, alpha_p, beta_p, xp, yp, *zp = map(getitem, self._values, prev)
+        zeta, zetap = row[5 + n:], prev[5 + n:]     # a MEC side's index is its value
+        lam0 = demand[0]
+        x_hat, y_hat = util.bbu_utilization(split, lam0, noise[0])
+        fh_delay, mh_delay = self._route_delays[k][row[1]][row[2]]
+        du_mec = cu_mec = mec_shortfall = grown = resized = migrated = 0
+        inelastic, elastic = [], []
+        for c, lam, eps, z_c, zp_c, at_cu, at_cu_p in zip(
+            self._classes, demand[1:], noise[1:], z, zp, zeta, zetap
+        ):
+            z_hat = util.mec_utilization(c, lam, eps)
+            du_mec += (1 - at_cu) * z_c
+            cu_mec += at_cu * z_c
+            mec_shortfall += max(0.0, z_hat - z_c)
+            grown += max(0.0, z_c - zp_c)
+            resized += abs(z_c - zp_c)
+            migrated += z_c * abs(at_cu - at_cu_p)
+            if lam > 0 and z_c == 0:
+                logger.debug(
+                    "service with %.3f Gbps demand but no compute; delay set to %.0f",
+                    lam, cfg.max_delay_ms,
+                )
+                delay = cfg.max_delay_ms
+            else:
+                host = beta if at_cu else alpha
+                processing = 0.0 if lam == 0 else cfg.delta1 * lam * self.topo.server_rate[host] / z_c
+                congestion = cfg.delta2 * (z_hat / self.topo.capacity_rc[host]) ** 2
+                delay = lam * (fh_delay + (mh_delay if at_cu else 0.0)) + processing + congestion
+            threshold = cfg.delay_threshold.get(c)
+            if threshold is None:
+                elastic.append(delay)
+            else:
+                inelastic.append(cfg.kappa_d * max(0.0, delay - threshold))
+        du_side, cu_side = x + du_mec, y + cu_mec
+        fh, mh, bh = splits_mod.segment_loads(split, lam0)
+        items = (
+            cfg.kappa_dm * du_side,
+            cfg.kappa_cm * cu_side,
+            cfg.kappa_d * (max(0.0, x_hat - x, y_hat - y) + mec_shortfall),
+            cfg.kappa_d * max(0.0, fh_delay - lls_req, mh_delay - hls_req),
+            cfg.kappa_i * (max(0.0, x - xp) + max(0.0, y - yp) + grown),
+            cfg.kappa_r * (abs(x - xp) + abs(y - yp) + resized),
+            cfg.kappa_r * migrated,
+            cfg.kappa_r * (du_side * (alpha != alpha_p) + cu_side * (beta != beta_p)),
+            cfg.kappa_h * (fh + mh + bh),
+        )
+        return items, (inelastic, elastic), ((alpha, du_side), (beta, cu_side))
 
     # -- observation encoding ---------------------------------------------
 

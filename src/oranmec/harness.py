@@ -120,18 +120,21 @@ class UtilizationSection:
     params: dict = field(default_factory=dict)
 
     def build(self, n_services: int) -> UtilizationModel:
-        """The section's model for ``n_services`` MEC classes."""
+        """The section's model for ``n_services`` MEC classes.  A value the
+        model refuses raises ``ConfigError`` naming its key path."""
         stock = {"A": platform_a, "B": platform_b}.get(self.platform)
         if stock is None:
             raise ConfigError(f"utilization platform must be A or B, got {self.platform!r}")
-        for key in ("mec_base", "mec_slope"):
-            value = self.params.get(key)
-            if isinstance(value, (list, tuple)) and len(value) != n_services:
-                raise ConfigError(f"utilization.params.{key} needs {n_services} entries, got {len(value)}")
-        if self.params:
-            return read_section(UtilizationModel, self.params, "utilization.params",
-                                noise_std=self.noise_std, n_services=n_services)
-        return stock(n_services, noise_std=self.noise_std)
+        try:
+            if self.params:
+                return read_section(UtilizationModel, self.params, "utilization.params",
+                                    noise_std=self.noise_std, n_services=n_services)
+            return stock(n_services, noise_std=self.noise_std)
+        except ConfigError:
+            raise
+        except ValueError as exc:       # the model's message starts with its field
+            section = "utilization" if str(exc).startswith("noise_std") else "utilization.params"
+            raise ConfigError(f"{section}.{exc}") from None
 
 
 @dataclass

@@ -12,6 +12,7 @@ Host compute capacities are {2: 20, 3: 4, 4: 100} RC and host 3 processes
 kappa_dm 0.25, kappa_cm 0.125, kappa_d 5, kappa_i = kappa_r = 0.05,
 kappa_h 1, delay weight and slope 1, delta1 = delta2 = 1.
 """
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -502,10 +503,12 @@ class TestCostDigest:
     field written as ``float.hex``, one per line, over a fixed set of
     pricings.  The ``approx`` checks above would pass a reordered sum; this
     fails on one moved last bit.  The digests were taken from the cost model
-    before it priced from per-env tables."""
+    before it priced from per-env tables; the three-class one from the model
+    before it priced each BS in its own call."""
 
     TOY_DIGEST = "ab3ef2664cd9795430046daa09d43311d07eeb1b8594d0ee953443c653388037"
     DEFAULT_DIGEST = "5a18de827ab49d51059850500e1914df58ef082b0061d13dd44abfa7732e3aee"
+    THREE_CLASS_DIGEST = "2904874e59d39fc6aadb29d88b8fcf9ee819d624d0ffcb7c90be980b5576d629"
 
     @staticmethod
     def _digest(breakdowns) -> str:
@@ -539,6 +542,24 @@ class TestCostDigest:
             action = tuple(rng.integers(sizes).tolist())
             costs.append(env.compute_costs(State(t, demands[t], prev), action))
         assert self._digest(costs) == self.DEFAULT_DIGEST
+
+    def test_random_default_slots_three_classes(self):
+        # classes 2 and 3 are both elastic, so each BS adds two delays to
+        # ``elastic_delay``: this pins the order in which they fold across
+        # BSs, which the two-class configs cannot tell apart
+        cfg = harness.load_experiment_config(CONFIG_DIR / "default.yaml")
+        cfg = dataclasses.replace(cfg, n_services=3, reward=RewardConfig(delay_threshold={1: 1.0}))
+        env = harness.build_env(cfg)
+        demands = env.ingest(harness.make_demand_provider(cfg, cfg.seeds[0])(0))
+        sizes = env.layout.branch_sizes()
+        rng = np.random.default_rng(2312)
+        costs = []
+        for _ in range(300):
+            t = int(rng.integers(len(demands)))
+            prev = tuple(rng.integers(sizes).tolist())
+            action = tuple(rng.integers(sizes).tolist())
+            costs.append(env.compute_costs(State(t, demands[t], prev), action))
+        assert self._digest(costs) == self.THREE_CLASS_DIGEST
 
 
 class TestClippedCostDigest:

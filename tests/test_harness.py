@@ -218,6 +218,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"utilization\.params\.{key} needs 2 entries, got 3"):
             load_experiment_config(path)
 
+    PARAMS = {"bbu_base": 0.2, "bbu_slope": 1.2, "mec_base": 0.2, "mec_slope": 1.0}
+
+    @pytest.mark.parametrize("utilization, message", [
+        ({"params": {**PARAMS, "bbu_base": math.nan}},
+         r"utilization\.params\.bbu_base must be nonnegative and finite, got nan"),
+        ({"noise_std": -1.0},
+         r"utilization\.noise_std must be nonnegative and finite, got -1\.0"),
+        ({"noise_std": -1.0, "params": PARAMS},
+         r"utilization\.noise_std must be nonnegative and finite, got -1\.0"),
+    ], ids=["param", "noise_std", "noise_std-with-params"])
+    def test_refused_model_value_names_its_key_path(self, tmp_path, utilization, message):
+        path = toy_config(tmp_path, utilization=utilization)
+        with pytest.raises(ConfigError, match=message):
+            load_experiment_config(path)
+
     def test_unknown_platform_rejected(self, tmp_path):
         path = toy_config(tmp_path, utilization={"platform": "C"})
         with pytest.raises(ConfigError, match="platform must be A or B, got 'C'"):

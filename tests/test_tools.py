@@ -1,5 +1,6 @@
-"""The measuring tools run end to end: ``tools/identity.py`` and
-``tools/refresh_peak.py`` exit 0 and print their fingerprint line."""
+"""The measuring tools run end to end: ``tools/identity.py``,
+``tools/refresh_peak.py`` and ``tools/price_timing.py`` exit 0 and print
+their fingerprint lines."""
 import os
 import re
 import subprocess
@@ -32,3 +33,12 @@ def test_refresh_peak_prints_memory_time_and_posterior_hashes():
         r"posterior_mu [0-9a-f]{16} posterior_scale [0-9a-f]{16}\n",
         line,
     ), line
+
+
+def test_price_timing_prints_time_and_digest_per_config():
+    out = run_tool("tools/price_timing.py")
+    assert re.fullmatch(
+        r"toy\.yaml us_per_call \d+\.\d\d digest [0-9a-f]{64}\n"
+        r"default\.yaml us_per_call \d+\.\d\d digest [0-9a-f]{64}\n",
+        out,
+    ), out
