@@ -101,11 +101,13 @@ class AgentConfig:
 
     def __post_init__(self):
         if self.mode not in ("bayes", "egreedy"):
-            raise ValueError(f"unknown agent mode {self.mode!r}")
-        if min(self.T_p, self.T_g, self.T_s) <= 0:
-            raise ValueError("schedule periods must be positive")
-        if not (0.0 <= self.eps_min <= self.eps_max <= 1.0):
-            raise ValueError("need 0 <= eps_min <= eps_max <= 1")
+            raise ValueError(f"mode must be bayes or egreedy, got {self.mode!r}")
+        for name in ("T_p", "T_g", "T_s", "batch_size", "blr_dataset_cap", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 <= self.eps_min <= self.eps_max <= 1.0:
+            raise ValueError(f"eps_min and eps_max must satisfy 0 <= eps_min <= eps_max <= 1, "
+                             f"got {self.eps_min} and {self.eps_max}")
         for name in ("lr", "sigma_eps", "prior_sigma"):
             value = getattr(self, name)
             if not 0.0 < value < np.inf:        # NaN fails too
@@ -114,10 +116,6 @@ class AgentConfig:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.eps_decay_episodes < 0:
             raise ValueError(f"eps_decay_episodes must be nonnegative, got {self.eps_decay_episodes}")
-        if min(self.batch_size, self.blr_dataset_cap) < 1:
-            raise ValueError("batch_size and blr_dataset_cap must be positive")
-        if self.feature_dim < 1:
-            raise ValueError(f"feature_dim must be positive, got {self.feature_dim}")
         if min(self.trunk_widths, default=0) < 1:
             raise ValueError(f"trunk_widths must be nonempty and positive, got {self.trunk_widths}")
         if self.buffer_capacity < self.batch_size:

@@ -1,7 +1,7 @@
 """One reader for config sections: each is read by the dataclass that uses
 it, whose init fields are its keys, their defaults the defaults and their
-annotations the value types.  A value of the wrong kind raises ``ConfigError``
-naming its key path."""
+annotations the value types.  A value of the wrong kind, or one that the
+dataclass refuses, raises ``ConfigError`` naming its key path."""
 from __future__ import annotations
 
 import dataclasses
@@ -17,7 +17,10 @@ class ConfigError(ValueError):
 def read_section(cls, raw, name: str = "", **given):
     """``cls`` from the mapping ``raw`` (None reads as empty).  A key that is
     not a field raises ``ConfigError``; a dataclass-typed field is read as
-    section ``name.key``; ``given`` fields are set by the caller, not by keys."""
+    section ``name.key``; ``given`` fields are set by the caller, not by keys.
+    Below the top level, any other ``ValueError`` or ``TypeError`` becomes a
+    ``ConfigError`` named ``name.key …`` if its message starts with a field
+    (up to any ``[``: ``workload.mec_gbps[1] …``), else ``name: …``."""
     readers = _readers(cls, name)
     raw = {} if raw is None else raw
     if not isinstance(raw, dict):
@@ -25,7 +28,13 @@ def read_section(cls, raw, name: str = "", **given):
     if not raw.keys() <= readers.keys() or not raw.keys().isdisjoint(given):
         unknown = sorted(str(k) for k in raw if k not in readers or k in given)
         raise ConfigError(f"unknown {name or 'top-level'} config keys {unknown}")
-    return cls(**given, **{k: readers[k](v) for k, v in raw.items()})
+    try:
+        return cls(**given, **{k: readers[k](v) for k, v in raw.items()})
+    except (TypeError, ValueError) as exc:
+        if not name or isinstance(exc, ConfigError):
+            raise
+        key = str(exc).split(" ", 1)[0].split("[", 1)[0]
+        raise ConfigError(f"{name}{'.' if key in readers else ': '}{exc}") from exc
 
 
 @functools.cache

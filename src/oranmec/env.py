@@ -147,7 +147,7 @@ class RewardConfig:
         named.update((f"delay_threshold[{c}]", v) for c, v in named.pop("delay_threshold").items())
         for name, value in named.items():
             if not 0.0 <= value < math.inf:     # NaN fails too
-                raise ValueError(f"reward {name} must be nonnegative and finite, got {value}")
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 @dataclass

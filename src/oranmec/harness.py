@@ -50,12 +50,11 @@ from .env import (
 )
 from .topology import Topology, build_topology
 from .workload import (
+    PLATFORMS,
     SLOTS_PER_DAY,
     UtilizationModel,
     constant_demands,
     load_trace,
-    platform_a,
-    platform_b,
     synth_demands,
 )
 
@@ -101,40 +100,38 @@ class Workload:
 
     def __post_init__(self):
         if self.source not in ("synthetic", "constant", "trace"):
-            raise ConfigError(f"unknown workload source {self.source!r}")
+            raise ValueError(f"source must be synthetic, constant or trace, got {self.source!r}")
         rates = {"peak_gbps": self.peak_gbps, "legacy_gbps": self.legacy_gbps}
         rates.update((f"mec_gbps[{c}]", v) for c, v in enumerate(self.mec_gbps or ()))
         for name, value in rates.items():
             if not 0.0 <= value < math.inf:     # NaN fails too
-                raise ConfigError(f"workload {name} must be nonnegative and finite, got {value}")
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
         if self.source == "trace" and self.path is None:
-            raise ConfigError("workload.source trace needs a workload.path")
+            raise ValueError("source trace needs a workload.path")
 
 
 @dataclass(frozen=True)
 class UtilizationSection:
-    """Stock ``platform`` A or B with Gaussian noise; non-empty ``params`` override it."""
+    """The utilization model's section: the stock ``platform`` (a key of
+    ``workload.PLATFORMS``), the ``noise_std`` of its Gaussian noise, and
+    ``params``, ``UtilizationModel`` fields that override the platform's
+    values key by key."""
 
     platform: str = "A"
     noise_std: float = 0.0
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.platform not in PLATFORMS:
+            raise ValueError(f"platform must be {' or '.join(PLATFORMS)}, got {self.platform!r}")
+        if not 0.0 <= self.noise_std < math.inf:   # NaN fails too
+            raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std}")
+
     def build(self, n_services: int) -> UtilizationModel:
-        """The section's model for ``n_services`` MEC classes.  A value the
-        model refuses raises ``ConfigError`` naming its key path."""
-        stock = {"A": platform_a, "B": platform_b}.get(self.platform)
-        if stock is None:
-            raise ConfigError(f"utilization platform must be A or B, got {self.platform!r}")
-        try:
-            if self.params:
-                return read_section(UtilizationModel, self.params, "utilization.params",
-                                    noise_std=self.noise_std, n_services=n_services)
-            return stock(n_services, noise_std=self.noise_std)
-        except ConfigError:
-            raise
-        except ValueError as exc:       # the model's message starts with its field
-            section = "utilization" if str(exc).startswith("noise_std") else "utilization.params"
-            raise ConfigError(f"{section}.{exc}") from None
+        """The section's model for ``n_services`` MEC classes; a value the
+        model refuses raises ``ConfigError`` naming ``utilization.params.<key>``."""
+        return read_section(UtilizationModel, {**PLATFORMS[self.platform], **self.params},
+                            "utilization.params", noise_std=self.noise_std, n_services=n_services)
 
 
 @dataclass
@@ -168,7 +165,7 @@ class ExperimentConfig:
             raise ConfigError(f"n_services must be positive, got {n}")
         mec = self.workload.mec_gbps
         if mec is not None and len(mec) != n:
-            raise ConfigError(f"mec_gbps has {len(mec)} rates for {n} services")
+            raise ConfigError(f"workload.mec_gbps has {len(mec)} rates for {n} services")
         if self.flavors.mec and len(self.flavors.mec) != n:
             raise ConfigError(f"flavors.mec has {len(self.flavors.mec)} ladders for {n} services")
         stray = [c for c in self.reward.delay_threshold if not 1 <= c <= n]

@@ -11,16 +11,16 @@ hosting platform actually burns serving it.  The real relation is platform
 dependent and noisy; here an affine model plus a noise term the caller
 passes stands behind a small interface so a measurement-trained predictor
 can be plugged in later.  The model draws nothing: ``OranMecEnv.reset``
-draws an episode's noise once, from its ``noise_std``.  Two stock parameter
-sets ("A" and "B") emulate two different platforms for transfer
-experiments.
+draws an episode's noise once, from its ``noise_std``.  ``PLATFORMS`` holds
+two stock parameter sets, "A" and "B", that emulate two different platforms
+for transfer experiments; ``utilization.params`` override one key by key.
 """
 from __future__ import annotations
 
 import csv
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,14 @@ from .splits import CompositeSplit
 logger = logging.getLogger("oranmec.workload")
 
 SLOTS_PER_DAY = 144
+
+# Stock ``UtilizationModel`` fields per platform, over its defaults (A).  B has
+# A's floors times 1.1 and slopes times 1.25, written as those very products.
+PLATFORMS = {
+    "A": {},
+    "B": {"bbu_base": 0.5 * 1.1, "bbu_slope": 1.5 * 1.25,
+          "mec_base": 0.2 * 1.1, "mec_slope": 1.0 * 1.25},
+}
 
 TRACE_HEADER = ("t", "bs", "svc", "demand_gbps")
 
@@ -183,20 +191,3 @@ class UtilizationModel:
         base = self.mec_base[c - 1]
         slope = self.mec_slope[c - 1]
         return max(0.0, base + slope * demand_gbps + noise)
-
-
-def platform_a(n_services: int = 2, noise_std: float = 0.0) -> UtilizationModel:
-    return UtilizationModel(n_services=n_services, noise_std=noise_std)
-
-
-def platform_b(n_services: int = 2, noise_std: float = 0.0) -> UtilizationModel:
-    """Platform A with 25% steeper slopes and 10% higher floors: a genuinely
-    different environment for pretraining/transfer studies."""
-    a = platform_a(n_services, noise_std)
-    return replace(
-        a,
-        bbu_base=a.bbu_base * 1.1,
-        bbu_slope=a.bbu_slope * 1.25,
-        mec_base=tuple(b * 1.1 for b in a.mec_base),
-        mec_slope=tuple(s * 1.25 for s in a.mec_slope),
-    )

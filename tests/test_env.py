@@ -15,7 +15,7 @@ from oranmec.env import (
     enumerate_actions,
 )
 from oranmec.topology import build_topology
-from oranmec.workload import UtilizationModel, constant_demands, platform_a
+from oranmec.workload import UtilizationModel, constant_demands
 from tests.conftest import COST_TOPOLOGY, make_cost_env
 
 
@@ -243,7 +243,7 @@ class TestEncodeState:
                        "n_du": 4, "n_cu": 2, "n_ru": 4}
         })
         layout = ActionLayout.from_topology(topo, n_services=2)
-        env = OranMecEnv(topo, layout, platform_a(2))
+        env = OranMecEnv(topo, layout, UtilizationModel(n_services=2))
         assert env.state_dim == 4 * (3 + 4 + 4 + 2 + 4 + 4)
 
     def test_zero_state_blocks(self, env):

@@ -31,7 +31,7 @@ from oranmec.harness import (
     write_episode_csv,
     write_step_csv,
 )
-from oranmec.workload import platform_b, synth_demands
+from oranmec.workload import synth_demands
 from tests.conftest import CONFIG_DIR, load_toy
 
 
@@ -245,11 +245,17 @@ class TestConfig:
         )).util
         assert (util.bbu_base, util.bbu_slope, util.mec_base, util.mec_slope) == \
             (0.2, 1.2, (0.2, 0.2), (1.0, 1.0))
+        # stock B is A with each floor times 1.1 and each slope times 1.25
+        stock_b = (0.5 * 1.1, 1.5 * 1.25, (0.2 * 1.1,) * 2, (1.0 * 1.25,) * 2)
         path = toy_config(tmp_path, utilization={"platform": "B"})
         util = build_env(load_experiment_config(path)).util
-        stock = platform_b(2)
+        assert (util.bbu_base, util.bbu_slope, util.mec_base, util.mec_slope) == stock_b
+        # a partial override keeps B's other values, not A's
+        path = toy_config(tmp_path, utilization={"platform": "B", "params": {"bbu_base": 0.3}})
+        util = build_env(load_experiment_config(path)).util
         assert (util.bbu_base, util.bbu_slope, util.mec_base, util.mec_slope) == \
-            (stock.bbu_base, stock.bbu_slope, stock.mec_base, stock.mec_slope)
+            (0.3, *stock_b[1:])
+        assert (util.bbu_slope, util.mec_base[0]) == (1.875, 0.22000000000000003)
 
     def test_workload_without_seed_uses_the_experiment_seed(self, tmp_path):
         for workload in ({"source": "synthetic"}, None):

@@ -5,13 +5,12 @@ import pytest
 
 from oranmec.splits import get_split
 from oranmec.workload import (
+    PLATFORMS,
     SLOTS_PER_DAY,
     TraceError,
     UtilizationModel,
     constant_demands,
     load_trace,
-    platform_a,
-    platform_b,
     synth_demands,
 )
 from tests.conftest import make_cost_env
@@ -195,13 +194,13 @@ class TestMecUtilization:
 
 class TestPlatforms:
     def test_platforms_differ_for_same_demand(self):
-        a, b = platform_a(), platform_b()
+        a, b = (UtilizationModel(**PLATFORMS[p]) for p in "AB")
         split = get_split("S1")
         assert a.bbu_utilization(split, 2.0) != b.bbu_utilization(split, 2.0)
         assert a.mec_utilization(1, 1.0) != b.mec_utilization(1, 1.0)
 
     def test_platform_b_scaling(self):
-        a, b = platform_a(), platform_b()
+        a, b = (UtilizationModel(**PLATFORMS[p]) for p in "AB")
         assert b.bbu_slope == pytest.approx(a.bbu_slope * 1.25)
         assert b.bbu_base == pytest.approx(a.bbu_base * 1.1)
 
