@@ -7,10 +7,12 @@ level into ``ExperimentConfig``, ``topology`` into ``TopologyConfig`` (its
 ``waxman`` into ``Waxman``), built and routed once at load, ``flavors``,
 ``workload`` and ``utilization`` into ``Flavors``, ``Workload`` and
 ``UtilizationSection`` (whose ``params`` are ``UtilizationModel``'s affine
-fields and override ``platform``), and ``reward`` and ``agent`` into
-``RewardConfig`` and ``AgentConfig``.  The top-level ``n_services`` counts
-the MEC classes; a class is inelastic exactly when ``reward.delay_threshold``
-has a key for it.
+fields and override the ``platform``'s values key by key), and ``reward``
+and ``agent`` into ``RewardConfig`` and ``AgentConfig``.  A value that one
+of these refuses is named by its key path, as ``agent.lr must be positive
+and finite, got 0.0``.  The top-level ``n_services`` counts the MEC classes;
+a class is inelastic exactly when ``reward.delay_threshold`` has a key for
+it.
 ``run_experiment`` trains each seed's ``seeded_run`` and writes:
 
   * ``episodes_seed<S>_<mode>.csv``: one record per episode,
@@ -85,6 +87,14 @@ class Flavors:
     bbu: tuple[int, ...] = DEFAULT_FLAVORS
     mec: tuple[tuple[int, ...], ...] = ()
 
+    def __post_init__(self):
+        # a negative rung would be a negative compute charge, a repeated one
+        # two indices for one value, and an empty ladder leaves no choice
+        ladders = {"bbu": self.bbu, **{f"mec[{c}]": m for c, m in enumerate(self.mec)}}
+        for name, ladder in ladders.items():
+            if not ladder or min(ladder) < 0 or len(set(ladder)) < len(ladder):
+                raise ValueError(f"{name} needs one or more distinct nonnegative rungs, got {ladder}")
+
 
 @dataclass(frozen=True)
 class Workload:
@@ -101,6 +111,8 @@ class Workload:
     def __post_init__(self):
         if self.source not in ("synthetic", "constant", "trace"):
             raise ValueError(f"source must be synthetic, constant or trace, got {self.source!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         rates = {"peak_gbps": self.peak_gbps, "legacy_gbps": self.legacy_gbps}
         rates.update((f"mec_gbps[{c}]", v) for c, v in enumerate(self.mec_gbps or ()))
         for name, value in rates.items():
@@ -151,8 +163,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.episodes <= 0:
             raise ConfigError("episodes must be positive")
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be nonempty and nonnegative, got {self.seeds}")
         if self.episode_slots < 1:
             raise ConfigError(f"episode_slots must be positive, got {self.episode_slots}")
         if self.workload.source == "synthetic" and self.episodes * self.episode_slots % SLOTS_PER_DAY:

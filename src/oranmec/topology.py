@@ -233,6 +233,10 @@ class Waxman:
     n_cu: int = 2
     n_ru: int = 4
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise TopologyError(f"seed must be nonnegative, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class TopologyConfig:

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -127,6 +128,14 @@ class TestConfig:
         ("flavors", "mec", [[0, 1, 2, 3]]),
         ("reward", "delay_threshold", {5: 1.0}),
         ("", "n_services", 0),
+        ("flavors", "bbu", [-1, 2]),
+        ("flavors", "bbu", [1, 1, 2]),
+        ("flavors", "bbu", []),
+        ("flavors", "mec", [[0, 1, 2, 3], []]),
+        ("", "seeds", [-1]),
+        ("workload", "seed", -2),
+        ("agent", "T_p", 0),
+        ("agent", "mode", "dqn"),
     ])
     def test_unusable_number_refused_at_load(self, tmp_path, capsys, section, key, value):
         # a NaN or infinite reward term leaves the oracle no action scored
@@ -138,7 +147,10 @@ class TestConfig:
         # would be truncated or read as 1, a string read as a list of its
         # characters, and an infinite int key would raise an OverflowError;
         # a MEC flavor ladder or delay threshold per class is checked against
-        # the class count
+        # the class count; a negative flavor rung would be a negative charge,
+        # a repeated one two indices for one value, and an empty ladder fails
+        # in build_env; a negative seed fails at the run's start in numpy
+        # without naming the key.  Each is named by its key path.
         raw = yaml.safe_load(toy_config(tmp_path).read_text())
         target = raw
         for name in filter(None, section.split(".")):     # "" is the top level
@@ -146,7 +158,7 @@ class TestConfig:
         target[key] = value
         path = tmp_path / "unusable.yaml"
         path.write_text(yaml.safe_dump(raw))
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}") if section else key):
             load_experiment_config(path)
         for command in ("oracle", "run"):
             assert cli_main([command, "--config", str(path)]) == 1
@@ -231,6 +243,16 @@ class TestConfig:
     def test_refused_model_value_names_its_key_path(self, tmp_path, utilization, message):
         path = toy_config(tmp_path, utilization=utilization)
         with pytest.raises(ConfigError, match=message):
+            load_experiment_config(path)
+
+    @pytest.mark.parametrize("waxman, message", [
+        ({"n": 14, "n_ru": 1},
+         "topology.waxman: Waxman.__init__() missing 1 required positional argument: 'seed'"),
+        ({"n": 14, "n_ru": 1, "seed": -1}, "topology.waxman.seed must be nonnegative, got -1"),
+    ], ids=["missing", "negative"])
+    def test_waxman_seed_names_its_section(self, tmp_path, waxman, message):
+        path = toy_config(tmp_path, topology={"waxman": waxman})
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_experiment_config(path)
 
     def test_unknown_platform_rejected(self, tmp_path):

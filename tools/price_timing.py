@@ -7,12 +7,14 @@ Run from the repository root on two trees, alternating, and compare the output:
 For ``toy.yaml`` and ``default.yaml`` it draws 200 random (slot, previous
 row, row) triples from ``default_rng(2312)`` over seed 0's first episode,
 as ``tests/test_env_costs.py``'s ``TestCostDigest`` draws them.  It prices
-all 200 five times and prints one line per config:
+all 200 twenty-five times and prints one line per config:
 
     toy.yaml us_per_call 18.52 digest <sha256>
 
-``us_per_call`` is the median over the five repeats of a repeat's time per
-call, in microseconds, on whatever host runs it; ``digest`` is the sha256
+``us_per_call`` is the median over the 25 repeats of a repeat's time per
+call, in microseconds, on whatever host runs it.  One repeat is only a few
+milliseconds of work, so one burst of load on a shared host moves a whole
+repeat; the median of 25 moves less than that of 5.  ``digest`` is the sha256
 of every ``CostBreakdown`` field written as ``float.hex``, one per line, in
 ``TestCostDigest._digest``'s format.  So one run per tree compares both the
 time and the bits of the cost model.
@@ -32,7 +34,7 @@ from oranmec.env import State
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PAIRS = 200
-REPEATS = 5
+REPEATS = 25
 
 
 def digest(breakdowns) -> str:
