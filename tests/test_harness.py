@@ -277,7 +277,6 @@ class TestConfig:
         util = build_env(load_experiment_config(path)).util
         assert (util.bbu_base, util.bbu_slope, util.mec_base, util.mec_slope) == \
             (0.3, *stock_b[1:])
-        assert (util.bbu_slope, util.mec_base[0]) == (1.875, 0.22000000000000003)
 
     def test_workload_without_seed_uses_the_experiment_seed(self, tmp_path):
         for workload in ({"source": "synthetic"}, None):

@@ -16,8 +16,9 @@ call, in microseconds, on whatever host runs it.  One repeat is only a few
 milliseconds of work, so one burst of load on a shared host moves a whole
 repeat; the median of 25 moves less than that of 5.  ``digest`` is the sha256
 of every ``CostBreakdown`` field written as ``float.hex``, one per line, in
-``TestCostDigest._digest``'s format.  So one run per tree compares both the
-time and the bits of the cost model.
+``TestCostDigest._digest``'s format.  So one run per tree compares the bits
+of the cost model; the host also drifts between runs, so compare times over
+several alternating runs per tree.
 """
 from __future__ import annotations
 
