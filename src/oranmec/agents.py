@@ -11,8 +11,12 @@ C-contiguous (branches, batch) array, with their backward pass: a strided
 error row would sum its squares in another order than a per-branch loop.
 Sub-action a of branch j is stacked row ``offsets[j] + a``, so a batch's
 taken entries are one index, ``actions + offsets``.  A TD target prices
-all branches in one gather from the stacked target scores, and the Bayes
-backward pass overwrites its (batch, branches, features) taken means.
+all branches in one gather from the stacked target scores.  The Bayes
+``_taken`` gathers its taken means as one C-ordered (batch, branches,
+features) array, multiplies them into the network's feature stack in place
+and sums over features once; its backward pass overwrites the gathered means
+with the feature gradient, so besides that gather the step allocates no
+(batch, branches, features) array.
 
 * ``EGreedyAgent`` keeps linear Q heads on the branch features: its scores
   are the Q rows, and the taken scores' gradient scatters into them.  It
@@ -93,7 +97,8 @@ class AgentConfig:
     eps_max: float = 1.0
     eps_min: float = 0.05
     eps_decay_episodes: int = 100
-    seed: int = 0
+    seed: int = field(default=0, metadata={
+        "refused": "every run derives its agent seed from its entry in the top-level seeds"})
     pretrained_checkpoint: str | None = None
     trunk_widths: tuple[int, ...] = (256, 256, 256)
     feature_dim: int = 128
@@ -591,17 +596,18 @@ class BayesAgent(_AgentBase):
         """Posterior-mean Q of the taken sub-actions: the feature network
         regresses them onto the TD targets (the means themselves update
         only at posterior refreshes)."""
-        phis = self.net.features(states)
-        w = self.posterior.mu[actions + self.offsets].swapaxes(0, 1)     # (J, B, d)
-        # one (B, d) product per branch: a (B, J, d) product temporary
-        # raises peak memory on the full-size net
-        taken = np.array([np.sum(phi * w_j, axis=1) for phi, w_j in zip(phis, w)])
+        phis = self.net.features(states)        # (J, B, d); backward needs only the mask
+        w = self.posterior.mu[actions + self.offsets]       # (B, J, d), C-ordered
+        phis *= w.swapaxes(0, 1)
+        # a C-ordered (J, B) out: each row sums over d as the branch's own
+        # (B, d) product would, and errs inherits the order
+        taken = np.sum(phis, axis=2, out=np.empty(phis.shape[:2]))
 
         def backward(errs, n):
             # dL/dphi = -2 err w / n, written in place over the gathered means
-            np.multiply(w, -2.0 * errs[:, :, None], out=w)
+            np.multiply(w, -2.0 * errs.T[:, :, None], out=w)
             np.divide(w, n, out=w)
-            self.net.backward_from_features(w)
+            self.net.backward_from_features(w.swapaxes(0, 1))
 
         return taken, backward
 

@@ -1,7 +1,8 @@
 """One reader for config sections: each is read by the dataclass that uses
 it, whose init fields are its keys, their defaults the defaults and their
 annotations the value types.  A value of the wrong kind, or one that the
-dataclass refuses, raises ``ConfigError`` naming its key path."""
+dataclass refuses, raises ``ConfigError`` naming its key path.  A field whose
+metadata holds ``refused`` (a reason) is set by code, never by a key."""
 from __future__ import annotations
 
 import dataclasses
@@ -39,8 +40,17 @@ def read_section(cls, raw, name: str = "", **given):
 
 @functools.cache
 def _readers(cls, name: str) -> dict:
+    """One reader per field of ``cls``; a field whose metadata holds
+    ``refused`` (a reason) is set by code, and a config key for it raises."""
     path = f"{name}." if name else ""
-    return {key: _reader(tp, path + key) for key, tp in typing.get_type_hints(cls).items()}
+    hints = typing.get_type_hints(cls)
+    return {f.name: functools.partial(_refuse, path + f.name, f.metadata["refused"])
+            if "refused" in f.metadata else _reader(hints[f.name], path + f.name)
+            for f in dataclasses.fields(cls)}
+
+
+def _refuse(name: str, reason: str, value):
+    raise ConfigError(f"{name} is not a config key: {reason}")
 
 
 def _reader(tp, name: str):

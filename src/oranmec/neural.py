@@ -12,9 +12,11 @@ Storage is flat: every parameter lives in one double-precision vector
 ``dw``).  The branch feature heads are fused: their weights form one
 (H, J*F) matrix and their biases one (J*F,) vector, branch j owning columns
 j*F to (j+1)*F, so a forward or backward pass through all J heads is a
-single matrix product and ``features()`` returns per-branch column views of
-its output.  ``Adam`` updates the flat vector in place, one fixed-size block
-at a time.  Cloning, syncing and checkpointing a network copy one array.
+single matrix product and ``features()`` returns its (B, J*F) output as one
+(J, B, F) stack: the ``swapaxes(0, 1)`` view of its C-ordered (B, J, F)
+reshape, whose entry j is branch j's column view.  ``Adam`` updates the flat
+vector in place, one fixed-size block at a time.  Cloning, syncing and
+checkpointing a network copy one array.
 
 A network built by the constructor is trainable: each ``features()`` pass
 (``trunk()``, then the fused branch layer) keeps what the next backward pass
@@ -77,8 +79,9 @@ class BranchingQNet:
     """Shared trunk with one feature head (and optional Q head) per branch.
 
     ``branch_sizes[j]`` is the number of sub-actions of branch j; its Q row
-    has that many entries.  ``features()`` returns the per-branch feature
-    vectors, ``q_values()`` the linear Q rows (requires ``with_heads``).
+    has that many entries.  ``features()`` returns the (J, batch, F) stack
+    of per-branch feature matrices, a view of one C-ordered (batch, J, F)
+    buffer; ``q_values()`` the linear Q rows (requires ``with_heads``).
     """
 
     def __init__(
@@ -165,15 +168,18 @@ class BranchingQNet:
         cols = self._cols[j]
         return _affine_relu(h, self.w.branch[:, cols], self.w.branch_bias[cols])
 
-    def features(self, x: np.ndarray) -> list[np.ndarray]:
-        """Per-branch feature matrices, shape (batch, feature_dim): column
-        views of one (batch, J*F) array."""
+    def features(self, x: np.ndarray) -> np.ndarray:
+        """Per-branch feature matrices as one (J, batch, feature_dim) stack:
+        the ``swapaxes(0, 1)`` view of the (batch, J*F) output reshaped to
+        C-ordered (batch, J, F), so entry j is branch j's column view.  The
+        backward pass reads only the cached mask (and, under Q heads, the
+        cached output), so a caller without Q heads may overwrite it."""
         self._cache = None          # free the previous pass's activations first
         inputs = self.trunk(x)
         z = _affine_relu(inputs[-1], self.w.branch, self.w.branch_bias)
         if self.dw is not None:
             self._cache = (inputs, z > 0, z if self.with_heads else None)
-        return [z[:, cols] for cols in self._cols]
+        return z.reshape(len(z), self.n_branches, self.feature_dim).swapaxes(0, 1)
 
     def q_values(self, x: np.ndarray) -> list[np.ndarray]:
         """Per-branch Q matrices, shape (batch, branch_sizes[j])."""
@@ -253,7 +259,9 @@ class BranchingQNet:
 class Adam:
     """Standard Adam with bias correction over one flat parameter vector,
     updated in place in blocks of ``ADAM_BLOCK``; rejects non-finite
-    gradients."""
+    gradients.  Once the first moment's correction ``1 - beta1**t`` rounds
+    to exactly 1.0 (from t = 356 at beta1 = 0.9), ``m / 1.0`` is ``m``, so
+    the step skips that division and keeps every bit."""
 
     def __init__(
         self,
@@ -297,8 +305,11 @@ class Adam:
             np.multiply(g, 1.0 - b2, out=s)
             s *= g
             v += s
-            np.divide(m, b1t, out=s)
-            s *= self.lr
+            if b1t == 1.0:
+                np.multiply(m, self.lr, out=s)
+            else:
+                np.divide(m, b1t, out=s)
+                s *= self.lr
             np.divide(v, b2t, out=r)
             np.sqrt(r, out=r)
             r += self.eps

@@ -24,7 +24,7 @@ from oranmec.agents import (
     td_target,
 )
 from oranmec.env import ActionLayout
-from oranmec.harness import seeded_run
+from oranmec.harness import build_env, load_experiment_config, seeded_run
 from tests.conftest import CONFIG_DIR, load_toy, make_toy_env, toy_agent_config
 
 
@@ -738,6 +738,42 @@ class TestTrainSteps:
         net.grads[...] = np.nan
         assert agent.train_step() == loss
         assert np.array_equal(net.grads, want)
+
+    @pytest.mark.parametrize("config, shape", [
+        ("toy.yaml", (18, 9, 64, 48)), ("default.yaml", (84, 36, 256, 128)),
+    ], ids=["toy", "default"])
+    def test_bayes_taken_pass_is_bit_equal_to_per_branch_products(self, config, shape):
+        # _taken multiplies the gathered means into the feature stack in place
+        # and sums over F once; its backward scales the C-ordered gather.  The
+        # reference is one (B, F) product and sum per branch, and the strided
+        # multiply and divide of the transposed gather
+        cfg = load_experiment_config(CONFIG_DIR / config)
+        env = build_env(cfg)
+        agent = make_agent(env.layout, env.state_dim, dataclasses.replace(cfg.agent, seed=3))
+        net = agent.net
+        assert (net.state_dim, net.n_branches, net.trunk_widths[-1], net.feature_dim) == shape
+        rng = np.random.default_rng(31)
+        net.params += rng.normal(scale=0.01, size=net.params.size)     # nonzero biases
+        agent.posterior.mu = rng.normal(size=agent.posterior.mu.shape)
+        B = cfg.agent.batch_size
+        states = rng.normal(size=(B, net.state_dim))
+        actions = np.stack([rng.integers(n, size=B) for n in net.branch_sizes], axis=1)
+        errs = rng.normal(size=(net.n_branches, B))
+
+        phis = [phi.copy() for phi in net.features(states)]
+        w = agent.posterior.mu[actions + agent.offsets].swapaxes(0, 1)
+        want_taken = np.array([np.sum(phi * w_j, axis=1) for phi, w_j in zip(phis, w)])
+        np.multiply(w, -2.0 * errs[:, :, None], out=w)
+        np.divide(w, errs.size, out=w)
+        net.backward_from_features(w)
+        want_grads = net.grads.copy()
+        net.grads[...] = np.nan
+
+        taken, backward = agent._taken(states, actions)
+        assert taken.flags.c_contiguous
+        assert taken.tobytes() == want_taken.tobytes()
+        backward(errs, errs.size)
+        assert net.grads.tobytes() == want_grads.tobytes()
 
 
 class TestPosteriorUpdate:

@@ -81,6 +81,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="learning_rate"):
             load_experiment_config(path)
 
+    @pytest.mark.parametrize("value", [5, 0])
+    def test_agent_seed_refused_and_pointed_to_seeds(self, tmp_path, value):
+        # seeded_run replaces agent.seed with a seed derived from the entry
+        # of ``seeds`` it runs, so a configured value would be ignored
+        path = toy_config(tmp_path)
+        raw = yaml.safe_load(path.read_text())
+        raw["agent"]["seed"] = value
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match=r"agent\.seed is not a config key: .* seeds"):
+            load_experiment_config(path)
+
     def test_agent_sizes_rejected(self, tmp_path):
         path = toy_config(tmp_path)
         raw = yaml.safe_load(path.read_text())

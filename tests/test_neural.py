@@ -379,9 +379,14 @@ class TestFusedBranches:
             assert phi.tobytes() == np.concatenate([c[j] for c in chunked]).tobytes()
 
     def test_features_are_views_of_one_output(self):
+        # one (J, B, F) stack, the transposed view of one C-ordered
+        # (B, J*F) buffer, whose entry j is branch j's column block
         net = small_net(seed=16)
         phis = net.features(np.ones((2, 5)))
-        assert all(phi.base is phis[0].base for phi in phis)
+        assert phis.shape == (net.n_branches, 2, net.feature_dim)
+        assert phis.swapaxes(0, 1).flags.c_contiguous
+        assert phis.base.flags.c_contiguous and phis.base.shape == (2, net.n_branches * net.feature_dim)
+        assert all(phi.base is phis.base for phi in phis)
 
     def test_views_share_the_flat_vectors(self):
         net = small_net(seed=17)
@@ -454,6 +459,27 @@ class TestBlockedAdam:
         assert np.array_equal(opt.m, np.concatenate(m))
         assert np.array_equal(opt.v, np.concatenate(v))
         assert opt.t == 4
+
+    def test_bit_equal_past_the_first_moment_correction(self):
+        # from t = 356, 1 - 0.9**t rounds to exactly 1.0 and the step skips
+        # that division; two blocks, the second partial
+        assert 1.0 - 0.9 ** 355 != 1.0 and 1.0 - 0.9 ** 356 == 1.0
+        sizes = [ADAM_BLOCK + 5, 3]
+        tensors = [np.random.default_rng(24).normal(size=n) for n in sizes]
+
+        def grads(t):       # drawn afresh per step: 400 steps would not fit in memory
+            rng = np.random.default_rng([25, t])
+            return [rng.normal(size=n) * 10.0 ** rng.integers(-4, 3) for n in sizes]
+
+        flat = np.concatenate(tensors)
+        opt = Adam(flat, lr=1e-3)
+        for t in range(400):
+            opt.step(np.concatenate(grads(t)))
+        p, m, v = textbook_adam(tensors, map(grads, range(400)), lr=1e-3)
+        assert flat.tobytes() == np.concatenate(p).tobytes()
+        assert opt.m.tobytes() == np.concatenate(m).tobytes()
+        assert opt.v.tobytes() == np.concatenate(v).tobytes()
+        assert opt.t == 400
 
     def test_nan_in_a_late_block_rejects_the_whole_update(self):
         flat = np.ones(2 * ADAM_BLOCK + 7)

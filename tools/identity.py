@@ -24,6 +24,10 @@ every gradient it takes is zero.  ``default-bayes-refit`` and
 ``default-egreedy`` set ``T_p`` and ``T_g`` to 144, so their three episodes
 refresh and sync at slots 144 and 288 at full network size: their params
 hash checks the backward pass and Adam at default shapes.
+``default-bayes-long`` trains the same Bayes run for four episodes, so
+Adam reaches t = 449 over every one of default's 21 ``ADAM_BLOCK`` blocks:
+past t = 356, where ``1 - beta1**t`` rounds to exactly 1.0.  The other
+default lines stop near t = 305, and toy's parameters fit in one block.
 
 Both shipped configs are noise-free.  ``toy-noisy`` trains toy's Bayes agent
 for three episodes with utilization ``noise_std`` 0.3, so the episode noise
@@ -56,6 +60,7 @@ RUNS = {
     "default-bayes": ("default.yaml", "bayes", 0, 2, {}, 0.0),
     "default-bayes-refit": ("default.yaml", "bayes", 0, 3, PERIOD_144, 0.0),
     "default-egreedy": ("default.yaml", "egreedy", 0, 3, PERIOD_144, 0.0),
+    "default-bayes-long": ("default.yaml", "bayes", 0, 4, PERIOD_144, 0.0),
     "toy-noisy": ("toy.yaml", "bayes", 7, 3, {}, 0.3),
 }
 
