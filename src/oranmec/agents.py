@@ -35,6 +35,10 @@ with the feature gradient, so besides that gather the step allocates no
   (``blr_posterior``) is one stacked fit per branch on numpy's own LAPACK
   (``np.linalg``), so the package needs no scipy.
 
+The agent owns its checkpoint format: one ``np.savez`` archive (version 4)
+of ``_saved()``'s arrays and a ``_meta`` JSON header.  It holds no target
+network, replay or RNG state, so a load starts a new run from it.
+
 The training loop follows a fixed schedule: posteriors refresh every
 ``T_p`` slots, the target network (and the target last-layer weights, set
 to the posterior means) syncs every ``T_g``, and the Thompson weights are
@@ -51,18 +55,20 @@ cache and score only the rows missing from it.
 """
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import neural
 from .env import ActionLayout, OranMecEnv
 from .neural import Adam, BranchingQNet
 
 logger = logging.getLogger("oranmec.agents")
 
 JITTER = 1e-6
+
+CHECKPOINT_VERSION = 4
 
 # Rows per block of the sampling factor's triangular inverse: a diagonal
 # block this small is cheap to invert dense, and the products left of it
@@ -92,8 +98,8 @@ class AgentConfig:
     T_p: int = 1440     # posterior refresh period (slots)
     T_g: int = 1440     # target-network sync period
     T_s: int = 144      # Thompson resample period
-    sigma_eps: float = 1.0
-    prior_sigma: float = 1.0
+    sigma_eps: float = 1.0      # BLR noise standard deviation: data term / sigma_eps**2
+    prior_sigma: float = 1.0    # BLR prior variance: weights ~ N(0, prior_sigma I)
     eps_max: float = 1.0
     eps_min: float = 0.05
     eps_decay_episodes: int = 100
@@ -509,18 +515,38 @@ class _AgentBase:
         self.adam.step(self.net.grads)
         return loss
 
-    def save_checkpoint(self, path) -> None:
-        neural.save_checkpoint(path, self.net, self.adam)
+    # -- checkpointing ----------------------------------------------------
 
-    def load_checkpoint(self, path) -> dict:
-        """Load network and optimizer state, sync the target network, and
-        return the checkpoint's contents."""
-        data = neural.load_checkpoint(path)
-        if data["meta"]["arch"] != self.net.arch():
-            raise ValueError("checkpoint architecture does not match this agent")
+    def _saved(self) -> dict[str, np.ndarray]:
+        """The checkpoint's arrays by key, in the order they are written."""
+        return {"params": self.net.params, "adam_m": self.adam.m, "adam_v": self.adam.v}
+
+    def save_checkpoint(self, path) -> None:
+        """Write one ``np.savez`` archive: ``_saved()``, then ``_meta``, the
+        JSON header of the format version, the architecture and Adam's step."""
+        meta = {"version": CHECKPOINT_VERSION, "arch": self.net.arch(), "adam_t": self.adam.t}
+        header = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **self._saved(), _meta=header)
+
+    def load_checkpoint(self, path) -> dict[str, np.ndarray]:
+        """Check a checkpoint's version, architecture and arrays, load the
+        network and Adam from it, sync the target network, and return the
+        archive's arrays."""
+        with open(path, "rb") as fh:
+            archive = np.load(fh)       # a .npy file loads as one unnamed array
+            data = {} if isinstance(archive, np.ndarray) else dict(archive)
+        if "_meta" not in data:
+            raise ValueError(f"{path} is not an oranmec checkpoint: missing _meta")
+        meta = json.loads(bytes(data["_meta"]).decode())
+        if meta.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+        if meta.get("arch") != self.net.arch():
+            raise ValueError(f"{path}: checkpoint architecture does not match this agent")
+        missing = [key for key in self._saved() if key not in data]
+        if missing:
+            raise ValueError(f"{path} is not an oranmec checkpoint: missing {', '.join(missing)}")
         self.net.load_params(data["params"])
-        if data["meta"]["adam_t"] is not None:
-            self.adam.load_state(data["adam"]["m"], data["adam"]["v"], data["meta"]["adam_t"])
+        self.adam.load_state(data["adam_m"], data["adam_v"], meta["adam_t"])
         self.sync_target()      # also clears the cached target scores
         return data
 
@@ -642,28 +668,30 @@ class BayesAgent(_AgentBase):
 
     # -- checkpointing ----------------------------------------------------
 
-    _SAVED = ("mu", "omega", "omega_tilde")
+    _WEIGHTS = ("mu", "omega", "omega_tilde")
 
-    def save_checkpoint(self, path) -> None:
-        post = self.posterior      # of the sampling factor, only the rows off the prior
+    def _saved(self) -> dict[str, np.ndarray]:
+        """As the base class, then the posterior; of its sampling factor
+        only the rows off the prior, and their indices."""
+        post = self.posterior
         rows = np.flatnonzero((post.scale != post.prior_scale).any(axis=(1, 2)))
-        extra = {f"post_{name}": getattr(post, name) for name in self._SAVED}
-        extra.update(post_scale_rows=rows, post_scale=post.scale[rows])
-        neural.save_checkpoint(path, self.net, self.adam, extra=extra)
+        return {**super()._saved(),
+                **{f"extra_post_{name}": getattr(post, name) for name in self._WEIGHTS},
+                "extra_post_scale_rows": rows, "extra_post_scale": post.scale[rows]}
 
-    def load_checkpoint(self, path) -> dict:
+    def load_checkpoint(self, path) -> dict[str, np.ndarray]:
         """As the base class, then restore the posterior as saved, its
         sampling factor and target weights included."""
         data = super().load_checkpoint(path)
-        post, extra = self.posterior, data["extra"]
-        for name in self._SAVED:
-            if extra[f"post_{name}"].shape != getattr(post, name).shape:
-                raise ValueError(f"post_{name}: shape mismatch")
-            setattr(post, name, extra[f"post_{name}"])
-        rows, scale = extra["post_scale_rows"], extra["post_scale"]
+        post = self.posterior
+        for name in self._WEIGHTS:
+            if data[f"extra_post_{name}"].shape != getattr(post, name).shape:
+                raise ValueError(f"{path}: extra_post_{name}: shape mismatch")
+            setattr(post, name, data[f"extra_post_{name}"])
+        rows, scale = data["extra_post_scale_rows"], data["extra_post_scale"]
         in_range = np.all((rows >= 0) & (rows < len(post.mu)))
         if scale.shape != (len(rows), post.d, post.d) or not in_range:
-            raise ValueError("post_scale: shape mismatch")
+            raise ValueError(f"{path}: extra_post_scale: shape mismatch")
         post.set_scale_rows(rows, scale)
         self.buffer.clear_target_scores()     # omega_tilde was restored
         return data

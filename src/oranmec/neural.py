@@ -15,8 +15,8 @@ j*F to (j+1)*F, so a forward or backward pass through all J heads is a
 single matrix product and ``features()`` returns its (B, J*F) output as one
 (J, B, F) stack: the ``swapaxes(0, 1)`` view of its C-ordered (B, J, F)
 reshape, whose entry j is branch j's column view.  ``Adam`` updates the flat
-vector in place, one fixed-size block at a time.  Cloning, syncing and
-checkpointing a network copy one array.
+vector in place, one fixed-size block at a time.  Cloning or syncing a
+network copies one array.
 
 A network built by the constructor is trainable: each ``features()`` pass
 (``trunk()``, then the fused branch layer) keeps what the next backward pass
@@ -30,7 +30,6 @@ trunk) are formed without any autodiff dependency.
 from __future__ import annotations
 
 import copy
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -38,8 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 logger = logging.getLogger("oranmec.neural")
-
-CHECKPOINT_VERSION = 4
 
 # Elements per in-place Adam block: two scratch blocks of 512 KiB.
 ADAM_BLOCK = 65_536
@@ -323,33 +320,3 @@ class Adam:
         self.v[...] = v
         self.t = int(t)
 
-
-def save_checkpoint(path, net: BranchingQNet, adam: Adam | None = None, extra: dict | None = None) -> None:
-    """Dump network (and optionally optimizer/posterior state) to one file.
-
-    The archive holds the flat parameter vector, Adam's flat moments and a
-    json header with the architecture.
-    """
-    blobs: dict[str, np.ndarray] = {"params": net.params}
-    meta = {"version": CHECKPOINT_VERSION, "arch": net.arch(), "adam_t": None}
-    if adam is not None:
-        blobs["adam_m"] = adam.m
-        blobs["adam_v"] = adam.v
-        meta["adam_t"] = adam.t
-    for key, arr in (extra or {}).items():
-        blobs[f"extra_{key}"] = np.asarray(arr)
-    blobs["_meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **blobs)
-
-
-def load_checkpoint(path) -> dict:
-    """Read a checkpoint into {meta, params, adam, extra}: ``params`` is the
-    flat vector, ``adam`` holds moments ``m`` and ``v`` when saved."""
-    with np.load(path) as archive:
-        blobs = {k: archive[k] for k in archive.files}
-    meta = json.loads(bytes(blobs.pop("_meta")).decode())
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
-    adam = {k[len("adam_"):]: v for k, v in blobs.items() if k.startswith("adam_")}
-    extra = {k[len("extra_"):]: v for k, v in blobs.items() if k.startswith("extra_")}
-    return {"meta": meta, "params": blobs["params"], "adam": adam, "extra": extra}

@@ -1,14 +1,17 @@
 import dataclasses
+import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 
-from oranmec import agents, neural
+from oranmec import agents
 from oranmec.agents import (
     AgentConfig,
     EGreedyAgent,
@@ -1048,9 +1051,9 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "agent.npz"
         cfg = dataclasses.replace(agent.config, pretrained_checkpoint=str(path))
         agent.save_checkpoint(path)
-        stored = neural.load_checkpoint(path)["extra"]
-        assert stored["post_scale"].shape == (0, post.d, post.d)
-        assert stored["post_scale_rows"].size == 0
+        with np.load(path) as stored:
+            assert stored["extra_post_scale"].shape == (0, post.d, post.d)
+            assert stored["extra_post_scale_rows"].size == 0
         # no refit yet: the loaded rows share the read-only prior
         assert not make_agent(agent.layout, 6, cfg).posterior.scale.flags.writeable
 
@@ -1058,12 +1061,107 @@ class TestCheckpointRoundTrip:
         agent.buffer.action[:len(agent.buffer), 0] = 0
         agent.update_posteriors()
         agent.save_checkpoint(path)
-        stored = neural.load_checkpoint(path)["extra"]
-        rows = stored["post_scale_rows"]
-        assert 0 in rows and 1 not in rows
-        assert np.array_equal(stored["post_scale"], post.scale[rows])
+        with np.load(path) as stored:
+            rows = stored["extra_post_scale_rows"]
+            assert 0 in rows and 1 not in rows
+            assert np.array_equal(stored["extra_post_scale"], post.scale[rows])
         twin = make_agent(agent.layout, 6, cfg)
         assert np.array_equal(twin.posterior.scale, post.scale)
+
+
+V4_KEYS = ["params", "adam_m", "adam_v"]
+V4_POSTERIOR_KEYS = ["extra_post_mu", "extra_post_omega", "extra_post_omega_tilde",
+                     "extra_post_scale_rows", "extra_post_scale"]
+
+
+def _header(meta: dict) -> np.ndarray:
+    return np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+
+def _v4_arrays(agent, rng) -> dict[str, np.ndarray]:
+    """A v4 checkpoint of ``agent``'s shapes, written out by hand in the
+    format's key order, with random contents and Adam at step 5."""
+    n = agent.net.params.size
+    blobs = {"params": rng.normal(size=n), "adam_m": rng.normal(size=n),
+             "adam_v": rng.uniform(size=n)}
+    if agent.config.mode == "bayes":
+        post = agent.posterior
+        blobs.update({f"extra_post_{name}": rng.normal(size=post.mu.shape)
+                      for name in ("mu", "omega", "omega_tilde")})
+        blobs["extra_post_scale_rows"] = np.array([0, 2])
+        blobs["extra_post_scale"] = rng.normal(size=(2, post.d, post.d))
+    blobs["_meta"] = _header({"version": 4, "arch": agent.net.arch(), "adam_t": 5})
+    return blobs
+
+
+class TestCheckpointFormat:
+    """The v4 archive pinned at the agent, which alone writes and reads it."""
+
+    @pytest.mark.parametrize("mode", ["egreedy", "bayes"])
+    def test_save_writes_the_v4_key_list(self, tmp_path, mode):
+        agent = _filled_agent(mode=mode)
+        for _ in range(3):
+            agent.train_step()
+        path = tmp_path / "agent.npz"
+        agent.save_checkpoint(path)
+        with zipfile.ZipFile(path) as archive:
+            keys = [name.removesuffix(".npy") for name in archive.namelist()]
+        posterior = V4_POSTERIOR_KEYS if mode == "bayes" else []
+        assert keys == V4_KEYS + posterior + ["_meta"]
+        with np.load(path) as archive:
+            meta = json.loads(bytes(archive["_meta"]).decode())
+        assert list(meta) == ["version", "arch", "adam_t"]
+        assert meta == {"version": 4, "arch": agent.net.arch(), "adam_t": 3}
+
+    @pytest.mark.parametrize("mode", ["egreedy", "bayes"])
+    def test_hand_built_v4_archive_loads(self, tmp_path, mode):
+        agent = _filled_agent(mode=mode)
+        blobs = _v4_arrays(agent, np.random.default_rng(3))
+        path = tmp_path / "v4.npz"
+        np.savez(path, **blobs)
+        agent.load_checkpoint(path)
+        assert np.array_equal(agent.net.params, blobs["params"])
+        assert np.array_equal(agent.target_net.params, blobs["params"])
+        assert np.array_equal(agent.adam.m, blobs["adam_m"])
+        assert np.array_equal(agent.adam.v, blobs["adam_v"])
+        assert agent.adam.t == 5
+        if mode == "bayes":
+            post = agent.posterior
+            for name in ("mu", "omega", "omega_tilde"):
+                assert np.array_equal(getattr(post, name), blobs[f"extra_post_{name}"])
+            assert np.array_equal(post.scale[[0, 2]], blobs["extra_post_scale"])
+            for row in set(range(len(post.mu))) - {0, 2}:
+                assert np.array_equal(post.scale[row], post.prior_scale)
+
+    @pytest.mark.parametrize("key", ["_meta", *V4_KEYS, *V4_POSTERIOR_KEYS])
+    def test_a_missing_array_is_named(self, tmp_path, key):
+        agent = _filled_agent(mode="bayes")
+        blobs = _v4_arrays(agent, np.random.default_rng(4))
+        del blobs[key]
+        path = tmp_path / "v4.npz"
+        np.savez(path, **blobs)
+        message = f"{path} is not an oranmec checkpoint: missing {key}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            agent.load_checkpoint(path)
+
+    def test_versions_one_to_three_rejected(self, tmp_path):
+        agent = _filled_agent(mode="bayes")
+        arch, params = agent.net.arch(), agent.net.params
+        layouts = {
+            # the per-tensor layout: one param_<i> array per tensor
+            1: {f"param_{i}": w for i, w in enumerate(agent.net.w.tensors())},
+            # the flat layout with one posterior covariance per branch
+            2: {"params": params, "extra_post_cov_0": np.zeros((3, 4, 4))},
+            # the dense posterior sampling factor, prior rows included
+            3: {"params": params, "extra_post_scale": np.zeros((3, 4, 4))},
+        }
+        extra_keys = {1: {}, 2: {"extra_keys": ["post_cov_0"]}, 3: {"extra_keys": ["post_scale"]}}
+        for version, blobs in layouts.items():
+            meta = {"version": version, "arch": arch, "adam_t": None, **extra_keys[version]}
+            path = tmp_path / f"v{version}.npz"
+            np.savez(path, **blobs, _meta=_header(meta))
+            with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
+                agent.load_checkpoint(path)
 
 
 class TestRunTraining:

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import re
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -692,3 +694,48 @@ class TestCli:
                          "--episodes", "1"]) == 0
         ep = tmp_path / "out" / "episodes_seed9_bayes.csv"
         assert len(ep.read_text().strip().splitlines()) == 2
+
+    @pytest.mark.parametrize("mode", ["bayes", "egreedy"])
+    def test_pretrained_from_the_checkpoint_that_run_writes(self, tmp_path, mode):
+        # full 144-slot episodes, so Adam steps and the posterior refits
+        cfg_path = toy_config(tmp_path, episode_slots=144)
+        assert cli_main(["run", "--config", str(cfg_path), "--mode", mode, "--seed", "7",
+                         "--episodes", "1"]) == 0
+        ck = tmp_path / "out" / f"checkpoint_seed7_{mode}.npz"
+        assert cli_main(["run", "--config", str(cfg_path), "--mode", mode, "--seed", "7",
+                         "--episodes", "1", "--pretrained", str(ck),
+                         "--out", str(tmp_path / "again")]) == 0
+
+        agent = seeded_run(load_experiment_config(cfg_path), 7, mode=mode,
+                           pretrained_checkpoint=str(ck))[1]
+        with np.load(ck) as archive:
+            saved = dict(archive)
+        assert agent.adam.t == json.loads(bytes(saved["_meta"]).decode())["adam_t"] > 0
+        assert np.array_equal(agent.net.params, saved["params"])
+        assert np.array_equal(agent.target_net.params, agent.net.params)
+        assert np.array_equal(agent.adam.m, saved["adam_m"])
+        assert np.array_equal(agent.adam.v, saved["adam_v"])
+        if mode == "bayes":
+            post = agent.posterior
+            for name in ("mu", "omega", "omega_tilde"):
+                assert np.array_equal(getattr(post, name), saved[f"extra_post_{name}"])
+            rows = saved["extra_post_scale_rows"]
+            assert len(rows) > 0
+            assert np.array_equal(post.scale[rows], saved["extra_post_scale"])
+            prior = np.setdiff1d(np.arange(len(post.mu)), rows)
+            assert (post.scale[prior] == post.prior_scale).all()
+
+    @pytest.mark.parametrize("kind", ["no-header", "empty-zip", "npy"])
+    def test_pretrained_file_that_is_not_a_checkpoint(self, tmp_path, capsys, kind):
+        path = tmp_path / ("x.npy" if kind == "npy" else "x.npz")
+        if kind == "no-header":
+            np.savez(path, params=np.zeros(3))
+        elif kind == "empty-zip":
+            zipfile.ZipFile(path, "w").close()
+        else:
+            np.save(path, np.zeros(3))
+        cfg_path = toy_config(tmp_path)
+        assert cli_main(["run", "--config", str(cfg_path), "--pretrained", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{path} is not an oranmec checkpoint: missing _meta" in err

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,12 +5,9 @@ from oranmec.agents import REFRESH_CHUNK_BYTES
 from oranmec.env import ActionLayout
 from oranmec.neural import (
     ADAM_BLOCK,
-    CHECKPOINT_VERSION,
     Adam,
     BranchingQNet,
     GradientError,
-    load_checkpoint,
-    save_checkpoint,
 )
 
 
@@ -242,65 +237,12 @@ class TestArchitectureAudit:
         assert net.n_branches == 4 * 9
 
 
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        net = small_net(seed=13)
-        opt = Adam(net.params, lr=1e-3)
-        qs = net.q_values(np.ones((2, 5)))
-        net.backward_from_q([np.ones_like(q) for q in qs])
-        opt.step(net.grads)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, net, opt, extra={"post_mu": np.arange(3.0)})
-
-        data = load_checkpoint(path)
-        assert data["meta"]["arch"] == net.arch()
-        twin = small_net(seed=99)
-        twin.load_params(data["params"])
-        twin_opt = Adam(twin.params)
-        twin_opt.load_state(data["adam"]["m"], data["adam"]["v"], data["meta"]["adam_t"])
-        x = np.random.default_rng(4).normal(size=(3, 5))
-        for qa, qb in zip(net.q_values(x), twin.q_values(x)):
-            assert np.array_equal(qa, qb)
-        assert twin_opt.t == opt.t
-        assert np.array_equal(twin_opt.m, opt.m) and np.array_equal(twin_opt.v, opt.v)
-        assert np.array_equal(data["extra"]["post_mu"], np.arange(3.0))
-
-    def test_shape_table_validated(self, tmp_path):
+class TestLoadParams:
+    def test_shape_table_validated(self):
         net = small_net(seed=14)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, net)
-        data = load_checkpoint(path)
         other = BranchingQNet(5, [3, 5], trunk_widths=(8, 8), feature_dim=6, seed=0)
         with pytest.raises(ValueError):
-            other.load_params(data["params"])
-
-    def test_version_one_file_rejected(self, tmp_path):
-        # the per-tensor layout: one param_<i> array per tensor
-        net = small_net(seed=15)
-        meta = {"version": 1, "arch": net.arch(), "adam_t": None}
-        blobs = {f"param_{i}": p for i, p in enumerate(net.parameters())}
-        blobs["_meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        path = tmp_path / "v1.npz"
-        np.savez(path, **blobs)
-        assert CHECKPOINT_VERSION == 4
-        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
-            load_checkpoint(path)
-        # the flat layout with one posterior covariance per branch
-        meta = {"version": 2, "arch": net.arch(), "adam_t": None, "extra_keys": ["post_cov_0"]}
-        blobs = {"params": net.params, "extra_post_cov_0": np.zeros((3, 4, 4))}
-        blobs["_meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        path = tmp_path / "v2.npz"
-        np.savez(path, **blobs)
-        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
-            load_checkpoint(path)
-        # the dense posterior sampling factor, prior rows included
-        meta = {"version": 3, "arch": net.arch(), "adam_t": None, "extra_keys": ["post_scale"]}
-        blobs = {"params": net.params, "extra_post_scale": np.zeros((3, 4, 4))}
-        blobs["_meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        path = tmp_path / "v3.npz"
-        np.savez(path, **blobs)
-        with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
-            load_checkpoint(path)
+            other.load_params(net.params)
 
 
 def per_branch_reference(net, x):
