@@ -529,24 +529,33 @@ class _AgentBase:
         np.savez(path, **self._saved(), _meta=header)
 
     def load_checkpoint(self, path) -> dict[str, np.ndarray]:
-        """Check a checkpoint's version, architecture and arrays, load the
-        network and Adam from it, sync the target network, and return the
-        archive's arrays."""
+        """Check a checkpoint's header, version, architecture and arrays,
+        load the network and Adam from it, sync the target network, and
+        return the archive's arrays.  Each refusal is a ValueError that
+        names ``path``."""
         with open(path, "rb") as fh:
             archive = np.load(fh)       # a .npy file loads as one unnamed array
             data = {} if isinstance(archive, np.ndarray) else dict(archive)
         if "_meta" not in data:
             raise ValueError(f"{path} is not an oranmec checkpoint: missing _meta")
-        meta = json.loads(bytes(data["_meta"]).decode())
+        try:
+            meta = json.loads(bytes(data["_meta"]).decode())
+        except ValueError as exc:       # undecodable bytes or JSON
+            raise ValueError(f"{path}: _meta is not a JSON header: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: _meta is not a JSON object: {meta!r}")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
         if meta.get("arch") != self.net.arch():
             raise ValueError(f"{path}: checkpoint architecture does not match this agent")
+        adam_t = meta.get("adam_t")
+        if type(adam_t) is not int or adam_t < 0:
+            raise ValueError(f"{path}: _meta adam_t must be a nonnegative integer, got {adam_t!r}")
         missing = [key for key in self._saved() if key not in data]
         if missing:
             raise ValueError(f"{path} is not an oranmec checkpoint: missing {', '.join(missing)}")
         self.net.load_params(data["params"])
-        self.adam.load_state(data["adam_m"], data["adam_v"], meta["adam_t"])
+        self.adam.load_state(data["adam_m"], data["adam_v"], adam_t)
         self.sync_target()      # also clears the cached target scores
         return data
 

@@ -9,6 +9,7 @@ import os
 import sys
 from pathlib import Path
 
+from .env import ORACLE_LIMIT
 from .harness import (
     ConfigError,
     compare_runs,
@@ -44,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="exhaustive stationary-policy search")
     oracle.add_argument("--config", required=True)
-    oracle.add_argument("--limit", type=int, default=1_000_000)
+    oracle.add_argument("--limit", type=int, default=ORACLE_LIMIT)
 
     compare = sub.add_parser("compare", help="summarize episode metric files")
     compare.add_argument("files", nargs="+")

@@ -67,8 +67,6 @@ def _reader(tp, name: str):
             many = _reader(listed[0], name)
             one = _reader(next(a for a in args if a is not listed[0]), name)
             return lambda value: (many if isinstance(value, (list, tuple)) else one)(value)
-        if len(args) > 1:
-            return _same        # any other choice is the field owner's
         read = _reader(args[0], name)
         return lambda value: None if value is None else read(value)
     if dataclasses.is_dataclass(tp):

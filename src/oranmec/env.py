@@ -17,7 +17,8 @@ tuple of Python ints, one per branch, BS by BS in ``ActionLayout``'s branch
 order, each an index into its branch's value domain.  ``step``,
 ``compute_costs``, ``State.prev``, ``initial_action`` and
 ``enumerate_actions`` all take or give rows.  ``Action`` holds the same
-choice as values, for people to write and read.
+choice as values, for people to read: ``ActionLayout.indices_to_action``
+decodes a row into one.
 
 The monetary model itemizes, per slot:
 
@@ -60,13 +61,14 @@ from operator import add, getitem
 import numpy as np
 
 from . import splits as splits_mod
-from .splits import DEMAND_CAP_GBPS, SPLIT_IDS, get_split
+from .splits import DEMAND_CAP_GBPS, SPLITS, get_split
 from .topology import Topology
 from .workload import UtilizationModel
 
 logger = logging.getLogger("oranmec.env")
 
 DEFAULT_FLAVORS = tuple(range(16))   # reference-core sizes 0..15
+ORACLE_LIMIT = 1_000_000    # joint actions that exhaustive enumeration takes at most
 
 
 class ActionSpaceTooLarge(ValueError):
@@ -81,8 +83,8 @@ class EpisodeExhausted(RuntimeError):
 @dataclass(frozen=True)
 class Action:
     """Per-BS control tuple in domain values; every field is indexed by BS.
-    The env takes the same choice as a row of branch indices
-    (``ActionLayout.action_to_indices``).
+    The env takes the same choice as a row of branch indices, and
+    ``ActionLayout.indices_to_action`` decodes one, as the oracle prints it.
 
     ``mec_flavor[k][c-1]`` and ``mec_at_cu[k][c-1]`` refer to MEC class c.
     ``mec_at_cu`` is 1 when the class is hosted with the CU, 0 with the DU.
@@ -105,15 +107,6 @@ class State:
     t: int
     demand: np.ndarray          # (K, 1 + C); the env's states hold rows of its read-only episode
     prev: tuple[int, ...]       # the previous slot's action row
-
-    def __eq__(self, other):
-        if not isinstance(other, State):
-            return NotImplemented
-        return (
-            self.t == other.t
-            and self.prev == other.prev
-            and np.array_equal(self.demand, other.demand)
-        )
 
 
 @dataclass
@@ -170,13 +163,6 @@ class CostBreakdown:
     total: float = 0.0
     reward: float = 0.0
 
-    _ITEMS = (
-        "compute_du_mec", "compute_cu_mec", "sla_underprovision",
-        "sla_server_capacity", "sla_split_delay", "sla_inelastic_delay",
-        "instantiation", "reconfig_flavor", "reconfig_mec_migration",
-        "reconfig_server_migration", "routing",
-    )
-
     @property
     def penalty_total(self) -> float:
         return (
@@ -195,6 +181,10 @@ class CostBreakdown:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+# the priced items, in the order ``total`` adds them: every field before elastic_delay
+CostBreakdown._ITEMS = tuple(f.name for f in fields(CostBreakdown))[:-3]
+
+
 @dataclass(frozen=True)
 class ActionLayout:
     """Finite per-BS control domains and their branch decomposition.
@@ -205,7 +195,7 @@ class ActionLayout:
     """
 
     n_bs: int = 1
-    splits: tuple[str, ...] = SPLIT_IDS
+    splits: tuple[str, ...] = tuple(SPLITS)
     du_servers: tuple[int, ...] = ()
     cu_servers: tuple[int, ...] = ()
     bbu_flavors: tuple[int, ...] = DEFAULT_FLAVORS
@@ -250,7 +240,7 @@ class ActionLayout:
 
     @property
     def branches_per_bs(self) -> int:
-        return 5 + 2 * self.n_services
+        return len(self._domains)
 
     def branch_sizes(self) -> list[int]:
         return [len(dom) for _, dom in self._domains] * self.n_bs
@@ -258,19 +248,6 @@ class ActionLayout:
     def joint_cardinality(self) -> int:
         per_bs = math.prod(len(dom) for _, dom in self._domains)
         return per_bs ** self.n_bs
-
-    def action_to_indices(self, action: Action) -> tuple[int, ...]:
-        """``action``'s row of branch indices; a value outside its domain
-        raises ValueError."""
-        idx: list[int] = []
-        for k in range(self.n_bs):
-            *values, mec_flavor, mec_at_cu = (getattr(action, f.name)[k] for f in fields(Action))
-            for (name, dom), val in zip(self._domains, [*values, *mec_flavor, *mec_at_cu]):
-                try:
-                    idx.append(dom.index(val))
-                except ValueError:
-                    raise ValueError(f"BS {k}: {name}={val!r} not in domain {dom}") from None
-        return tuple(idx)
 
     def indices_to_action(self, idx) -> Action:
         """The ``Action`` of a row of branch indices."""
@@ -291,7 +268,7 @@ class ActionLayout:
         return tuple(row * self.n_bs)
 
 
-def enumerate_actions(layout: ActionLayout, limit: int = 1_000_000):
+def enumerate_actions(layout: ActionLayout, limit: int = ORACLE_LIMIT):
     """Exhaustive, duplicate-free iterator over the joint action space: every
     index row, in the order of ``itertools.product`` over the branches.
 

@@ -42,6 +42,7 @@ from .agents import AgentConfig, make_agent, run_training
 from .config import ConfigError, read_section
 from .env import (
     DEFAULT_FLAVORS,
+    ORACLE_LIMIT,
     Action,
     ActionLayout,
     CostBreakdown,
@@ -307,11 +308,13 @@ def seeded_run(cfg: ExperimentConfig, seed: int, **agent_changes):
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
-    """Execute the experiment per seed; returns the written file paths."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    """Execute the experiment per seed; returns the written file paths.
+    ``out_dir`` is made once a seed's run is built, so a refused set-up
+    leaves none behind."""
     written: list[Path] = []
     for seed in cfg.seeds:
         env, agent, provider, episode_seed = seeded_run(cfg, seed)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         result = run_training(
             env, agent, provider, cfg.episodes, episode_seed_base=episode_seed
         )
@@ -336,7 +339,7 @@ class OracleResult:
     n_evaluated: int
 
 
-def run_oracle(cfg: ExperimentConfig, limit: int = 1_000_000) -> OracleResult:
+def run_oracle(cfg: ExperimentConfig, limit: int = ORACLE_LIMIT) -> OracleResult:
     """Score every action, each an index row of ``enumerate_actions``, as a
     stationary policy over one episode and return the best by average
     reward, decoded into an ``Action``.

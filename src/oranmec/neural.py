@@ -85,10 +85,10 @@ class BranchingQNet:
         self,
         state_dim: int,
         branch_sizes: list[int],
-        trunk_widths: tuple[int, ...] = (256, 256, 256),
-        feature_dim: int = 128,
-        with_heads: bool = True,
-        seed: int | None = None,
+        trunk_widths: tuple[int, ...],
+        feature_dim: int,
+        with_heads: bool,
+        seed: int | None,
     ):
         if len(trunk_widths) < 1:
             raise ValueError("need at least the input-layer width")
@@ -263,7 +263,7 @@ class Adam:
     def __init__(
         self,
         params: np.ndarray,
-        lr: float = 1e-4,
+        lr: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,

@@ -98,14 +98,12 @@ SPLITS: dict[str, CompositeSplit] = {
     "S4": CompositeSplit("S4", None, OPTIONS["O8"], 1.00, 0.00),
 }
 
-SPLIT_IDS: tuple[str, ...] = ("S1", "S2", "S3", "S4")
-
 
 def get_split(split_id: str) -> CompositeSplit:
     try:
         return SPLITS[split_id]
     except KeyError:
-        raise KeyError(f"unknown split {split_id!r}; expected one of {SPLIT_IDS}") from None
+        raise KeyError(f"unknown split {split_id!r}; expected one of {tuple(SPLITS)}") from None
 
 
 def segment_loads(split: CompositeSplit, demand_gbps: float) -> tuple[float, float, float]:

@@ -286,6 +286,10 @@ def build_topology(config: dict) -> Topology:
     else:
         nodes, links = spec.nodes, spec.links
         du_servers, cu_servers = spec.du_servers, spec.cu_servers
+    for kind, servers in (("du", du_servers), ("cu", cu_servers)):
+        if not servers:     # the action places each BS's DU and CU on a server
+            key = f"waxman.n_{kind}" if spec.waxman is not None else f"{kind}_servers"
+            raise TopologyError(f"topology.{key} leaves no {kind.upper()} server; each BS needs one")
 
     capacity_rc = {     # a host of both a DU and a CU is sized as a DU host
         **dict.fromkeys(cu_servers, DEFAULT_CU_CAPACITY_RC),

@@ -45,13 +45,12 @@ class TraceError(ValueError):
     """Malformed or invalid demand trace."""
 
 
-def load_trace(path, n_bs: int | None = None, n_services: int | None = None) -> np.ndarray:
-    """Read a demand trace into a ``(slots, n_bs, 1 + C)`` array; slots run
-    from 0 to the largest ``t`` and missing cells are 0.
+def load_trace(path, n_bs: int, n_services: int) -> np.ndarray:
+    """Read a demand trace into a ``(slots, n_bs, 1 + n_services)`` array;
+    slots run from 0 to the largest ``t`` and missing cells are 0.
 
-    Rows must be sorted by slot, and no cell may appear twice.
-    ``n_bs``/``n_services`` override the shape inferred from the largest
-    indices seen.
+    Rows must be sorted by slot, no cell may appear twice, and every cell
+    must lie inside that shape.
     """
     rows: list[tuple[int, int, int, float]] = []
     seen: dict[tuple[int, int, int], int] = {}      # cell -> the line that set it
@@ -75,8 +74,11 @@ def load_trace(path, n_bs: int | None = None, n_services: int | None = None) -> 
                 raise TraceError(f"{path}: line {lineno}: demand_gbps {demand} is not finite")
             if demand < 0:
                 raise TraceError(f"{path}: line {lineno}: negative demand {demand}")
-            if t < 0 or k < 0 or c < 0:
-                raise TraceError(f"{path}: line {lineno}: negative index")
+            if t < 0 or not (0 <= k < n_bs and 0 <= c <= n_services):
+                raise TraceError(
+                    f"{path}: line {lineno}: cell t={t}, bs={k}, svc={c} is outside "
+                    f"t >= 0, bs 0..{n_bs - 1}, svc 0..{n_services}"
+                )
             if rows and t < rows[-1][0]:
                 raise TraceError(f"{path}: line {lineno}: rows not sorted by t")
             first = seen.setdefault((t, k, c), lineno)
@@ -86,16 +88,7 @@ def load_trace(path, n_bs: int | None = None, n_services: int | None = None) -> 
                 )
             rows.append((t, k, c, demand))
 
-    if not rows:
-        return _read_only(np.zeros((0, n_bs or 0, 1 + (n_services or 0))))
-    k_max = max(r[1] for r in rows)
-    c_max = max(r[2] for r in rows)
-    n_bs = n_bs if n_bs is not None else k_max + 1
-    n_services = n_services if n_services is not None else c_max
-    if k_max >= n_bs or c_max > n_services:
-        raise TraceError(f"{path}: indices exceed declared shape ({n_bs} BS, {n_services} services)")
-
-    horizon = rows[-1][0] + 1
+    horizon = rows[-1][0] + 1 if rows else 0
     demand = np.zeros((horizon, n_bs, 1 + n_services))
     for t, k, c, d in rows:
         demand[t, k, c] = d

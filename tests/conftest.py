@@ -59,6 +59,14 @@ def chain_config():
     }
 
 
+def row(layout, **values):
+    """A one-BS index row from branch values named as in
+    ``layout.per_bs_domains()``: ``split``, ``du_server``, ``cu_server``,
+    ``du_flavor``, ``cu_flavor``, then ``mec_flavor_<c>`` and ``mec_at_cu_<c>``
+    per MEC class c."""
+    return tuple(dom.index(values[name]) for name, dom in layout.per_bs_domains())
+
+
 def make_cost_env(
     bbu_base=0.5,
     bbu_slope=1.5,

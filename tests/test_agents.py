@@ -582,7 +582,7 @@ class TestThompsonSelection:
         # the sampled weights produce the same argmax
         from oranmec.neural import BranchingQNet
 
-        net = BranchingQNet(4, [3, 2], trunk_widths=(6,), feature_dim=5, seed=2)
+        net = BranchingQNet(4, [3, 2], trunk_widths=(6,), feature_dim=5, with_heads=True, seed=2)
         x = rng.normal(size=4)
         q_rows = net.q_values(x)
         greedy = select_action_egreedy(q_rows, 0.0, rng)
@@ -1143,6 +1143,28 @@ class TestCheckpointFormat:
         message = f"{path} is not an oranmec checkpoint: missing {key}"
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             agent.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"{4}", "_meta is not a JSON header: Expecting property name"),
+        (b"\xff", "_meta is not a JSON header: 'utf-8' codec can't decode"),
+        (b"[4]", "_meta is not a JSON object: [4]"),
+        ({}, "_meta adam_t must be a nonnegative integer, got None"),
+        ({"adam_t": -1}, "_meta adam_t must be a nonnegative integer, got -1"),
+        ({"adam_t": 2.5}, "_meta adam_t must be a nonnegative integer, got 2.5"),
+        ({"adam_t": "3"}, "_meta adam_t must be a nonnegative integer, got '3'"),
+        ({"adam_t": True}, "_meta adam_t must be a nonnegative integer, got True"),
+    ], ids=["json", "utf-8", "list", "no-adam_t", "negative", "float", "string", "bool"])
+    def test_a_malformed_header_is_refused(self, tmp_path, header, message):
+        agent = _filled_agent(mode="egreedy")
+        blobs = _v4_arrays(agent, np.random.default_rng(5))
+        if isinstance(header, dict):        # this agent's v4 header, adam_t as given
+            header = json.dumps({"version": 4, "arch": agent.net.arch(), **header}).encode()
+        blobs["_meta"] = np.frombuffer(header, dtype=np.uint8)
+        path = tmp_path / "v4.npz"
+        np.savez(path, **blobs)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            agent.load_checkpoint(path)
+        assert agent.adam.t == 0
 
     def test_versions_one_to_three_rejected(self, tmp_path):
         agent = _filled_agent(mode="bayes")

@@ -53,7 +53,8 @@ class TestClassCount:
 
 class TestReset:
     def test_identical_resets(self, env, demands):
-        assert env.reset(demands) == env.reset(demands)
+        a, b = env.reset(demands), env.reset(demands)
+        assert (a.t, a.prev, a.demand.tobytes()) == (b.t, b.prev, b.demand.tobytes())
 
     def test_previous_fields_hold_initial_action(self, env, demands):
         state = env.reset(demands)
@@ -268,15 +269,19 @@ class TestActionLayout:
         assert layout.branch_sizes() == [4, 4, 2, 16, 16, 16, 16, 2, 2]
         assert layout.joint_cardinality() == 8_388_608
 
-    def test_index_round_trip(self, rng):
+    def test_a_row_decodes_bs_by_bs(self):
         layout = ActionLayout(
             n_bs=2, du_servers=(2, 3), cu_servers=(4,),
-            bbu_flavors=(0, 1, 2, 3), n_services=2,
+            bbu_flavors=(0, 1, 2, 3), mec_flavors=((0, 1, 2, 3), (0, 2, 4, 6)), n_services=2,
         )
-        for _ in range(100):
-            idx = np.array([rng.integers(n) for n in layout.branch_sizes()])
-            action = layout.indices_to_action(idx)
-            assert np.array_equal(layout.action_to_indices(action), idx)
+        row = (3, 1, 0, 2, 1, 0, 3, 1, 0) + (0, 0, 0, 3, 3, 1, 2, 0, 1)
+        assert layout.indices_to_action(row) == Action(
+            split=("S4", "S1"), du_server=(3, 2), cu_server=(4, 4),
+            du_flavor=(2, 3), cu_flavor=(1, 3),
+            mec_flavor=((0, 6), (1, 4)), mec_at_cu=((1, 0), (0, 1)),
+        )
+        with pytest.raises(ValueError, match="expected 18 indices, got 17"):
+            layout.indices_to_action(row[:-1])
 
 
 class TestEnumerateActions:

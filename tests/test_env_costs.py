@@ -21,7 +21,6 @@ import yaml
 
 from oranmec import harness
 from oranmec.env import (
-    Action,
     ActionLayout,
     CostBreakdown,
     OranMecEnv,
@@ -37,6 +36,7 @@ from tests.conftest import (
     chain_config,
     make_cost_env,
     make_toy_env,
+    row,
 )
 
 APPROX = dict(abs=1e-12)
@@ -61,10 +61,12 @@ SINGLE_ROUTE_TOPOLOGY = {
 
 
 def act(split="S1", du=2, cu=4, x=0, y=0, z=(0, 0), zeta=(0, 0)):
-    return Action(
-        split=(split,), du_server=(du,), cu_server=(cu,),
-        du_flavor=(x,), cu_flavor=(y,),
-        mec_flavor=(tuple(z),), mec_at_cu=(tuple(zeta),),
+    """One BS's branch values by name, for ``row``; ``z`` and ``zeta`` hold
+    the MEC flavor and side of each class."""
+    return dict(
+        split=split, du_server=du, cu_server=cu, du_flavor=x, cu_flavor=y,
+        **{f"mec_flavor_{c}": v for c, v in enumerate(z, 1)},
+        **{f"mec_at_cu_{c}": v for c, v in enumerate(zeta, 1)},
     )
 
 
@@ -88,10 +90,11 @@ def build_env(
 
 
 def price(env, demand, prev, action):
-    """``compute_costs`` at slot 0 of hand-written ``Action``s, passed as the
-    index rows the env takes, on ``demand`` as ``ingest`` returns it."""
-    rows = env.layout.action_to_indices
-    return env.compute_costs(State(0, env.ingest([[demand]])[0], rows(prev)), rows(action))
+    """``compute_costs`` at slot 0 of hand-written ``act`` values, passed as
+    the index rows the env takes, on ``demand`` as ``ingest`` returns it."""
+    layout = env.layout
+    state = State(0, env.ingest([[demand]])[0], row(layout, **prev))
+    return env.compute_costs(state, row(layout, **action))
 
 
 def assert_breakdown(costs, expected):
@@ -155,7 +158,7 @@ class TestHandScenarios:
             topology=topo, bbu=(0.0, 0.0), mec=(0.0, 1.0), n_services=1,
             reward=RewardConfig(delay_threshold={}),
         )
-        a = Action(("S1",), (2,), (4,), (0,), (0,), ((2,),), ((0,),))
+        a = act(z=(2,), zeta=(0,))
         costs = price(env, (0.0, 1.0), a, a)
         assert costs.elastic_delay == pytest.approx(0.5035, **APPROX)
         assert costs.compute_du_mec == pytest.approx(0.5, **APPROX)
@@ -171,7 +174,7 @@ class TestHandScenarios:
             reward=RewardConfig(delay_threshold={}),
         )
         for at_cu in (0, 1):
-            a = Action(("S1",), (2,), (2,), (0,), (0,), ((2,),), ((at_cu,),))
+            a = act(cu=2, z=(2,), zeta=(at_cu,))
             costs = price(env, (0.0, 1.0), a, a)
             assert costs.elastic_delay == pytest.approx(0.6025, **APPROX)
 
@@ -406,21 +409,22 @@ class TestGreedyOneStepOracle:
         return OranMecEnv(topo, layout, util, RewardConfig(delay_threshold={}))
 
     def _best(self, env, prev, demand):
-        state = State(0, np.asarray([demand], dtype=float), env.layout.action_to_indices(prev))
+        """The best row after ``prev``'s ``act`` values, and its reward."""
+        state = State(0, np.asarray([demand], dtype=float), row(env.layout, **prev))
         best_action, best_reward = None, -np.inf
         for a in enumerate_actions(env.layout):
             r = env.compute_costs(state, a).reward
             if r > best_reward:
                 best_action, best_reward = a, r
-        return env.layout.indices_to_action(best_action), best_reward
+        return best_action, best_reward
 
     def test_idle_network_drops_all_flavors(self):
         # keeping the 1-RC instances costs 0.625/slot; releasing them costs
         # a one-off 0.05*3 churn -> release everything, keep the cheap split
-        prev = Action(("S1",), (2,), (4,), (1,), (1,), ((1,),), ((0,),))
+        prev = act(x=1, y=1, z=(1,), zeta=(0,))
         env = self._build((0.0, 0.0), (0.0, 0.0))
         best, reward = self._best(env, prev, (0.0, 0.0))
-        assert best == Action(("S1",), (2,), (4,), (0,), (0,), ((0,),), ((0,),))
+        assert best == row(env.layout, **act(z=(0,), zeta=(0,)))
         assert reward == pytest.approx(-10.25, **APPROX)
 
     def test_loaded_bs_scales_up_and_centralizes_mec(self):
@@ -428,19 +432,19 @@ class TestGreedyOneStepOracle:
         # service is cheapest at the CU with 2 RC:
         #   J = 0.75 + 0.375 + 14.1 + 0.05 + 0.05 + 0.1 = 15.425
         #   D = 0.1875 + 0.5 + 0.0001 -> reward -16.1126
-        prev = Action(("S1",), (2,), (4,), (3,), (1,), ((1,),), ((0,),))
+        prev = act(x=3, y=1, z=(1,), zeta=(0,))
         env = self._build((0.5, 1.5), (0.0, 1.0))
         best, reward = self._best(env, prev, (2.0, 1.0))
-        assert best == Action(("S1",), (2,), (4,), (3,), (1,), ((2,),), ((1,),))
+        assert best == row(env.layout, **act(x=3, y=1, z=(2,), zeta=(1,)))
         assert reward == pytest.approx(-16.1126, **APPROX)
 
     def test_mec_only_load_migrates_to_cu(self):
         # moving the 2-RC service to the cheaper CU host pays off even with
         # the migration charge: reward -11.1376 vs -11.2275 for staying
-        prev = Action(("S1",), (2,), (4,), (0,), (0,), ((2,),), ((0,),))
+        prev = act(z=(2,), zeta=(0,))
         env = self._build((0.0, 0.0), (0.0, 1.0))
         best, reward = self._best(env, prev, (0.0, 1.0))
-        assert best == Action(("S1",), (2,), (4,), (0,), (0,), ((2,),), ((1,),))
+        assert best == row(env.layout, **act(z=(2,), zeta=(1,)))
         assert reward == pytest.approx(-11.1376, **APPROX)
 
 

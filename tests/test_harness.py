@@ -268,6 +268,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_experiment_config(path)
 
+    @pytest.mark.parametrize("topology, message", [
+        ({"du_servers": []}, "topology.du_servers leaves no DU server"),
+        ({"cu_servers": []}, "topology.cu_servers leaves no CU server"),
+        ({"waxman": {"n": 14, "seed": 3, "n_du": 0}}, "topology.waxman.n_du leaves no DU server"),
+        ({"waxman": {"n": 14, "seed": 3, "n_cu": 0}}, "topology.waxman.n_cu leaves no CU server"),
+    ], ids=["du_servers", "cu_servers", "n_du", "n_cu"])
+    def test_topology_without_du_or_cu_servers_refused(self, tmp_path, topology, message):
+        if "waxman" not in topology:
+            topology = {**yaml.safe_load((CONFIG_DIR / "toy.yaml").read_text())["topology"],
+                        **topology}
+        path = toy_config(tmp_path, topology=topology)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_experiment_config(path)
+
     def test_unknown_platform_rejected(self, tmp_path):
         path = toy_config(tmp_path, utilization={"platform": "C"})
         with pytest.raises(ConfigError, match="platform must be A or B, got 'C'"):
@@ -725,17 +739,35 @@ class TestCli:
             prior = np.setdiff1d(np.arange(len(post.mu)), rows)
             assert (post.scale[prior] == post.prior_scale).all()
 
-    @pytest.mark.parametrize("kind", ["no-header", "empty-zip", "npy"])
+    REFUSED_CHECKPOINTS = {
+        "no-header": " is not an oranmec checkpoint: missing _meta",
+        "empty-zip": " is not an oranmec checkpoint: missing _meta",
+        "npy": " is not an oranmec checkpoint: missing _meta",
+        "bad-json": ": _meta is not a JSON header: Expecting property name",
+        "not-object": ": _meta is not a JSON object: [4]",
+        "no-adam_t": ": _meta adam_t must be a nonnegative integer, got None",
+    }
+
+    @pytest.mark.parametrize("kind", REFUSED_CHECKPOINTS)
     def test_pretrained_file_that_is_not_a_checkpoint(self, tmp_path, capsys, kind):
         path = tmp_path / ("x.npy" if kind == "npy" else "x.npz")
+        cfg_path = toy_config(tmp_path)
         if kind == "no-header":
             np.savez(path, params=np.zeros(3))
         elif kind == "empty-zip":
             zipfile.ZipFile(path, "w").close()
-        else:
+        elif kind == "npy":
             np.save(path, np.zeros(3))
-        cfg_path = toy_config(tmp_path)
-        assert cli_main(["run", "--config", str(cfg_path), "--pretrained", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert f"{path} is not an oranmec checkpoint: missing _meta" in err
+        else:       # a checkpoint of the right architecture, its header replaced
+            seeded_run(load_experiment_config(cfg_path), 0)[1].save_checkpoint(path)
+            with np.load(path) as archive:
+                blobs = dict(archive)
+            meta = json.loads(bytes(blobs["_meta"]).decode())
+            del meta["adam_t"]
+            header = {"bad-json": b"{4}", "not-object": b"[4]"}.get(kind, json.dumps(meta).encode())
+            np.savez(path, **{**blobs, "_meta": np.frombuffer(header, dtype=np.uint8)})
+        out = tmp_path / "refused"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
+                         "--pretrained", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}{self.REFUSED_CHECKPOINTS[kind]}")
+        assert not out.exists()

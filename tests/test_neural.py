@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oranmec.agents import REFRESH_CHUNK_BYTES
+from oranmec.agents import REFRESH_CHUNK_BYTES, AgentConfig
 from oranmec.env import ActionLayout
 from oranmec.neural import (
     ADAM_BLOCK,
@@ -16,6 +16,13 @@ def small_net(seed=0, with_heads=True):
         5, [3, 4], trunk_widths=(8, 8), feature_dim=6,
         with_heads=with_heads, seed=seed,
     )
+
+
+def full_scale_net(state_dim, branch_sizes):
+    """A Q-head network at ``AgentConfig``'s full-scale widths."""
+    cfg = AgentConfig()
+    return BranchingQNet(state_dim, branch_sizes, trunk_widths=cfg.trunk_widths,
+                         feature_dim=cfg.feature_dim, with_heads=True, seed=0)
 
 
 def zero_params(net):
@@ -60,7 +67,7 @@ class TestForward:
         assert all(np.all(q == 0.0) for q in out)
 
     def test_single_linear_unit(self):
-        net = BranchingQNet(1, [1], trunk_widths=(1,), feature_dim=1, seed=0)
+        net = BranchingQNet(1, [1], trunk_widths=(1,), feature_dim=1, with_heads=True, seed=0)
         for p in net.parameters():
             p[...] = 0.0
         net.w.trunk[0][...] = 1.0          # pass-through trunk
@@ -98,7 +105,7 @@ class TestBackward:
     def test_hand_chain_rule_single_weight(self):
         # squared loss on a single linear weight: w=1, x=2, target 0
         # dL/dw = 2 * (w*x - 0) * x = 8
-        net = BranchingQNet(1, [1], trunk_widths=(1,), feature_dim=1, seed=0)
+        net = BranchingQNet(1, [1], trunk_widths=(1,), feature_dim=1, with_heads=True, seed=0)
         for p in net.parameters():
             p[...] = 0.0
         net.w.trunk[0][...] = 1.0
@@ -225,7 +232,7 @@ class TestArchitectureAudit:
         layout = ActionLayout(
             n_bs=1, du_servers=(1, 2, 3, 4), cu_servers=(5, 6), n_services=2
         )
-        net = BranchingQNet(84, layout.branch_sizes(), seed=0)
+        net = full_scale_net(84, layout.branch_sizes())
         assert sum(w.shape[1] for w in net.w.heads) == 78
         assert layout.joint_cardinality() == 8_388_608
 
@@ -233,14 +240,15 @@ class TestArchitectureAudit:
         layout = ActionLayout(
             n_bs=4, du_servers=(1, 2, 3, 4), cu_servers=(5, 6), n_services=2
         )
-        net = BranchingQNet(84, layout.branch_sizes(), seed=0)
+        net = full_scale_net(84, layout.branch_sizes())
         assert net.n_branches == 4 * 9
 
 
 class TestLoadParams:
     def test_shape_table_validated(self):
         net = small_net(seed=14)
-        other = BranchingQNet(5, [3, 5], trunk_widths=(8, 8), feature_dim=6, seed=0)
+        other = BranchingQNet(5, [3, 5], trunk_widths=(8, 8), feature_dim=6,
+                              with_heads=True, seed=0)
         with pytest.raises(ValueError):
             other.load_params(net.params)
 
@@ -280,7 +288,8 @@ class TestFusedBranches:
     ], ids=["small", "full-width"])
     def test_bit_equal_to_per_branch_reference(self, state_dim, sizes, widths, F, batch):
         rng = np.random.default_rng(21)
-        net = BranchingQNet(state_dim, sizes, trunk_widths=widths, feature_dim=F, seed=3)
+        net = BranchingQNet(state_dim, sizes, trunk_widths=widths, feature_dim=F, with_heads=True,
+                            seed=3)
         x = rng.normal(size=(batch, state_dim))
         trained(net, x)
         ref_phis, ref_qs = per_branch_reference(net, x)
@@ -434,4 +443,4 @@ class TestBlockedAdam:
 
     def test_rejects_non_flat_parameters(self):
         with pytest.raises(ValueError):
-            Adam(np.zeros((2, 3)))
+            Adam(np.zeros((2, 3)), lr=0.1)

@@ -8,14 +8,13 @@ from oranmec.splits import (
     BBU_FUNCTION_SHARES,
     DU_FUNCTIONS_BY_HLS,
     OPTIONS,
-    SPLIT_IDS,
     SPLITS,
     delay_requirements,
     get_split,
     segment_loads,
 )
 
-ALL_SPLITS = [SPLITS[s] for s in SPLIT_IDS]
+ALL_SPLITS = list(SPLITS.values())
 
 
 class TestOptionTable:
@@ -100,7 +99,7 @@ class TestComputeShares:
 class TestLoadProperties:
     @given(
         demand=st.floats(min_value=0.0, max_value=4.0),
-        split_id=st.sampled_from(SPLIT_IDS),
+        split_id=st.sampled_from(tuple(SPLITS)),
     )
     def test_loads_nonnegative(self, demand, split_id):
         loads = segment_loads(get_split(split_id), demand)
@@ -109,7 +108,7 @@ class TestLoadProperties:
     @given(
         lo=st.floats(min_value=0.0, max_value=4.0),
         hi=st.floats(min_value=0.0, max_value=4.0),
-        split_id=st.sampled_from(SPLIT_IDS),
+        split_id=st.sampled_from(tuple(SPLITS)),
     )
     def test_loads_monotone_in_demand(self, lo, hi, split_id):
         if lo > hi:

@@ -21,8 +21,11 @@ def run_tool(*argv: str) -> str:
 
 
 def test_identity_prints_the_toy_oracle_best():
-    assert run_tool("tools/identity.py", "toy-oracle") == \
-        "toy-oracle best -22.635619555555554 row (0, 0, 0, 1, 1, 1, 3, 1, 1)\n"
+    assert run_tool("tools/identity.py", "toy-oracle") == (
+        "toy-oracle best -22.635619555555554 at Action(split=('S1',), du_server=(2,), "
+        "cu_server=(4,), du_flavor=(1,), cu_flavor=(1,), mec_flavor=((1, 3),), "
+        "mec_at_cu=((1, 1),))\n"
+    )
 
 
 def test_refresh_peak_prints_memory_time_and_posterior_hashes():

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def write_trace(tmp_path, rows, header="t,bs,svc,demand_gbps"):
 class TestLoadTrace:
     def test_basic_rows(self, tmp_path):
         path = write_trace(tmp_path, ["0,0,0,2.0", "0,0,1,0.5"])
-        demand = load_trace(path)
+        demand = load_trace(path, n_bs=1, n_services=1)
         assert demand.shape == (1, 1, 2)
         assert demand[0, 0, 0] == 2.0
         assert demand[0, 0, 1] == 0.5
@@ -34,43 +35,43 @@ class TestLoadTrace:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        assert len(load_trace(path)) == 0
+        assert len(load_trace(path, n_bs=1, n_services=1)) == 0
 
     def test_header_only(self, tmp_path):
         path = write_trace(tmp_path, [])
-        assert len(load_trace(path)) == 0
+        assert len(load_trace(path, n_bs=1, n_services=1)) == 0
 
     def test_negative_demand_rejected(self, tmp_path):
         path = write_trace(tmp_path, ["0,0,0,-1"])
         with pytest.raises(TraceError, match="line 2"):
-            load_trace(path)
+            load_trace(path, n_bs=1, n_services=1)
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_non_finite_demand_rejected(self, tmp_path, text):
         path = write_trace(tmp_path, ["0,0,0,1.0", f"0,0,1,{text}"])
         with pytest.raises(TraceError, match="line 3: demand_gbps .* is not finite"):
-            load_trace(path)
+            load_trace(path, n_bs=1, n_services=1)
 
     def test_repeated_cell_rejected(self, tmp_path):
         # a repeated cell must not let its last value win without a word
         path = write_trace(tmp_path, ["0,0,0,1.0", "0,0,1,0.5", "0,0,0,2.5"])
         with pytest.raises(TraceError, match="line 4: cell t=0, bs=0, svc=0 repeats line 2"):
-            load_trace(path)
+            load_trace(path, n_bs=1, n_services=1)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = write_trace(tmp_path, ["0,0,0,1.0", "1,zero,0,1.0"])
         with pytest.raises(TraceError, match="line 3"):
-            load_trace(path)
+            load_trace(path, n_bs=1, n_services=1)
 
     def test_unsorted_rows_rejected(self, tmp_path):
         path = write_trace(tmp_path, ["1,0,0,1.0", "0,0,0,1.0"])
         with pytest.raises(TraceError, match="sorted"):
-            load_trace(path)
+            load_trace(path, n_bs=1, n_services=1)
 
     def test_missing_cells_default_zero(self, tmp_path, caplog):
         path = write_trace(tmp_path, ["0,0,0,1.0", "1,1,2,0.25"])
         with caplog.at_level(logging.WARNING, logger="oranmec.workload"):
-            demand = load_trace(path)
+            demand = load_trace(path, n_bs=2, n_services=2)
         assert len(demand) == 2
         assert demand[1, 1, 2] == 0.25
         assert demand[0, 1, 2] == 0.0
@@ -79,12 +80,22 @@ class TestLoadTrace:
     def test_bad_header_rejected(self, tmp_path):
         path = write_trace(tmp_path, ["0,0,0,1.0"], header="time,cell,svc,gbps")
         with pytest.raises(TraceError, match="header"):
-            load_trace(path)
+            load_trace(path, n_bs=1, n_services=1)
 
-    def test_shape_override(self, tmp_path):
+    def test_the_shape_is_the_given_one(self, tmp_path):
         path = write_trace(tmp_path, ["0,0,0,1.0"])
         demand = load_trace(path, n_bs=3, n_services=2)
         assert demand.shape == (1, 3, 3)
+        assert load_trace(write_trace(tmp_path, []), n_bs=3, n_services=2).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("cell", ["0,2,0", "0,0,3", "-1,0,0", "0,-1,0", "0,0,-1"],
+                             ids=["bs", "svc", "negative-t", "negative-bs", "negative-svc"])
+    def test_cell_outside_the_shape_rejected(self, tmp_path, cell):
+        path = write_trace(tmp_path, ["0,0,0,1.0", f"{cell},0.5"])
+        t, k, c = cell.split(",")
+        message = f"line 3: cell t={t}, bs={k}, svc={c} is outside t >= 0, bs 0..1, svc 0..2"
+        with pytest.raises(TraceError, match=re.escape(message)):
+            load_trace(path, n_bs=2, n_services=2)
 
 
 class TestSynthDemands:
@@ -117,7 +128,7 @@ class TestDemandArrays:
     def test_every_source_is_read_only_float64(self, tmp_path):
         path = write_trace(tmp_path, ["0,0,0,1.0", "1,0,1,0.5"])
         for demand in (
-            load_trace(path),
+            load_trace(path, n_bs=1, n_services=1),
             synth_demands(0, SLOTS_PER_DAY, 2, 2, 4.0),
             constant_demands(3, 2, 1.0, [0.5, 0.5]),
         ):

@@ -13,8 +13,8 @@ that moves one step's loss in its last bit can leave the episode means
 equal).  A Bayes run also prints the sha256 of its final posterior means
 (``posterior.mu``) and sampling factors (``posterior.scale``) bytes, which
 fingerprint the posterior refits directly.  ``toy-oracle`` prints the
-exhaustive oracle's best mean reward and the index row of the action that
-reaches it, so a tie broken another way shows.  Runs are built by
+exhaustive oracle's best mean reward and the ``Action`` that reaches it, so
+a tie broken another way shows.  Runs are built by
 ``harness.seeded_run``, as ``harness.run_experiment`` builds them, with BLAS
 on one thread as the benchmark runs it.
 
@@ -113,10 +113,8 @@ def main(argv: list[str]) -> int:
     names = argv or [*RUNS, "toy-oracle"]
     for name in names:
         if name == "toy-oracle":
-            cfg = harness.load_experiment_config(CONFIGS / "toy.yaml")
-            best = harness.run_oracle(cfg)
-            row = harness.build_env(cfg).layout.action_to_indices(best.action)
-            print(f"toy-oracle best {best.mean_reward!r} row {row}")
+            best = harness.run_oracle(harness.load_experiment_config(CONFIGS / "toy.yaml"))
+            print(f"toy-oracle best {best.mean_reward!r} at {best.action}")
         elif name in RUNS:
             print(f"{name} {fingerprint(*RUNS[name])}")
         else:
